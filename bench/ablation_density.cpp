@@ -4,8 +4,7 @@
 // needed". This bench performs that investigation: node-count and area
 // sweeps under IB routing, plus the recurring-pair session-churn sweep.
 // All cells run on deploy::SweepRunner (pass --jobs N to parallelize;
-// --episode-jobs M additionally replays each cell on the episode-
-// partitioned engine, --subepisode-jobs M on the finer contact-strand
+// --subepisode-jobs M additionally replays each cell on the contact-strand
 // engine; metrics are bitwise identical on every engine and at any thread
 // count).
 #include <chrono>
@@ -36,7 +35,6 @@ void density_row(deploy::Table& t, std::size_t row, const deploy::CellResult& r)
                   deploy::fmt(oracle.overall_delivery_ratio(), 3),
                   delays.empty() ? "-" : util::format_duration(delays.quantile(0.5)),
                   deploy::fmt(oracle.one_hop_fraction(), 3), deploy::fmt(resume_share, 2),
-                  deploy::fmt(r.episode_parallelism, 2),
                   deploy::fmt(r.subepisode_parallelism, 2),
                   std::to_string(r.subepisode_width), deploy::fmt(r.wall_s, 2)});
 }
@@ -65,12 +63,11 @@ int main(int argc, char** argv) {
 
   deploy::Table t({"cell", "nodes", "area km^2", "nodes/km^2", "encounters", "deliveries",
                    "delivery ratio", "median delay", "1-hop share", "resumed",
-                   "parallelism", "dag par", "dag width", "cell s"});
+                   "dag par", "dag width", "cell s"});
   for (const auto& r : results) density_row(t, r.cell, r);
   t.print();
-  std::printf("sweep wall-clock: %.2f s (%zu cells, %zu worker(s), trace replay %s)\n",
-              sweep_wall, grid.size(), runner.options().jobs,
-              runner.options().reuse_traces ? "on" : "off");
+  std::printf("sweep wall-clock: %.2f s (%zu cells, %zu worker(s))\n", sweep_wall,
+              grid.size(), runner.options().jobs);
 
   std::printf("shape: encounters and deliveries scale superlinearly with density and\n"
               "the 1-hop share falls (relaying takes over), while median delay stays at\n"

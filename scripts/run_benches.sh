@@ -9,8 +9,8 @@
 #   scripts/run_benches.sh --jobs 4 build
 # Sweep metrics are bitwise identical for any N (only wall-clock changes);
 # N is also exported as SOS_SWEEP_JOBS so the bench binaries pick it up
-# when run directly. SOS_EPISODE_JOBS / --episode-jobs (forwarded the same
-# way) additionally replays each cell on the episode-partitioned engine.
+# when run directly. SOS_SUBEPISODE_JOBS / --subepisode-jobs additionally
+# replays each cell on the contact-strand engine.
 #
 # With --check, no benches run: the script is the repo's full correctness
 # gate, in three stages.
@@ -22,10 +22,9 @@
 #      tier again on its own (checkpoint/resume pins under ASan).
 #   3. TSan: a -DSOS_SANITIZE=thread build in <build-dir>-tsan runs the
 #      `sweep`-, `fault`-, `mw`-, and `soak`-labelled suites, then re-runs the
-#      randomized multi-community harness twice — with SOS_EPISODE_JOBS=4
-#      and with SOS_SUBEPISODE_JOBS=4 — so both the episode and the
-#      sub-episode (contact-strand) worker pools are exercised at a fixed
-#      width.
+#      randomized multi-community harness and the strand relay tests with
+#      SOS_SUBEPISODE_JOBS=4, so the contact-strand worker pool is
+#      exercised at a fixed width.
 # Each sanitizer stage refuses to report "clean" unless the suite binaries
 # are actually instrumented (stale cache / toolchain dropping the flag):
 #   scripts/run_benches.sh --check build
@@ -106,12 +105,9 @@ if [[ $check -eq 1 ]]; then
     echo "== TSan check: ctest -L $label =="
     ctest --test-dir "$tsan_dir" -L "$label" --output-on-failure
   done
-  echo "== TSan check: randomized multi-community harness, SOS_EPISODE_JOBS=4 =="
-  SOS_EPISODE_JOBS=4 "$tsan_dir/episode_test" \
-    --gtest_filter='RandomizedDeterminism.*'
   echo "== TSan check: randomized multi-community harness, SOS_SUBEPISODE_JOBS=4 =="
   SOS_SUBEPISODE_JOBS=4 "$tsan_dir/episode_test" \
-    --gtest_filter='RandomizedDeterminism.*:SubepisodeReplay.*'
+    --gtest_filter='RandomizedDeterminism.*:StrandReplay.*'
   echo "lint + ASan/UBSan full suite + TSan sweep/fault/mw suites clean"
   exit 0
 fi

@@ -3,7 +3,7 @@
 // the same (public key, message, signature) triples — each distinct bundle
 // and certificate is checked once per carrying node — yet the verdict is a
 // pure function of the triple. Sharing one memo across all simulated nodes
-// (and across episode worker threads) collapses that redundancy without
+// (and across strand worker threads) collapses that redundancy without
 // changing any simulated metric: per-node counters still record the checks
 // the real device would perform; only the simulator skips recomputing the
 // curve math. Safe under concurrency because a late writer stores the same

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -14,7 +15,6 @@
 #include "alleyoop/app.hpp"
 #include "crypto/verify_memo.hpp"
 #include "deploy/scenario_detail.hpp"
-#include "sim/episode.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/subepisode.hpp"
@@ -26,10 +26,9 @@ namespace sos::deploy {
 
 namespace {
 
-/// Everything one episode / strand task produces; merged into the
-/// ScenarioResult in task-index order so the outcome never depends on
-/// completion order.
-struct EpisodeOut {
+/// Everything one task produces; merged into the ScenarioResult in
+/// task-index order so the outcome never depends on completion order.
+struct TaskOut {
   MetricsOracle oracle;
   std::uint64_t wire_frames = 0;
   std::uint64_t wire_bytes = 0;
@@ -41,9 +40,7 @@ struct EpisodeOut {
 
 /// Shared engine state. Workers touch disjoint slices: a task only
 /// reads/writes its member nodes' state (exclusive by the DAG's per-node
-/// chaining) and its own EpisodeOut slot. Exactly one of `episodes` (the
-/// episode engine's list — EpisodeGraph's or a hand-fused mono partition)
-/// and `dag` (sub-episode strand engine) is set.
+/// chaining) and its own TaskOut slot.
 struct EngineState {
   const ScenarioConfig& config;
   const ScenarioWorld& world;
@@ -51,17 +48,18 @@ struct EngineState {
   /// transform, or one segment of either under segmented replay.
   const sim::ContactTrace& trace;
   const sim::FaultPlan* plan;  // compiled fault plan (may be null)
-  const std::vector<sim::Episode>* episodes;
-  const sim::ContactDag* dag;
+  const sim::ContactDag& dag;
   std::vector<std::unique_ptr<mw::SosNode>>& nodes;
   std::vector<std::unique_ptr<alleyoop::App>>& apps;
   /// Per-node merged workload timelines (posts + floods + reboots).
   const std::vector<std::vector<detail::TimelineEvent>>& timelines;
   std::vector<std::size_t>& timeline_cursor;   // next unscheduled event per node
   std::vector<util::SimTime>& resume_at;       // per-node timeline progress
-  std::vector<EpisodeOut>& outs;
+  std::vector<TaskOut>& outs;
   double horizon;
 };
+
+void run_strand_task(const EngineState& st, std::size_t ti);
 
 /// The Kahn-worker queue: every worker (the calling thread plus any helpers
 /// borrowed from the WorkerBudget) coordinates through this state, all of
@@ -81,35 +79,25 @@ struct KahnQueue {
   std::vector<std::vector<std::size_t>> dependents;         // reverse dep edges
 };
 
-/// Execute a task DAG with the annotated KahnQueue worker machinery shared
-/// by the episode and sub-episode engines. `deps_of(i)` returns task i's
-/// dependency list (read-only, stable for the whole call); `body(i)` runs
-/// task i and must touch only state that task owns. One code path for
+/// Execute the task DAG with `jobs` (>= 1) workers. One code path for
 /// serial and parallel execution: the calling thread is always a worker;
 /// helpers join it when jobs > 1 or the shared budget grants tokens. The
 /// ordered ready set makes the serial order identical to a dedicated serial
 /// loop, and an uncontended MutexLock per task is noise next to a task's
 /// millisecond-scale replay. Throws if the DAG cannot complete (a cycle).
-void execute_task_dag(std::size_t count,
-                      const std::function<const std::vector<std::size_t>&(std::size_t)>& deps_of,
-                      const std::function<void(std::size_t)>& body, std::size_t jobs,
-                      WorkerBudget* budget, const char* what) {
+void execute_task_dag(const EngineState& st, std::size_t jobs, WorkerBudget* budget) {
+  const std::vector<sim::ContactTask>& tasks = st.dag.tasks();
+  const std::size_t count = tasks.size();
   KahnQueue q;
   q.dependents.resize(count);
   {
     util::MutexLock lock(q.mu);
     q.pending.resize(count, 0);
     for (std::size_t i = 0; i < count; ++i) {
-      q.pending[i] = deps_of(i).size();
-      for (std::size_t d : deps_of(i)) q.dependents[d].push_back(i);
+      q.pending[i] = tasks[i].deps.size();
+      for (std::size_t d : tasks[i].deps) q.dependents[d].push_back(i);
       if (q.pending[i] == 0) q.ready.insert(i);
     }
-  }
-
-  std::size_t workers = jobs;
-  if (workers == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    workers = hw > 0 ? hw : 1;
   }
 
   std::function<void()> worker;  // named so a worker can spawn another
@@ -126,7 +114,7 @@ void execute_task_dag(std::size_t count,
       q.ready.erase(q.ready.begin());
       ++q.running;
       lock.unlock();
-      body(i);
+      run_strand_task(st, i);
       lock.lock();
       --q.running;
       ++q.done;
@@ -136,7 +124,7 @@ void execute_task_dag(std::size_t count,
       // Opportunistic growth: tokens freed by finished sweep cells can be
       // picked up mid-run (the heavy cell usually starts while its grid
       // siblings still hold theirs).
-      if (budget != nullptr && q.ready.size() > 1 && q.helpers.size() + 1 < workers &&
+      if (budget != nullptr && q.ready.size() > 1 && q.helpers.size() + 1 < jobs &&
           budget->acquire(1) == 1) {
         ++q.borrowed;
         q.helpers.emplace_back(worker);
@@ -149,7 +137,7 @@ void execute_task_dag(std::size_t count,
   // one is present (the sweep's thread allowance), else spawn up to the
   // requested job count.
   {
-    std::size_t want = workers > 0 ? workers - 1 : 0;
+    std::size_t want = jobs - 1;
     util::MutexLock lock(q.mu);
     if (budget != nullptr) {
       q.borrowed = budget->acquire(want);
@@ -176,129 +164,20 @@ void execute_task_dag(std::size_t count,
   for (auto& t : helpers) t.join();
   if (budget != nullptr && borrowed > 0) budget->release(borrowed);
   if (completed != count) {
-    throw std::logic_error(std::string(what) + " failed to complete (dependency cycle?)");
+    throw std::logic_error("contact task DAG failed to complete (dependency cycle?)");
   }
 }
 
-void run_episode(const EngineState& st, std::size_t ei) {
-  const sim::Episode& e = (*st.episodes)[ei];
-  const ScenarioConfig& config = st.config;
-  util::SimTime t_start = st.horizon;
-  for (std::uint32_t n : e.nodes) t_start = std::min(t_start, st.resume_at[n]);
-  const util::SimTime t_end = e.contacts.empty() ? st.horizon : e.last_end;
-
-  sim::Scheduler sched(t_start);
-  sim::MpcNetwork net(sched, config.nodes, config.radio);
-  // Per-frame fault draws key on (link, exact timestamp, same-timestamp
-  // sequence), all of which this shard reproduces exactly — a fresh network
-  // per episode costs nothing.
-  if (st.plan != nullptr) net.set_fault_plan(st.plan);
-
-  // The episode's contact subset, in trace order — the same relative order
-  // (and therefore the same same-timestamp FIFO behavior) the full trace
-  // has on the single-scheduler path.
-  sim::ContactTrace sub;
-  for (std::size_t ci : e.contacts) sub.add(st.trace.contacts()[ci]);
-  sim::TracePlayer player(sched, std::move(sub));
-  player.on_contact_start = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), true);
-  };
-  player.on_contact_end = [&net](std::uint32_t a, std::uint32_t b) {
-    net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), false);
-  };
-  player.start();
-
-  EpisodeOut& out = st.outs[ei];
-  const sim::TrajectoryMobility& mobility = st.world.mobility;
-
-  // Attach members in ascending node order — the order the single-scheduler
-  // path registers their timers in, so same-timestamp ties break alike.
-  for (std::uint32_t n : e.nodes) {
-    mw::SosNode& node = *st.nodes[n];
-    node.attach(sched, net.endpoint(static_cast<sim::PeerId>(n)));
-    std::size_t idx = n;
-    node.on_carry = [&out, &node, &sched, &mobility, idx](const bundle::Bundle& b) {
-      out.oracle.record_carry(
-          {b.id(), node.user_id(), sched.now(), mobility.position(idx, sched.now())});
-    };
-    node.on_data = [&out, &node, &sched, &mobility, idx](const bundle::Bundle& b,
-                                                         const pki::Certificate&) {
-      out.oracle.record_delivery({b.id(), node.user_id(), sched.now(), b.hop_count,
-                                  mobility.position(idx, sched.now())});
-    };
-  }
-
-  // This episode's slice of the workload timeline: each member's next
-  // events (posts, adversarial junk publishes, reboots) up to the episode
-  // end, scheduled strictly in merged-timeline order. An event before this
-  // shard's t_start clamps to t_start while keeping its place in the FIFO,
-  // which is exactly what the single-scheduler path's relative order
-  // reduces to at an episode boundary.
-  for (std::uint32_t n : e.nodes) {
-    const std::vector<detail::TimelineEvent>& tl = st.timelines[n];
-    std::size_t& cursor = st.timeline_cursor[n];
-    while (cursor < tl.size() && tl[cursor].t <= t_end) {
-      const detail::TimelineEvent& ev = tl[cursor];
-      const std::size_t idx = n;
-      alleyoop::App& app = *st.apps[n];
-      mw::SosNode& node = *st.nodes[n];
-      switch (ev.kind) {
-        case detail::TimelineEvent::Kind::Post:
-          sched.schedule_at(ev.t, [&out, &app, &node, &sched, &mobility, idx, k = ev.k] {
-            auto post =
-                app.post("post #" + std::to_string(k) + " by user" + std::to_string(idx));
-            out.oracle.record_post({{node.user_id(), post.msg_num},
-                                    node.user_id(),
-                                    sched.now(),
-                                    mobility.position(idx, sched.now())});
-          });
-          break;
-        case detail::TimelineEvent::Kind::Flood:
-          sched.schedule_at(ev.t, [&node, idx, k = ev.k] {
-            node.publish(util::to_bytes("junk #" + std::to_string(k) + " from user" +
-                                        std::to_string(idx)));
-          });
-          break;
-        case detail::TimelineEvent::Kind::Reboot:
-          sched.schedule_at(ev.t, [&node, churn = ev.churn] {
-            node.reboot(churn->lose_store, churn->lose_resume_cache);
-          });
-          break;
-      }
-      ++cursor;
-    }
-  }
-
-  sched.run_until(t_end);
-
-  for (std::uint32_t n : e.nodes) {
-    mw::SosNode& node = *st.nodes[n];
-    node.on_carry = nullptr;
-    node.on_data = nullptr;
-    node.detach();
-    st.resume_at[n] = t_end;
-  }
-  out.wire_frames = net.frames_sent();
-  out.wire_bytes = net.bytes_sent();
-  out.connections = net.connections_established();
-  out.connections_failed = net.connections_failed();
-  out.frames_lost = net.frames_lost();
-  out.frames_dropped_fault = net.frames_dropped_fault();
-  // player cancels its leftover events before sched is destroyed.
-}
-
-/// One ContactDag task on its own shard — the sub-episode engine's unit.
-/// The differences from run_episode are exactly the strand semantics:
-/// each member's timeline slice ends at the member's OWN strand end (not
-/// the task's global end), and each member detaches at that strand end via
-/// a scheduled event, so a task whose span overlaps another task's span
-/// never holds a node past its last contact here. Pending timers recorded
-/// at the detach re-arm on the node's next shard at their original
-/// absolute deadlines — every such deadline is >= the detach time, and the
-/// next shard starts no later than this node's resume point, so nothing is
-/// ever clamped differently than the single-scheduler path.
+/// One ContactDag task on its own shard. Each member's timeline slice ends
+/// at the member's OWN strand end (not the task's global end), and each
+/// member detaches at that strand end, so a task whose span overlaps
+/// another task's span never holds a node past its last contact here.
+/// Pending timers recorded at the detach re-arm on the node's next shard at
+/// their original absolute deadlines — every such deadline is >= the detach
+/// time, and the next shard starts no later than this node's resume point,
+/// so nothing is ever clamped differently than the single-scheduler path.
 void run_strand_task(const EngineState& st, std::size_t ti) {
-  const sim::ContactTask& task = st.dag->tasks()[ti];
+  const sim::ContactTask& task = st.dag.tasks()[ti];
   const ScenarioConfig& config = st.config;
   const bool tail = task.contacts.empty();
   util::SimTime t_start = st.horizon;
@@ -308,8 +187,14 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
 
   sim::Scheduler sched(t_start);
   sim::MpcNetwork net(sched, config.nodes, config.radio);
+  // Per-frame fault draws key on (link, exact timestamp, same-timestamp
+  // sequence), all of which this shard reproduces exactly — a fresh network
+  // per task costs nothing.
   if (st.plan != nullptr) net.set_fault_plan(st.plan);
 
+  // The task's contact subset, in trace order — the same relative order
+  // (and therefore the same same-timestamp FIFO behavior) the full trace
+  // has on the single-scheduler path.
   sim::ContactTrace sub;
   for (std::size_t ci : task.contacts) sub.add(st.trace.contacts()[ci]);
   sim::TracePlayer player(sched, std::move(sub));
@@ -321,7 +206,7 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   };
   player.start();
 
-  EpisodeOut& out = st.outs[ti];
+  TaskOut& out = st.outs[ti];
   const sim::TrajectoryMobility& mobility = st.world.mobility;
 
   // Attach members in ascending node order (strands are sorted by node) —
@@ -344,6 +229,10 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   // Each member's timeline slice runs to ITS strand end: a post after a
   // node's last contact in this task belongs to the node's next shard,
   // where it fires at the same absolute time with the same local state.
+  // Events are scheduled strictly in merged-timeline order; one before this
+  // shard's t_start clamps to t_start while keeping its place in the FIFO,
+  // which is exactly what the single-scheduler relative order reduces to
+  // at a shard boundary.
   for (const sim::ContactStrand& s : task.strands) {
     const util::SimTime cutoff = tail ? st.horizon : s.last_end;
     const std::vector<detail::TimelineEvent>& tl = st.timelines[s.node];
@@ -387,9 +276,9 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   // notifies on_disconnected via schedule_in(0), which triggers the session
   // drop and the adaptive verify flush), and those land *behind* any
   // pre-scheduled event at the same timestamp. run_until(t) drains every
-  // cascade at t first, exactly like run_episode's detach-after-run — so by
-  // the time a member detaches, its sessions have already died the same
-  // death (and flushed the same queues) as on the single-scheduler path.
+  // cascade at t first — so by the time a member detaches, its sessions
+  // have already died the same death (and flushed the same queues) as on
+  // the single-scheduler path.
   if (!tail) {
     std::map<util::SimTime, std::vector<std::uint32_t>> detach_groups;
     for (const sim::ContactStrand& s : task.strands)
@@ -551,59 +440,19 @@ void ReplaySession::advance_to(util::SimTime t) {
   sim::ContactTrace seg;
   for (std::size_t i : picked) seg.add(contacts[i]);
 
-  // Partition the segment on the selected engine, with the cut as the
-  // horizon: the trailing tail task runs every node's local timers up to
-  // the cut, which is exactly what makes the cut a serializable state.
-  const bool strands = im.replay.subepisode_jobs > 0;
-  const bool episodes_engine = !strands && im.replay.partition;
-  sim::EpisodeGraph graph;
-  sim::ContactDag dag;
-  std::vector<sim::Episode> mono;
-  const std::vector<sim::Episode>* episodes = nullptr;
-  std::size_t task_count = 0;
-  std::size_t jobs = 1;
-  if (strands) {
-    dag = sim::ContactDag::partition(seg, im.config.nodes, t);
-    task_count = dag.tasks().size();
-    jobs = im.replay.subepisode_jobs;
-  } else if (episodes_engine) {
-    graph = sim::EpisodeGraph::partition(seg, im.config.nodes, t);
-    episodes = &graph.episodes();
-    task_count = graph.episodes().size();
-    jobs = im.replay.jobs;
-  } else {
-    // Mono engine: one fused task holding every node for the whole segment
-    // (single-scheduler semantics), then the tail to the cut.
-    if (seg.size() > 0) {
-      sim::Episode all;
-      for (std::size_t n = 0; n < im.config.nodes; ++n)
-        all.nodes.push_back(static_cast<std::uint32_t>(n));
-      all.first_start = seg.contacts().front().start;
-      all.last_end = 0;
-      for (std::size_t ci = 0; ci < seg.size(); ++ci) {
-        all.contacts.push_back(ci);
-        all.first_start = std::min(all.first_start, seg.contacts()[ci].start);
-        all.last_end = std::max(all.last_end, seg.contacts()[ci].end);
-      }
-      mono.push_back(std::move(all));
-    }
-    sim::Episode tail;
-    for (std::size_t n = 0; n < im.config.nodes; ++n)
-      tail.nodes.push_back(static_cast<std::uint32_t>(n));
-    tail.last_end = t;
-    if (!mono.empty()) tail.deps.push_back(0);
-    mono.push_back(std::move(tail));
-    episodes = &mono;
-    task_count = mono.size();
-  }
-
-  std::vector<EpisodeOut> outs(task_count);
+  // Partition the segment, with the cut as the horizon: the trailing tail
+  // task runs every node's local timers up to the cut, which is exactly
+  // what makes the cut a serializable state. Strand workers get the strand
+  // DAG; mono gets the fused one-task partition on one worker.
+  const std::size_t jobs = im.replay.subepisode_jobs;
+  const sim::ContactDag dag = jobs > 0 ? sim::ContactDag::partition(seg, im.config.nodes, t)
+                                       : sim::ContactDag::fused(seg, im.config.nodes, t);
+  std::vector<TaskOut> outs(dag.tasks().size());
   EngineState st{im.config,
                  im.world,
                  seg,
                  plan,
-                 episodes,
-                 strands ? &dag : nullptr,
+                 dag,
                  im.fleet.nodes,
                  im.fleet.apps,
                  im.timelines,
@@ -611,22 +460,10 @@ void ReplaySession::advance_to(util::SimTime t) {
                  im.resume_at,
                  outs,
                  t};
-
-  if (strands) {
-    execute_task_dag(
-        task_count,
-        [&](std::size_t i) -> const std::vector<std::size_t>& { return dag.tasks()[i].deps; },
-        [&](std::size_t i) { run_strand_task(st, i); }, jobs, im.replay.budget,
-        "contact-strand DAG");
-  } else {
-    execute_task_dag(
-        task_count,
-        [&](std::size_t i) -> const std::vector<std::size_t>& { return (*episodes)[i].deps; },
-        [&](std::size_t i) { run_episode(st, i); }, jobs, im.replay.budget, "episode graph");
-  }
+  execute_task_dag(st, jobs > 0 ? jobs : 1, im.replay.budget);
 
   // Merge in task-index order — deterministic regardless of worker count.
-  for (const EpisodeOut& out : outs) {
+  for (const TaskOut& out : outs) {
     for (const auto& r : out.oracle.posts()) im.result.oracle.record_post(r);
     for (const auto& r : out.oracle.carries()) im.result.oracle.record_carry(r);
     for (const auto& r : out.oracle.deliveries()) im.result.oracle.record_delivery(r);
@@ -716,16 +553,21 @@ bool ReplaySession::load_state(util::Reader& r) {
   double now = r.f64();
   std::uint64_t nodes = r.varint();
   if (!r.ok() || nodes != im.fleet.nodes.size()) return false;
-  if (now < 0 || now > im.horizon) return false;
+  // Range checks are written so NaN fails them: a NaN compares false.
+  if (!(now >= 0 && now <= im.horizon)) return false;
   std::vector<util::Bytes> blobs(im.fleet.nodes.size());
   for (auto& blob : blobs) blob = r.bytes();
   std::vector<std::size_t> cursor(im.config.nodes);
-  for (auto& c : cursor) {
+  for (std::size_t i = 0; i < cursor.size(); ++i) {
     std::uint64_t v = r.varint();
-    c = static_cast<std::size_t>(v);
+    if (v > im.timelines[i].size()) return false;  // past the timeline's end
+    cursor[i] = static_cast<std::size_t>(v);
   }
   std::vector<util::SimTime> resume(im.config.nodes);
-  for (auto& t : resume) t = r.f64();
+  for (auto& t : resume) {
+    t = r.f64();
+    if (!(t >= 0 && t <= now)) return false;  // a node cannot resume past the cut
+  }
   std::uint64_t posts = r.varint();
   if (!r.ok()) return false;
   std::vector<PostRecord> post_recs;
@@ -792,14 +634,6 @@ bool ReplaySession::load_state(util::Reader& r) {
   for (std::size_t i = 0; i < contacts.size(); ++i) im.consumed[i] = contacts[i].end <= now;
   im.now = now;
   return true;
-}
-
-ScenarioResult replay_scenario_episodes(const ScenarioConfig& config,
-                                        const ScenarioWorld& world,
-                                        const ReplayOptions& replay) {
-  ReplaySession session(config, world, replay);
-  session.advance_to(session.horizon());
-  return session.finish();
 }
 
 }  // namespace sos::deploy

@@ -1,22 +1,15 @@
-// Partitioned replay engines. A recorded ScenarioWorld fixes every contact
-// before replay begins, so the run can be cut into a task DAG and executed
-// on scheduler/network shards, per-node middleware state carried across
-// shard boundaries through the SosNode detach/attach seam. Two partition
-// granularities share one annotated Kahn worker machinery:
-//
-//   * episodes (sim::EpisodeGraph, ReplayOptions::partition/jobs): nodes
-//     stay attached until the episode's global end, so overlapping node
-//     windows fuse — conservative, but a dense single-hotspot day
-//     collapses to one serial episode;
-//   * contact strands (sim::ContactDag, ReplayOptions::subepisode_jobs):
-//     each member detaches at its own last contact within a task, cutting
-//     node timelines into strands between consecutive contacts — the
-//     recorded trace is the conservative-lookahead oracle that makes this
-//     safe without any null-message protocol.
+// Partitioned replay. A recorded ScenarioWorld fixes every contact before
+// replay begins, so the run can be cut into a task DAG (sim::ContactDag)
+// and executed on scheduler/network shards, per-node middleware state
+// carried across shard boundaries through the SosNode detach/attach seam.
+// Each member detaches at its own last contact within a task, cutting node
+// timelines into strands between consecutive contacts — the recorded trace
+// is the conservative-lookahead oracle that makes this safe without any
+// null-message protocol.
 //
 // Per-task metrics merge in deterministic task-index order; results are
-// bitwise identical to the single-scheduler replay on both engines at any
-// worker count.
+// bitwise identical to the single-scheduler reference in run_scenario at
+// any worker count.
 #pragma once
 
 #include <atomic>
@@ -36,8 +29,8 @@ class Reader;
 
 namespace sos::deploy {
 
-/// Token pool shared between cell-level (SweepRunner) and episode-level
-/// workers: a sweep hands its thread budget to one WorkerBudget; episode
+/// Token pool shared between cell-level (SweepRunner) and strand-level
+/// workers: a sweep hands its thread budget to one WorkerBudget; strand
 /// engines borrow extra workers from it and return them, so nested
 /// parallelism never oversubscribes the requested job count.
 ///
@@ -46,7 +39,7 @@ namespace sos::deploy {
 /// protocol — every acquire() return value must eventually be release()d
 /// by the same logical owner, and release() never invents tokens the
 /// owner did not hold. The donation path (a finished sweep cell releasing
-/// its own thread for still-running episode engines to borrow) relies on
+/// its own thread for still-running strand engines to borrow) relies on
 /// exactly this conservation; tests/sweep_test.cpp hammers it under TSan.
 class WorkerBudget {
  public:
@@ -73,23 +66,23 @@ class WorkerBudget {
   std::atomic<std::size_t> available_;
 };
 
-/// A replay broken into externally driven segments — the engine under the
-/// soak harness's checkpoint/resume. Construction performs exactly the
-/// setup sequence replay_scenario_episodes always ran (RNG stream order,
-/// fleet build, social wiring, workload timelines); advance_to(t) then
-/// replays every remaining contact ending at or before t on the selected
-/// engine and runs each node's local timers up to t, so a cut placed in a
-/// globally quiescent contact gap leaves the fleet in a serializable state
-/// (no sessions, no verify queues — only absolute timer deadlines).
-/// Segment-by-segment execution is bitwise identical to one uninterrupted
-/// advance_to(horizon()): episodes never straddle a quiescent gap, and
+/// A replay broken into externally driven segments — the engine under
+/// run_scenario's strand path and the soak harness's checkpoint/resume.
+/// Construction performs the single-scheduler setup sequence (RNG stream
+/// order, fleet build, social wiring, workload timelines); advance_to(t)
+/// then replays every remaining contact ending at or before t and runs each
+/// node's local timers up to t, so a cut placed in a globally quiescent
+/// contact gap leaves the fleet in a serializable state (no sessions, no
+/// verify queues — only absolute timer deadlines). Segment-by-segment
+/// execution is bitwise identical to one uninterrupted
+/// advance_to(horizon()): tasks never straddle a quiescent gap, and
 /// per-node state crosses segments through the same detach/attach seam it
 /// crosses shard boundaries with.
 ///
-/// Engine selection from ReplayOptions: subepisode_jobs > 0 = contact-strand
-/// DAG, partition = episode graph, neither = a single fused task per segment
-/// (single-scheduler semantics on the replay machinery — the soak CLI's
-/// "mono" engine).
+/// ReplayOptions::subepisode_jobs > 0 replays each segment on the strand
+/// DAG with that many workers; 0 ("mono") replays it as one fused task
+/// (sim::ContactDag::fused) — single-scheduler semantics on the same
+/// machinery.
 class ReplaySession {
  public:
   ReplaySession(const ScenarioConfig& config, const ScenarioWorld& world,
@@ -131,22 +124,15 @@ class ReplaySession {
   void save_state(util::Writer& w) const;
   /// Mirror of save_state; call on a freshly constructed session for the
   /// same config/world before any advance_to. Returns false on malformed
-  /// input (the session must then be discarded).
+  /// input (the session must then be discarded): truncation, a node count
+  /// mismatch, a sim time that is non-finite or outside [0, horizon], a
+  /// resume point outside [0, sim time], or a timeline cursor past its
+  /// timeline's end. Those checks all run before any node state is touched.
   bool load_state(util::Reader& r);
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Run `config` over the recorded world on a partitioned engine — the
-/// sub-episode strand engine when replay.subepisode_jobs > 0, else the
-/// episode engine. Called through run_scenario(config, &world,
-/// {.partition = true, ...}) or {.subepisode_jobs = N}; exposed for tests
-/// that want a partitioned engine unconditionally. Equivalent to driving a
-/// ReplaySession straight to the horizon.
-ScenarioResult replay_scenario_episodes(const ScenarioConfig& config,
-                                        const ScenarioWorld& world,
-                                        const ReplayOptions& replay);
 
 }  // namespace sos::deploy

@@ -207,18 +207,18 @@ std::shared_ptr<const ScenarioWorld> record_world(const ScenarioConfig& config) 
 
 ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* world,
                             const ReplayOptions& replay) {
-  if (config.faults.reshapes_trace() && world == nullptr) {
-    // Trace-reshaping faults (churn/partitions/disconnect windows) are a
-    // pure transformation of a recorded contact trace — that is what makes
-    // them engine-invariant — so a live run records its world on the fly
-    // and replays it.
+  if (world == nullptr) {
     std::shared_ptr<const ScenarioWorld> recorded = record_world(config);
     return run_scenario(config, recorded.get(), replay);
   }
-  if (world != nullptr && (replay.partition || replay.subepisode_jobs > 0)) {
-    return replay_scenario_episodes(config, *world, replay);
+  if (replay.subepisode_jobs > 0) {
+    ReplaySession session(config, *world, replay);
+    session.advance_to(session.horizon());
+    return session.finish();
   }
 
+  // The single-scheduler reference: the whole trace on one scheduler. The
+  // strand engine and the mono session are pinned bitwise against it.
   sim::Scheduler sched;
   util::Rng rng(config.seed);
   double horizon = util::days(config.days);
@@ -230,61 +230,40 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* w
   const sim::FaultPlan* plan = fault_plan ? &*fault_plan : nullptr;
 
   // --- mobility + radio ----------------------------------------------------
-  std::unique_ptr<sim::TrajectoryMobility> owned_mobility;
-  const sim::MobilityModel* mobility = nullptr;
-  if (world) {
-    // Replay mode: positions come from the recorded trajectories; consume
-    // the mobility fork anyway to keep the downstream RNG streams aligned.
+  // Positions come from the recorded trajectories; consume the mobility
+  // fork anyway to keep the downstream RNG streams aligned with recording.
+  {
     util::Rng discard = rng.fork();
     (void)discard;
-    mobility = &world->mobility;
-  } else {
-    owned_mobility = detail::build_mobility(config, rng);
-    mobility = owned_mobility.get();
   }
+  const sim::MobilityModel* mobility = &world->mobility;
 
   sim::MpcNetwork net(sched, config.nodes, config.radio);
   if (plan != nullptr) net.set_fault_plan(plan);
-  auto range_on = [&net](std::uint32_t a, std::uint32_t b) {
+  sim::ContactTrace trace = world->trace;
+  if (plan != nullptr && plan->reshapes_trace()) trace = plan->apply(world->trace);
+  const std::uint64_t contact_count = trace.size();
+  sim::TracePlayer player(sched, std::move(trace));
+  player.on_contact_start = [&net](std::uint32_t a, std::uint32_t b) {
     net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), true);
   };
-  auto range_off = [&net](std::uint32_t a, std::uint32_t b) {
+  player.on_contact_end = [&net](std::uint32_t a, std::uint32_t b) {
     net.set_in_range(static_cast<sim::PeerId>(a), static_cast<sim::PeerId>(b), false);
   };
-  std::optional<sim::EncounterDetector> detector;
-  std::optional<sim::TracePlayer> player;
-  std::uint64_t contact_count = 0;
-  if (world) {
-    sim::ContactTrace trace = world->trace;
-    if (plan != nullptr && plan->reshapes_trace()) trace = plan->apply(world->trace);
-    contact_count = trace.size();
-    player.emplace(sched, std::move(trace));
-    player->on_contact_start = range_on;
-    player->on_contact_end = range_off;
-    player->start();
-  } else {
-    detector.emplace(sched, *mobility, config.radio.range_m, config.encounter_tick_s);
-    detector->on_contact_start = [&](std::size_t a, std::size_t b) {
-      range_on(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
-    };
-    detector->on_contact_end = [&](std::size_t a, std::size_t b) {
-      range_off(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
-    };
-    detector->start(horizon);
-  }
+  player.start();
 
   // --- users: Fig 2a bootstrap, SOS node, AlleyOop app ---------------------
   ScenarioResult result;
   MetricsOracle& oracle = result.oracle;
 
-  // Replay runs share one memo of signature verdicts across all nodes: the
-  // verdict is a pure function of (key, message, signature), so each
-  // distinct triple pays the curve math once per run instead of once per
-  // carrying node. Counters and metrics are unchanged. A caller-owned memo
-  // (replay.memo) widens the scope to every variant of a sweep cell.
+  // One memo of signature verdicts shared across all nodes: the verdict is
+  // a pure function of (key, message, signature), so each distinct triple
+  // pays the curve math once per run instead of once per carrying node.
+  // Counters and metrics are unchanged. A caller-owned memo (replay.memo)
+  // widens the scope to every variant of a sweep cell.
   std::optional<crypto::VerifyMemo> local_memo;
   crypto::VerifyMemo* verify_memo = nullptr;
-  if (world != nullptr && replay.share_verify_memo) {
+  if (replay.share_verify_memo) {
     verify_memo = replay.memo != nullptr ? replay.memo : &local_memo.emplace();
   }
 
@@ -315,8 +294,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* w
 
   // --- workload: posts + adversarial junk + reboots -------------------------
   // One merged chronological timeline per node, scheduled strictly in list
-  // order (the same order the episode engine uses), so same-timestamp ties
-  // and boundary clamps resolve identically in both engines.
+  // order (the same order the strand tasks use), so same-timestamp ties
+  // and shard-boundary clamps resolve identically on every path.
   util::Rng workload_rng = rng.fork();
   auto timelines = detail::build_timelines(config, workload_rng, plan);
   for (std::size_t i = 0; i < config.nodes; ++i) {
@@ -356,7 +335,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* w
 
   // --- collect ----------------------------------------------------------------------
   for (const auto& node : nodes) detail::add_stats(result.totals, node->stats());
-  result.contacts = world ? contact_count : detector->total_contacts_seen();
+  result.contacts = contact_count;
   result.wire_frames = net.frames_sent();
   result.wire_bytes = net.bytes_sent();
   result.connections = net.connections_established();

@@ -4,6 +4,8 @@
 // event scheduler. The default configuration reconstructs the Gainesville
 // study of §VI (10 users, ~11 km x 8 km, 7 days, 259 posts, the Fig 4a
 // social graph, IB routing); every knob is exposed for the ablations.
+// Every run replays a recorded contact trace: record_world runs the
+// encounter detector once, then the run replays it.
 #pragma once
 
 #include <memory>
@@ -41,8 +43,9 @@ struct ScenarioConfig {
   /// disjoint mobility communities — separate hotspot pools and home
   /// clusters — and `bridge_node_frac` of the nodes commute between them
   /// across days. 1 is the classic single-hotspot-pool city. Community
-  /// traces decompose into parallel episodes (sim::EpisodeGraph), which is
-  /// what makes --episode-jobs effective on them.
+  /// traces decompose into many independent strand tasks
+  /// (sim::ContactDag), which is what makes --subepisode-jobs effective on
+  /// them.
   std::size_t communities = 1;
   double bridge_node_frac = 0.0;
 
@@ -64,8 +67,8 @@ struct ScenarioConfig {
   /// Disaster fault-injection plan (sim/faults.hpp): degraded links, node
   /// churn, partition-and-heal timelines, adversarial roles. Default (no
   /// faults) is bit-identical to the pre-fault engine. Trace-reshaping
-  /// faults require a recorded world; run_scenario records one on the fly
-  /// when needed. Use FaultPlanConfig::validate before sweeping grids.
+  /// faults transform the recorded trace at replay time. Use
+  /// FaultPlanConfig::validate before sweeping grids.
   sim::FaultPlanConfig faults;
 
   /// Content-verification ablation (the "unsigned" baseline of the disaster
@@ -105,9 +108,9 @@ struct ScenarioResult {
 /// The deterministic "world" of a scenario — the mobility trajectories and
 /// the contact trace the encounter detector produces over them. Everything
 /// in it depends only on the world-shaping config fields (nodes, area, days,
-/// mobility, communities, radio, encounter tick) and the seed, never on the routing
-/// scheme or middleware knobs, so scheme variants of one sweep cell can
-/// record it once and replay it instead of re-running detection.
+/// mobility, communities, radio, encounter tick) and the seed, never on the
+/// routing scheme or middleware knobs, so scheme variants of one sweep cell
+/// record it once and replay it.
 struct ScenarioWorld {
   sim::TrajectoryMobility mobility;
   sim::ContactTrace trace;
@@ -119,18 +122,9 @@ std::shared_ptr<const ScenarioWorld> record_world(const ScenarioConfig& config);
 
 /// How a recorded world is replayed.
 struct ReplayOptions {
-  /// Episode-partitioned engine: cut the trace into causally-independent
-  /// episodes (sim::EpisodeGraph) and run each on its own scheduler shard,
-  /// carrying per-node middleware state across shard boundaries. Metrics
-  /// are bitwise identical to the single-scheduler replay at any `jobs`.
-  /// Requires a recorded world; ignored for live runs.
-  bool partition = false;
-  /// Episode-level worker threads (with partition). 1 = serial execution
-  /// of the episode DAG; results never depend on this.
-  std::size_t jobs = 1;
   /// Optional worker pool shared with the cell-level sweep (SweepRunner):
-  /// episode workers beyond the first borrow tokens from it, so cell- and
-  /// episode-level parallelism never oversubscribe the machine together.
+  /// strand workers beyond the first borrow tokens from it, so cell- and
+  /// strand-level parallelism never oversubscribe the machine together.
   class WorkerBudget* budget = nullptr;
   /// Share one signature-verdict memo across every node of the replay:
   /// each distinct (key, message, signature) triple pays curve math once
@@ -144,22 +138,21 @@ struct ReplayOptions {
   /// certificates per variant, so cross-variant re-verifies collapse too.
   /// Thread-safe; metrics are bitwise identical to the run-local scope.
   crypto::VerifyMemo* memo = nullptr;
-  /// > 0: replay on the sub-episode (contact-strand) engine instead — the
-  /// trace is cut by sim::ContactDag (per-node hull fusion instead of
-  /// episode global-span fusion) and each member detaches at its own last
-  /// contact in a task, so dense single-hotspot traces that EpisodeGraph
-  /// must serialize decompose into concurrent strand tasks. The value is
-  /// the worker count for that engine (`partition`/`jobs` are then unused);
-  /// metrics are bitwise identical to both other engines at any value.
-  /// 0 = episode engine when `partition` is set, single scheduler otherwise.
+  /// > 0: replay on the contact-strand engine with this many workers — the
+  /// trace is cut into a sim::ContactDag and each member detaches at its
+  /// own last contact in a task, so even dense single-hotspot traces
+  /// decompose into concurrent strand tasks. 0: run_scenario replays on its
+  /// single scheduler (the reference), a ReplaySession as one fused task
+  /// per segment ("mono"). Metrics are bitwise identical at every value.
   std::size_t subepisode_jobs = 0;
 };
 
-/// Build and run the scenario to completion. With `world`, the recorded
-/// contact trace is replayed through a TracePlayer (no per-run encounter
-/// detection) and the recorded trajectories serve position lookups; the
-/// world must have been recorded from a config with identical
-/// world-shaping fields and seed. `replay` selects the replay engine.
+/// Build and run the scenario to completion over `world`'s recorded contact
+/// trace (TracePlayer replay; the recorded trajectories serve position
+/// lookups). The world must have been recorded from a config with
+/// identical world-shaping fields and seed; without one, run_scenario
+/// records it first. `replay` selects the engine: the single-scheduler
+/// reference at subepisode_jobs == 0, the strand engine otherwise.
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             const ScenarioWorld* world = nullptr,
                             const ReplayOptions& replay = {});

@@ -1,7 +1,9 @@
-// Internal helpers shared by the two replay engines (single-scheduler in
-// scenario.cpp, episode-partitioned in replay.cpp). Both must consume the
-// scenario RNG streams in exactly the same order and assemble byte-identical
-// workloads, so the pieces live here rather than being duplicated.
+// Internal helpers shared by the single-scheduler reference (scenario.cpp)
+// and the ReplaySession behind the mono and strand paths (replay.cpp, which
+// cuts the trace into a sim::ContactDag of tasks, each on its own scheduler
+// shard). Both must consume the scenario RNG streams in exactly the same
+// order and assemble byte-identical workloads, so the pieces live here
+// rather than being duplicated.
 #pragma once
 
 #include <map>
@@ -30,8 +32,8 @@ struct Fleet {
 
 /// Construct the fleet against the given substrate. Everything here —
 /// device DRBG seed strings, signup order, SosConfig plumbing — is
-/// determinism-critical and must be byte-identical for every replay
-/// engine, which is why it lives in one place. `verify_memo` (optional)
+/// determinism-critical and must be byte-identical on every replay path,
+/// which is why it lives in one place. `verify_memo` (optional)
 /// is shared across all nodes; `plan` (optional) assigns adversarial
 /// behavior per the plan's node roles (blackhole scheme, forged
 /// signatures).
@@ -60,11 +62,11 @@ struct TimelineEvent {
 };
 
 /// Per-node chronological timelines of workload posts, adversarial junk
-/// publishes (flooder/forger roles), and reboot events (churn up_at). Both
-/// replay engines schedule each node's timeline strictly in this order:
-/// episode shards clamp pre-window events to their start while preserving
+/// publishes (flooder/forger roles), and reboot events (churn up_at). Every
+/// replay path schedules each node's timeline strictly in this order:
+/// strand shards clamp pre-window events to their start while preserving
 /// insertion order, so the single-scheduler relative order survives the
-/// clamp only if both engines schedule from one merged list. Ties keep
+/// clamp only if every path schedules from one merged list. Ties keep
 /// Post < Flood < Reboot. Posts inside a down-window are omitted (a dead
 /// phone cannot post); reboots at/after the horizon never fire. Consumes
 /// the workload stream exactly as the pre-fault engines did. `plan` may be
@@ -73,9 +75,9 @@ std::vector<std::vector<TimelineEvent>> build_timelines(const ScenarioConfig& co
                                                         util::Rng& workload_rng,
                                                         const sim::FaultPlan* plan);
 
-/// Generate the config's mobility trajectories. Consumes exactly one fork
-/// of the scenario RNG regardless of mode so the graph/workload streams
-/// stay identical between live and replay runs.
+/// Generate the config's mobility trajectories (record_world). Consumes
+/// exactly one fork of the scenario RNG; replay discards that fork, so the
+/// graph/workload streams line up with recording.
 std::unique_ptr<sim::TrajectoryMobility> build_mobility(const ScenarioConfig& config,
                                                         util::Rng& rng);
 

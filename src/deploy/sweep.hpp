@@ -9,8 +9,7 @@
 //     (base seed, cell index), so metrics are bitwise identical at any
 //     thread count and any completion order,
 //   * record-once/replay-many: a cell's mobility + contact trace are
-//     recorded once and every variant replays them through a TracePlayer
-//     instead of re-running the EncounterDetector,
+//     recorded once and every variant replays them,
 //   * aggregation: results come back in grid order, never completion order.
 #pragma once
 
@@ -60,22 +59,15 @@ struct CellResult {
   ScenarioConfig config;         // as executed (derived seed filled in)
   ScenarioResult result;
   double wall_s = 0.0;
-  bool replayed = false;         // ran from the recorded world
-  /// Conservative episode-parallel speedup ceiling of the cell's recorded
-  /// trace (sim::EpisodeGraph::parallelism(); 0 when no world was
-  /// recorded). Reported per cell by the density benches so trace-shape
-  /// regressions — a community cell collapsing back to one chain — are
-  /// visible in the bench tables, not only from tests.
-  double episode_parallelism = 0.0;
-  std::size_t episodes = 0;      // contact episodes in that partition
-  /// The same ceiling at contact-strand granularity
-  /// (sim::ContactDag::parallelism()): always >= episode_parallelism, and
-  /// the gap is exactly what --subepisode-jobs can exploit that
-  /// --episode-jobs cannot.
+  /// Strand-parallel speedup ceiling of the cell's recorded trace
+  /// (sim::ContactDag::parallelism()). Reported per cell by the density
+  /// benches so trace-shape regressions — a community cell collapsing back
+  /// to one chain — are visible in the bench tables, not only from tests;
+  /// it bounds what --subepisode-jobs can exploit.
   double subepisode_parallelism = 0.0;
   /// Max contact tasks concurrently open in sim time
   /// (sim::ContactDag::width()); the single-hotspot cells report width > 1
-  /// even where episode parallelism sits at ~1.0.
+  /// even where their parallelism ceiling sits near 1.
   std::size_t subepisode_width = 0;
 };
 
@@ -87,30 +79,18 @@ struct SweepOptions {
   /// the seed already in their config — the figure-regeneration benches
   /// pin the calibrated Gainesville seed this way.
   bool derive_seeds = true;
-  /// Record each cell's world once and replay it for every variant. Off,
-  /// every variant regenerates mobility and re-runs live detection (the
-  /// pre-sweep behavior; metrics may differ slightly from the replay path
-  /// because replayed contact events are individually scheduled).
-  bool reuse_traces = true;
-  /// > 0: replay each cell on the episode-partitioned engine with this many
-  /// episode-level workers per cell (metrics are bitwise identical either
-  /// way). Cell- and episode-level workers share one token pool of `jobs`
-  /// threads, so the sweep never runs more than `jobs` + episode_jobs - 1
-  /// busy threads and usually far fewer. 0 = single-scheduler replay.
-  std::size_t episode_jobs = 0;
-  /// > 0: replay each cell on the sub-episode (contact-strand) engine with
-  /// this many strand-level workers per cell instead (takes precedence over
-  /// episode_jobs; metrics are bitwise identical on every engine). Workers
-  /// share the same `jobs`-sized token pool as cell- and episode-level
-  /// workers, so the three levels together never oversubscribe the request.
+  /// > 0: replay each cell on the contact-strand engine with this many
+  /// strand-level workers per cell (metrics are bitwise identical either
+  /// way). Cell- and strand-level workers share one token pool of `jobs`
+  /// threads, so the sweep never oversubscribes the request. 0 = the
+  /// single-scheduler reference.
   std::size_t subepisode_jobs = 0;
   /// Sweep-wide verify memo: all variants of a cell replay against one
   /// shared crypto::VerifyMemo (they share one recorded world, hence
   /// identical bundles and certificates), so each distinct signature pays
   /// curve math once per cell instead of once per variant. Thread-safe
   /// across concurrently running variants; metrics are bitwise identical
-  /// to run-local memos (pinned by ctest -L sweep). Only effective with
-  /// reuse_traces.
+  /// to run-local memos (pinned by ctest -L sweep).
   bool cell_verify_memo = true;
 };
 
@@ -139,12 +119,11 @@ class SweepRunner {
   SweepOptions opts_;
 };
 
-/// Bench-driver CLI: parses `--jobs N` (and bare `-jN`), `--episode-jobs N`
-/// and `--subepisode-jobs N`; falls back to the SOS_SWEEP_JOBS /
-/// SOS_EPISODE_JOBS / SOS_SUBEPISODE_JOBS environment variables, then to
-/// serial. Every value is validated the same way: non-numeric or negative
-/// input warns and keeps the previous value — a typo must not mean "all
-/// cores".
+/// Bench-driver CLI: parses `--jobs N` (and bare `-jN`) and
+/// `--subepisode-jobs N`; falls back to the SOS_SWEEP_JOBS /
+/// SOS_SUBEPISODE_JOBS environment variables, then to serial. Every value
+/// is validated the same way: non-numeric or negative input warns and
+/// keeps the previous value — a typo must not mean "all cores".
 SweepOptions sweep_options_from_args(int argc, char** argv);
 
 /// The canonical density-ablation grid (§VI-B follow-up): the deployment's

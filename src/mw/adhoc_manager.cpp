@@ -120,7 +120,7 @@ void AdHocManager::attach(sim::Scheduler& sched, sim::MpcEndpoint& endpoint) {
   install_endpoint_callbacks();
   if (started_) {
     // Restore the transport surface on the fresh endpoint. No peer is in
-    // range at an episode boundary, so this schedules no discovery events.
+    // range at a task boundary, so this schedules no discovery events.
     endpoint_->start_advertising(advert_info_);
     endpoint_->start_browsing();
   }

@@ -102,7 +102,7 @@ void MessageManager::reset_after_reboot(bool lose_store) {
 
 void MessageManager::detach() {
   // The deadline is absolute, so the flush re-arms exactly where it would
-  // have fired: a window that straddles an episode boundary flushes at the
+  // have fired: a window that straddles a task boundary flushes at the
   // same sim time on the next shard.
   if (verify_flush_scheduled_) {
     assert(verify_flush_event_ != sim::kInvalidEventId);

@@ -83,7 +83,7 @@ class MessageManager {
   /// re-remembered (it ships with the app).
   void reset_after_reboot(bool lose_store);
 
-  // --- scheduler rebinding (episode-partitioned replay) -------------------
+  // --- scheduler rebinding (partitioned replay) ----------------------------
   /// Release the scheduler binding, remembering the pending flush deadline.
   /// The ad hoc manager must still be attached when this is called.
   void detach();

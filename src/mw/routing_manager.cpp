@@ -91,6 +91,7 @@ void RoutingManager::detach() {
 
 void RoutingManager::attach(sim::Scheduler& sched) {
   sched_ = &sched;
+  if (advert_stale_) refresh_advertisement();
   // Deadlines are absolute: the timers fire at exactly the sim times they
   // would have fired on the previous shard.
   if (maintenance_interval_ > 0) schedule_maintenance();
@@ -139,6 +140,8 @@ bool RoutingManager::load_state(util::Reader& r) {
 }
 
 void RoutingManager::refresh_advertisement() {
+  advert_stale_ = sched_ == nullptr;
+  if (advert_stale_) return;
   msgs_.adhoc().set_advertisement(scheme_->advertisement(ctx()));
 }
 

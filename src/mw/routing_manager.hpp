@@ -36,11 +36,12 @@ class RoutingManager {
   /// Kick off periodic maintenance (store expiry + advertisement refresh).
   void start(util::SimTime maintenance_interval = 600.0);
 
-  // --- scheduler rebinding (episode-partitioned replay) -------------------
+  // --- scheduler rebinding (partitioned replay) ----------------------------
   /// Cancel the pending maintenance tick / summary push on the current
   /// scheduler, remembering their absolute deadlines.
   void detach();
-  /// Re-arm them at the same deadlines on a new scheduler shard.
+  /// Re-arm them at the same deadlines on a new scheduler shard, and apply
+  /// an advertisement refresh requested while detached.
   void attach(sim::Scheduler& sched);
 
   // --- checkpointing (soak harness) ----------------------------------------
@@ -54,7 +55,9 @@ class RoutingManager {
   /// leaving the manager untouched.
   bool load_state(util::Reader& r);
 
-  /// Recompute and install the plain-text advertisement.
+  /// Recompute and install the plain-text advertisement. A detached
+  /// manager has no clock or endpoint, so there the refresh is deferred to
+  /// the next attach().
   void refresh_advertisement();
 
   /// Delivered to the application: a verified bundle this user wants
@@ -99,6 +102,7 @@ class RoutingManager {
   util::SimTime maintenance_interval_ = 0.0;  // 0 = periodic sweep disabled
   util::SimTime next_maintenance_at_ = 0.0;   // absolute, while interval > 0
   sim::EventId maintenance_event_ = sim::kInvalidEventId;  // armed while interval > 0
+  bool advert_stale_ = false;  // refresh requested while detached
 };
 
 }  // namespace sos::mw

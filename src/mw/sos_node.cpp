@@ -91,7 +91,7 @@ void SosNode::detach() {
   // Live sessions cannot outlive their transport: drop them while the full
   // stack is still attached, so the session-down cascade (routing cleanup,
   // adaptive verify flush) runs with a working scheduler. Quiescent
-  // detaches — episode boundaries — make this a no-op.
+  // detaches — task boundaries — make this a no-op.
   adhoc_->drop_live_sessions();
   // Order matters: the message manager cancels its pending flush through
   // the ad hoc manager's scheduler, so it must detach first; same for the

@@ -57,14 +57,14 @@ class SosNode {
   /// Begin advertising/browsing and periodic maintenance.
   void start();
 
-  // --- scheduler/network rebinding (episode-partitioned replay) -----------
+  // --- scheduler/network rebinding (partitioned replay) --------------------
   /// Release the node from its scheduler and endpoint. Durable middleware
   /// state survives — bundle store, resumption cache, verify caches,
   /// routing tables, stats, pending timer deadlines — only the binding to
   /// the simulation substrate is dropped. Sessions still live at this
   /// moment are torn down first (their transport is going away; the
   /// resumption cache lets the next contact resume on the new shard);
-  /// episode boundaries are quiescent by construction, so the engine never
+  /// task boundaries are quiescent by construction, so the engine never
   /// hits that path.
   void detach();
   /// Rebind to a new scheduler shard and endpoint; pending timers re-arm at

@@ -14,13 +14,13 @@
 // over (scenario seed, fault stream, node/link id, frame timestamp), never
 // from execution order. Trace-reshaping faults (churn down-windows,
 // partitions, disconnect windows) are applied as a pure transformation of
-// the recorded ContactTrace, so the single-scheduler and episode-partitioned
-// replay engines see the same faulted world; per-frame faults key their
-// draws on (link, exact send timestamp, same-timestamp sequence number),
-// which both engines reproduce because a given (link, timestamp) occurs
-// inside exactly one episode with identical FIFO event order. Metrics are
-// therefore bitwise identical at any --jobs/--episode-jobs count (pinned by
-// ctest -L fault).
+// the recorded ContactTrace, so the single-scheduler reference and the
+// strand replay engine see the same faulted world; per-frame faults key
+// their draws on (link, exact send timestamp, same-timestamp sequence
+// number), which both reproduce because a given (link, timestamp) occurs
+// inside exactly one task with identical FIFO event order. Metrics are
+// therefore bitwise identical at any --jobs/--subepisode-jobs count (pinned
+// by ctest -L fault).
 #pragma once
 
 #include <cstdint>
@@ -154,7 +154,7 @@ struct FrameFault {
 
 /// Compiled, immutable fault plan for one run. Thread-safe: all queries are
 /// const and derive their randomness from (seed, ids, time) on the spot, so
-/// episode workers can share one instance.
+/// strand workers can share one instance.
 class FaultPlan {
  public:
   FaultPlan(const FaultPlanConfig& config, std::uint64_t scenario_seed, std::size_t nodes);

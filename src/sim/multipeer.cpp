@@ -142,7 +142,7 @@ void MpcNetwork::do_invite(PeerId from, PeerId to) {
   }
   // Connection completes after the setup handshake. A range break before
   // then bumps the link generation (and counts the failure) at the break,
-  // making this timer a pure no-op — so discarding it, as an episode shard
+  // making this timer a pure no-op — so discarding it, as a task shard
   // does past its last contact end, changes nothing.
   Link& pending = link(from, to);
   ++pending.pending_setups;
@@ -177,7 +177,7 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
   if (fault_plan_ && fault_plan_->frame_faults_active()) {
     // The draw is keyed on (link, exact send timestamp, same-timestamp
     // sequence number) — state both replay engines reproduce exactly,
-    // unlike a whole-run frame counter (episode shards rebuild the network,
+    // unlike a whole-run frame counter (task shards rebuild the network,
     // resetting any global counter mid-run).
     util::SimTime now = sched_.now();
     if (now != l.fault_last_t) {
@@ -203,7 +203,7 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
     Link& cur = link(from, to);
     // A stale generation means the session died mid-transfer; the loss was
     // already counted (and in_flight zeroed) when the session dropped, so a
-    // stale delivery is a pure no-op. That property lets an episode shard be
+    // stale delivery is a pure no-op. That property lets a task shard be
     // torn down at its last contact end without draining doomed deliveries.
     if (!cur.connected || cur.generation != generation) return;
     --cur.in_flight;
@@ -218,7 +218,7 @@ void MpcNetwork::drop_session(PeerId a, PeerId b, bool notify) {
   if (it == links_.end()) return;
   // Setups still in flight die with the link (range broke, or a teardown
   // aborted them): count them now, so the failure totals never depend on
-  // whether the (now inert) completion timers ever fire — an episode shard
+  // whether the (now inert) completion timers ever fire — a task shard
   // may discard them with its scheduler. The generation bump is what makes
   // those timers inert.
   if (it->second.pending_setups > 0) {

@@ -113,7 +113,7 @@ class MpcNetwork {
   /// out-of-range or declined invite immediately, a setup interrupted by
   /// range loss at the range-loss event (not when its now-inert completion
   /// timer fires). Drop-time accounting makes this counter identical
-  /// between the single-scheduler and episode-partitioned replay engines —
+  /// between the single-scheduler reference and the strand replay engine —
   /// a shard discarding stragglers past its last contact end discards only
   /// no-op events.
   std::uint64_t connections_failed() const { return failed_connections_; }

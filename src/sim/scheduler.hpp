@@ -5,9 +5,9 @@
 // guarantee in this repo rests on.
 //
 // A run no longer implies a single scheduler for its whole lifetime: the
-// episode-partitioned replay engine (sim/episode.hpp, deploy/ replay path)
-// runs each causally-independent episode on its own scheduler shard,
-// constructed at the episode's start time, and carries per-node middleware
+// strand replay engine (sim/subepisode.hpp, deploy/replay.cpp) runs each
+// causally-independent task on its own scheduler shard, constructed at the
+// task's start time, and carries per-node middleware
 // state across shards through the SosNode detach/attach seam. Shards are
 // plain Schedulers — no locking; one thread drives one shard at a time.
 #pragma once
@@ -34,7 +34,7 @@ inline constexpr EventId kInvalidEventId = 0;
 class Scheduler {
  public:
   Scheduler() = default;
-  /// Start the clock at `start` (an episode shard beginning mid-timeline).
+  /// Start the clock at `start` (a task shard beginning mid-timeline).
   explicit Scheduler(util::SimTime start) : now_(start) {}
 
   util::SimTime now() const { return now_; }

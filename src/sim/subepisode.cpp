@@ -38,8 +38,8 @@ ContactDag ContactDag::partition(const ContactTrace& trace, std::size_t node_cou
   const std::size_t n = contacts.size();
   UnionFind uf(n);
 
-  // Fuse contacts that share a node and overlap in time (EpisodeGraph's
-  // step 1, and the only fusion strands need). Sweep in start order; per
+  // Fuse contacts that share a node and overlap in time (step 1, the only
+  // fusion strands need). Sweep in start order; per
   // node, keep the contacts still open at the sweep point. Touching
   // intervals (c2.start == c1.end) fuse too: their events land on the same
   // timestamp and must stay on one scheduler — which is also what makes a
@@ -78,10 +78,9 @@ ContactDag ContactDag::partition(const ContactTrace& trace, std::size_t node_cou
     // which a separate cluster places another of its contacts. The engine
     // holds the node until its hull end, so the inner cluster would need
     // the node while the outer one still owns it — they must fuse. The test
-    // is keyed on per-node *hulls*, not cluster global spans (EpisodeGraph's
-    // step 2): a cluster that falls into a real gap of every shared node's
-    // hull stays separate, which is exactly the intra-episode concurrency
-    // this pass must preserve. Hull boundaries are always contact endpoints
+    // is keyed on per-node *hulls*, not cluster global spans: a cluster
+    // that falls into a real gap of every shared node's hull stays
+    // separate, which is exactly the concurrency this pass must preserve. Hull boundaries are always contact endpoints
     // of the node itself, and touching contacts already fused in step 1, so
     // the strict-overlap test is exhaustive — surviving clusters have
     // strictly disjoint per-node hulls.
@@ -134,10 +133,6 @@ ContactDag ContactDag::partition(const ContactTrace& trace, std::size_t node_cou
     // order exists — the members must share one shard. Fuse every
     // non-trivial strongly-connected component of the chain graph
     // (iterative Tarjan over clusters in deterministic dense-index order).
-    // EpisodeGraph never faces this: entangled clusters always have
-    // overlapping global spans at a shared node, so its step 2 fuses a
-    // superset — which also keeps every SCC inside one episode and the DAG
-    // a true refinement of the episode partition.
     std::map<std::size_t, std::size_t> root_idx;  // root -> dense index
     for (std::size_t i = 0; i < n; ++i) root_idx.try_emplace(uf.find(i), 0);
     std::size_t m = 0;
@@ -287,6 +282,32 @@ ContactDag ContactDag::partition(const ContactTrace& trace, std::size_t node_cou
   std::sort(tail.deps.begin(), tail.deps.end());
   tail.deps.erase(std::unique(tail.deps.begin(), tail.deps.end()), tail.deps.end());
   if (!tail.strands.empty()) dag.tasks_.push_back(std::move(tail));
+  return dag;
+}
+
+ContactDag ContactDag::fused(const ContactTrace& trace, std::size_t node_count,
+                             util::SimTime horizon) {
+  ContactDag dag;
+  const auto& contacts = trace.contacts();
+  if (!contacts.empty()) {
+    ContactTask all;
+    all.first_start = contacts.front().start;
+    for (std::size_t ci = 0; ci < contacts.size(); ++ci) {
+      all.contacts.push_back(ci);
+      all.first_start = std::min(all.first_start, contacts[ci].start);
+      all.last_end = std::max(all.last_end, contacts[ci].end);
+    }
+    for (std::uint32_t node = 0; node < node_count; ++node)
+      all.strands.push_back({node, all.first_start, all.last_end});
+    dag.tasks_.push_back(std::move(all));
+  }
+  dag.contact_tasks_ = dag.tasks_.size();
+  ContactTask tail;
+  tail.first_start = 0;
+  tail.last_end = horizon;
+  for (std::uint32_t node = 0; node < node_count; ++node) tail.strands.push_back({node, 0, horizon});
+  if (!dag.tasks_.empty()) tail.deps.push_back(0);
+  dag.tasks_.push_back(std::move(tail));
   return dag;
 }
 

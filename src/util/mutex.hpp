@@ -3,7 +3,7 @@
 // marked SOS_GUARDED_BY(std_mu) could never be proven locked; these thin
 // wrappers are attribute-complete stand-ins with identical semantics and
 // zero overhead. All shared mutable state in this repo (VerifyMemo shards,
-// the episode engine's Kahn queue) locks through these types.
+// the strand engine's Kahn queue) locks through these types.
 #pragma once
 
 #include <condition_variable>
@@ -40,8 +40,8 @@ class SOS_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// RAII lock over Mutex, with the manual unlock()/lock() pair the episode
-/// engine's worker loop needs (drop the lock around run_episode, retake it
+/// RAII lock over Mutex, with the manual unlock()/lock() pair the strand
+/// engine's worker loop needs (drop the lock around run_strand_task, retake it
 /// to update the ready set). The analysis tracks the held/released state
 /// through those calls, so a path that returns while unlocked-but-destructing
 /// or double-unlocks is a compile error under -Wthread-safety.

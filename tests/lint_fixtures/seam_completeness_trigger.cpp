@@ -1,7 +1,7 @@
 // sos-lint fixture: MUST trigger [seam-completeness].
 // A seam class (in the fixture config: SeamFixture) with a member that
 // neither detach() nor attach() — nor any method they call — ever touches:
-// that state silently stays behind when a node crosses an episode-shard
+// that state silently stays behind when a node crosses an task-shard
 // boundary. Not compiled — parsed by the linter.
 #include <cstddef>
 

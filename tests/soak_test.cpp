@@ -1,6 +1,6 @@
 // Soak suite (`ctest -L soak`): the versioned checkpoint codec and its
-// rejection paths, checkpoint/resume bitwise-identity pins across all three
-// replay engines and worker counts (the property the month-scale soak
+// rejection paths, checkpoint/resume bitwise-identity pins across the mono
+// and strand replay paths and worker counts (the property the month-scale soak
 // harness rests on), the rolling-window anomaly detector, and the
 // time-scale regression tests the soak audit produced — resumption-ticket
 // re-mint cadence, PRoPHET table pruning at month horizons, and
@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <string>
@@ -91,11 +92,46 @@ struct EngineOpt {
 
 std::vector<EngineOpt> all_engines() {
   return {{"mono", {}},
-          {"episode-j1", {.partition = true, .jobs = 1}},
-          {"episode-j4", {.partition = true, .jobs = 4}},
           {"strand-j1", {.subepisode_jobs = 1}},
+          {"strand-j2", {.subepisode_jobs = 2}},
           {"strand-j4", {.subepisode_jobs = 4}}};
 }
+
+/// A ReplaySession payload split at the fields load_state range-checks —
+/// sim time, per-node blobs, timeline cursors, resume points — so a test
+/// can re-encode it with one field corrupted.
+struct SessionPayload {
+  double now = 0;
+  std::vector<su::Bytes> nodes;
+  std::vector<std::uint64_t> cursors;
+  std::vector<double> resume;
+  su::Bytes rest;
+
+  static SessionPayload parse(const su::Bytes& blob) {
+    SessionPayload p;
+    su::Reader r{su::ByteView(blob)};
+    p.now = r.f64();
+    p.nodes.resize(r.varint());
+    for (auto& n : p.nodes) n = r.bytes();
+    p.cursors.resize(p.nodes.size());
+    for (auto& c : p.cursors) c = r.varint();
+    p.resume.resize(p.nodes.size());
+    for (auto& t : p.resume) t = r.f64();
+    p.rest = r.raw(r.remaining());
+    EXPECT_TRUE(r.done());
+    return p;
+  }
+  su::Bytes encode() const {
+    su::Writer w;
+    w.f64(now);
+    w.varint(nodes.size());
+    for (const auto& n : nodes) w.bytes(su::ByteView(n));
+    for (std::uint64_t c : cursors) w.varint(c);
+    for (double t : resume) w.f64(t);
+    w.raw(su::ByteView(rest));
+    return w.take();
+  }
+};
 
 sk::Checkpoint sample_checkpoint() {
   sk::Checkpoint c;
@@ -289,13 +325,13 @@ TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
 }
 
 TEST(SoakResume, CheckpointCrossesEngines) {
-  // Checkpoint under the episode engine, resume under the strand engine and
-  // the mono engine: node state is engine-agnostic.
+  // Checkpoint under the strand engine at 4 workers, resume under it at 1
+  // worker and under the mono session: node state is engine-agnostic.
   sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 3));
   auto world = sd::record_world(config);
   Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
 
-  sd::ReplaySession writer(config, *world, {.partition = true, .jobs = 4});
+  sd::ReplaySession writer(config, *world, {.subepisode_jobs = 4});
   std::vector<su::SimTime> cuts = writer.quiescent_cuts(60.0);
   ASSERT_FALSE(cuts.empty());
   writer.advance_to(cuts[cuts.size() / 2]);
@@ -304,7 +340,7 @@ TEST(SoakResume, CheckpointCrossesEngines) {
   su::Bytes blob = w.take();
 
   for (const EngineOpt& e :
-       {EngineOpt{"strand-j4", {.subepisode_jobs = 4}}, EngineOpt{"mono", {}}}) {
+       {EngineOpt{"strand-j1", {.subepisode_jobs = 1}}, EngineOpt{"mono", {}}}) {
     sd::ReplaySession reader(config, *world, e.opt);
     su::Reader r{su::ByteView(blob)};
     ASSERT_TRUE(reader.load_state(r)) << e.name;
@@ -334,6 +370,41 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
   victim.advance_to(victim.horizon());
   Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
   EXPECT_EQ(baseline, fingerprint(victim.finish()));
+
+  // Well-framed payloads with out-of-range fields fail closed too: a sim
+  // time that is NaN, infinite or past the horizon, a resume point that is
+  // NaN or outside [0, sim time], a cursor past its timeline's end.
+  const SessionPayload good = SessionPayload::parse(blob);
+  ASSERT_EQ(good.nodes.size(), config.nodes);
+  ASSERT_GT(good.now, 0.0);
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  std::vector<std::pair<const char*, std::function<void(SessionPayload&)>>> corruptions = {
+      {"now nan", [&](SessionPayload& p) { p.now = nan; }},
+      {"now inf", [&](SessionPayload& p) { p.now = inf; }},
+      {"now past horizon", [&](SessionPayload& p) { p.now = donor.horizon() + 1.0; }},
+      {"now negative", [&](SessionPayload& p) { p.now = -1.0; }},
+      {"resume nan", [&](SessionPayload& p) { p.resume[3] = nan; }},
+      {"resume inf", [&](SessionPayload& p) { p.resume[3] = inf; }},
+      {"resume negative", [&](SessionPayload& p) { p.resume[3] = -1.0; }},
+      {"resume past the cut", [&](SessionPayload& p) { p.resume[3] = p.now + 1.0; }},
+      {"cursor past timeline", [&](SessionPayload& p) { p.cursors[5] = 1u << 20; }},
+  };
+  for (const auto& [name, corrupt] : corruptions) {
+    SessionPayload bad = good;
+    corrupt(bad);
+    su::Bytes bad_blob = bad.encode();
+    sd::ReplaySession target(config, *world, {});
+    su::Reader br{su::ByteView(bad_blob)};
+    EXPECT_FALSE(target.load_state(br)) << name;
+    EXPECT_EQ(target.sim_time(), 0.0) << name;
+  }
+  // The split/re-encode itself is faithful: the untouched payload loads.
+  su::Bytes same = good.encode();
+  EXPECT_EQ(same, blob);
+  sd::ReplaySession ok_target(config, *world, {});
+  su::Reader gr{su::ByteView(same)};
+  EXPECT_TRUE(ok_target.load_state(gr));
 }
 
 // --- soak runner ------------------------------------------------------------
@@ -341,7 +412,7 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
 TEST(SoakRunner, RunsToHorizonWithSnapshotsCheckpointsAndJsonl) {
   sk::SoakOptions opts;
   opts.config = small_config("interest", su::derive_seed(88, 1));
-  opts.replay = {.partition = true, .jobs = 2};
+  opts.replay = {.subepisode_jobs = 2};
   opts.snapshot_interval_s = 4 * 3600.0;
   opts.checkpoint_interval_s = 8 * 3600.0;
   opts.checkpoint_dir = temp_dir("soak-run-ckpts");

@@ -75,7 +75,7 @@ class LintConfig:
         r"|util::Bytes|X25519Key|EdSeed\b"
     )
 
-    # seam-completeness: classes whose per-node state crosses episode-shard
+    # seam-completeness: classes whose per-node state crosses task-shard
     # boundaries through the detach()/attach() seam. Every trailing-
     # underscore member of these classes must be referenced in the seam
     # closure or carry allow(seam-exempt).

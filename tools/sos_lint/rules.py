@@ -32,12 +32,12 @@ Clang Thread Safety annotations in ``util/thread_annotations.hpp`` check
 at compile time — these rules cover the parts attributes cannot express):
 
 - ``seam-completeness`` — every data member of a seam class (the classes
-  whose state crosses episode-shard boundaries through detach()/attach())
+  whose state crosses task-shard boundaries through detach()/attach())
   must be referenced somewhere in the detach/attach closure (the seam
   bodies plus same-class methods they call), or carry
   ``// sos-lint: allow(seam-exempt) <why this member is seam-inert>``.
   A member added without either is exactly the bug class the seam exists
-  to prevent: state silently dropped at an episode boundary.
+  to prevent: state silently dropped at a task boundary.
 - ``lock-scope`` — in the annotated shared-state files, no callback,
   emission, or scheduler call while a ``lock_guard`` / ``unique_lock`` /
   ``scoped_lock`` / ``MutexLock`` is in scope. Re-entrant callbacks under
@@ -345,7 +345,7 @@ def rule_seam_completeness(models: list[FileModel], cfg) -> list[Finding]:
                     m.path, line, "seam-completeness",
                     f"member '{name}' of seam class '{cls.name}' is never "
                     "referenced in the detach()/attach() closure — state it "
-                    "holds silently stays behind at an episode-shard "
+                    "holds silently stays behind at an task-shard "
                     "boundary; wire it through the seam or annotate "
                     "'// sos-lint: allow(seam-exempt) <why seam-inert>'",
                 ))
