@@ -28,7 +28,20 @@ static void BM_Sha256(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536)->Arg(1048576);
+
+// The portable kernel on any CPU: the baseline the hardware kernel's rows
+// (BM_Sha256 on a host whose sha256_backend is "sha-ni") are read against.
+static void BM_Sha256Portable(benchmark::State& state) {
+  auto data = make_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    crypto::Sha256 h(crypto::detail::sha256_blocks_portable);
+    h.update(data);
+    benchmark::DoNotOptimize(h.finish());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(65536)->Arg(1048576);
 
 static void BM_Sha512(benchmark::State& state) {
   auto data = make_data(static_cast<std::size_t>(state.range(0)));
@@ -130,4 +143,11 @@ static void BM_Hkdf(benchmark::State& state) {
 }
 BENCHMARK(BM_Hkdf);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("sha256_backend", crypto::sha256_backend());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,8 +1,10 @@
 #include "soak/checkpoint.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "crypto/sha256.hpp"
 #include "util/codec.hpp"
@@ -14,6 +16,26 @@ constexpr char kMagic[8] = {'S', 'O', 'S', 'C', 'K', 'P', 'T', '\0'};
 
 void set_error(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
+}
+
+// The segment of a file named exactly as save() names it: "ckpt-", the
+// segment in plain decimal (ASCII digits, no sign, space or leading zero,
+// fitting in u64), ".bin". Any other name is not a checkpoint of this store,
+// so a stray "ckpt-3 copy.bin" cannot tie with ckpt-3.bin and "ckpt--1.bin"
+// cannot parse as 2^64-1 and win every time.
+std::optional<std::uint64_t> parse_segment(std::string_view name) {
+  constexpr std::string_view kPrefix = "ckpt-";
+  constexpr std::string_view kSuffix = ".bin";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) return std::nullopt;
+  std::string_view digits = name.substr(kPrefix.size());
+  if (digits.size() < kSuffix.size()) return std::nullopt;
+  digits.remove_suffix(kSuffix.size());
+  if (digits.empty() || (digits.size() > 1 && digits.front() == '0')) return std::nullopt;
+  std::uint64_t segment = 0;
+  const char* end = digits.data() + digits.size();
+  auto [ptr, ec] = std::from_chars(digits.data(), end, segment);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return segment;
 }
 }  // namespace
 
@@ -169,19 +191,10 @@ std::optional<Checkpoint> CheckpointStore::load_latest(std::string* error) const
   std::string best_path;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file()) continue;
-    std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt-", 0) != 0 || name.size() < 10 ||
-        name.compare(name.size() - 4, 4, ".bin") != 0) {
-      continue;
-    }
-    std::uint64_t segment = 0;
-    try {
-      segment = std::stoull(name.substr(5, name.size() - 9));
-    } catch (...) {
-      continue;
-    }
-    if (best_path.empty() || segment > best_segment) {
-      best_segment = segment;
+    std::optional<std::uint64_t> segment = parse_segment(entry.path().filename().string());
+    if (!segment) continue;
+    if (best_path.empty() || *segment > best_segment) {
+      best_segment = *segment;
       best_path = entry.path().string();
     }
   }

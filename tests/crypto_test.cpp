@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +42,18 @@ template <typename Arr>
 std::string hex(const Arr& a) {
   return su::hex_encode(su::ByteView(a.data(), a.size()));
 }
+
+sc::Sha256::Digest portable_sha256(su::ByteView data) {
+  sc::Sha256 h(sc::detail::sha256_blocks_portable);
+  h.update(data);
+  return h.finish();
+}
+
+su::Bytes random_bytes(su::Rng& rng, std::size_t n) {
+  su::Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
 }  // namespace
 
 // --- SHA-256 (FIPS 180-4 / NIST CAVS vectors) -------------------------
@@ -55,6 +69,11 @@ TEST_P(Sha256Vectors, KnownAnswer) {
   const auto& v = GetParam();
   auto d = sc::Sha256::hash(su::to_bytes(v.msg));
   EXPECT_EQ(hex(d), v.digest);
+}
+
+TEST_P(Sha256Vectors, KnownAnswerPortable) {
+  const auto& v = GetParam();
+  EXPECT_EQ(hex(portable_sha256(su::to_bytes(v.msg))), v.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -73,6 +92,77 @@ TEST(Sha256, MillionA) {
   for (int i = 0; i < 1000; ++i) h.update(su::to_bytes(chunk));
   EXPECT_EQ(hex(h.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, MillionAPortable) {
+  sc::Sha256 h(sc::detail::sha256_blocks_portable);
+  std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(su::to_bytes(chunk));
+  EXPECT_EQ(hex(h.finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Whatever kernel the host dispatches to must agree with the portable
+// reference on every padding shape: lengths 0..1024 cover every tail length
+// with zero to sixteen whole blocks before it.
+TEST(Sha256, DispatchedMatchesPortableEveryLength) {
+  su::Rng rng(11);
+  su::Bytes msg = random_bytes(rng, 1024);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    su::ByteView v(msg.data(), len);
+    ASSERT_EQ(sc::Sha256::hash(v), portable_sha256(v)) << len;
+  }
+}
+
+// Long inputs fed in pieces: single bytes, one short of a block, exactly a
+// block, one past it, and random runs that straddle block boundaries, so the
+// dispatched kernel sees both buffered single blocks and multi-block runs.
+TEST(Sha256, DispatchedMatchesPortableRandomSplits) {
+  su::Rng rng(12);
+  constexpr std::size_t kMaxLen = std::size_t{1} << 20;
+  const std::size_t fixed_steps[] = {1, 63, 64, 65};
+  for (int trial = 0; trial < 12; ++trial) {
+    std::size_t len = trial == 0 ? kMaxLen : rng.below(kMaxLen + 1);
+    su::Bytes msg = random_bytes(rng, len);
+    sc::Sha256 h;
+    std::size_t off = 0;
+    while (off < len) {
+      std::uint64_t pick = rng.below(6);
+      std::size_t step = pick < 4 ? fixed_steps[pick]
+                                  : 64 * (1 + rng.below(40)) + 1 + rng.below(63);
+      step = std::min(step, len - off);
+      h.update(su::ByteView(msg.data() + off, step));
+      off += step;
+    }
+    EXPECT_EQ(h.finish(), portable_sha256(msg)) << "trial " << trial << " len " << len;
+  }
+}
+
+// A broken CPUID check would silently fall back to the portable kernel and
+// lose the speed-up; /proc/cpuinfo is an independent account of the CPU.
+TEST(Sha256, BackendMatchesCpuinfo) {
+  std::ifstream in("/proc/cpuinfo");
+  if (!in.good()) GTEST_SKIP() << "no /proc/cpuinfo";
+  std::string line;
+  bool sha_ni = false, sse4_1 = false, found = false;
+  while (!found && std::getline(in, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    found = true;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    for (std::string w; words >> w;) {
+      sha_ni = sha_ni || w == "sha_ni";
+      sse4_1 = sse4_1 || w == "sse4_1";
+    }
+  }
+  if (!found) GTEST_SKIP() << "no flags line in /proc/cpuinfo";
+  const std::string backend = sc::sha256_backend();
+  if (sha_ni && sse4_1) {
+    EXPECT_EQ(backend, "sha-ni");
+  } else if (!sha_ni) {
+    EXPECT_EQ(backend, "portable");
+  } else {
+    GTEST_SKIP() << "sha_ni without sse4_1: backend " << backend;
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {

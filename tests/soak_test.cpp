@@ -228,6 +228,27 @@ TEST(CheckpointCodec, BitFlipRejectedByIntegrityHash) {
   EXPECT_NE(error.find("integrity"), std::string::npos) << error;
 }
 
+TEST(CheckpointCodec, LargePayloadRoundTripsAndEveryFlipIsRejected) {
+  // Checkpoint-sized (the community soak's grow to ~7 MB): the integrity
+  // pass runs the multi-block hash kernel over the whole file.
+  sk::Checkpoint c = sample_checkpoint();
+  c.payload = sc::Drbg(su::to_bytes("large-payload")).generate(std::size_t{8} << 20);
+  su::Bytes encoded = sk::encode_checkpoint(c);
+  std::string error;
+  auto decoded = sk::decode_checkpoint(su::ByteView(encoded), &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->payload, c.payload);
+  // The payload is the last field before the 32-byte trailing hash.
+  const std::size_t payload_start = encoded.size() - 32 - c.payload.size();
+  for (std::size_t at : {std::size_t{0}, c.payload.size() / 2, c.payload.size() - 1}) {
+    su::Bytes flipped = encoded;
+    flipped[payload_start + at] ^= 0x01;
+    error.clear();
+    EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(flipped), &error).has_value()) << at;
+    EXPECT_NE(error.find("integrity"), std::string::npos) << at << ": " << error;
+  }
+}
+
 TEST(CheckpointStore, SavesAtomicallyAndLoadsHighestSegment) {
   sk::CheckpointStore store(temp_dir("ckpt-store"));
   sk::Checkpoint c = sample_checkpoint();
@@ -245,6 +266,28 @@ TEST(CheckpointStore, SavesAtomicallyAndLoadsHighestSegment) {
   for (const auto& entry : std::filesystem::directory_iterator(store.dir())) {
     EXPECT_EQ(entry.path().extension(), ".bin") << entry.path();
   }
+}
+
+TEST(CheckpointStore, LoadLatestSkipsNamesSaveNeverWrites) {
+  // Each stray name holds a valid checkpoint of another segment, so loading
+  // any of them instead of ckpt-2.bin shows up in the segment field.
+  sk::CheckpointStore store(temp_dir("ckpt-names"));
+  sk::Checkpoint c = sample_checkpoint();
+  std::string error;
+  c.segment = 2;
+  ASSERT_TRUE(store.save(c, &error)) << error;
+  c.segment = 3;
+  su::Bytes stray = sk::encode_checkpoint(c);
+  for (const char* name : {"ckpt--1.bin", "ckpt- 7.bin", "ckpt-+9.bin", "ckpt-3 copy.bin",
+                           "ckpt-007.bin", "ckpt-.bin", "ckpt-18446744073709551616.bin",
+                           "ckpt-4.bin.tmp", "ckpt-5x.bin"}) {
+    std::ofstream out(store.dir() + "/" + name, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(stray.data()),
+              static_cast<std::streamsize>(stray.size()));
+  }
+  auto latest = store.load_latest(&error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  EXPECT_EQ(latest->segment, 2u);
 }
 
 TEST(CheckpointStore, CorruptFileRejectedNotPartiallyLoaded) {
