@@ -131,10 +131,14 @@ for bench in "${required[@]}"; do
 done
 [[ $missing -eq 0 ]] || exit 1
 
+# Five repetitions with aggregates only: BENCH_crypto.json carries the
+# median and spread of every row, not one sample on a shared machine.
 "$build_dir/bench_micro_crypto" \
   --benchmark_out="$repo_root/BENCH_crypto.json" \
   --benchmark_out_format=json \
-  --benchmark_min_time=0.2
+  --benchmark_min_time=0.2 \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true
 "$build_dir/bench_micro_middleware" \
   --benchmark_out="$repo_root/BENCH_middleware.json" \
   --benchmark_out_format=json \

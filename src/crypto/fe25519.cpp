@@ -8,33 +8,24 @@ using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
 namespace {
-constexpr u64 kMask51 = (1ULL << 51) - 1;
-
-// 8*p in limb form: keeps subtraction results positive for inputs < 2^54.
-constexpr u64 k8P0 = (kMask51 + 1 - 19) * 8;  // 8*(2^51-19)
-constexpr u64 k8P = kMask51 * 8;              // 8*(2^51-1)
-
-void carry_reduce(u64 t[5]) {
-  // Two passes bring any sum of products / biased subtraction into
-  // limbs < 2^52; callers needing canonical form use fe_tobytes.
-  for (int pass = 0; pass < 2; ++pass) {
-    u64 c;
-    c = t[0] >> 51;
-    t[0] &= kMask51;
-    t[1] += c;
-    c = t[1] >> 51;
-    t[1] &= kMask51;
-    t[2] += c;
-    c = t[2] >> 51;
-    t[2] &= kMask51;
-    t[3] += c;
-    c = t[3] >> 51;
-    t[3] &= kMask51;
-    t[4] += c;
-    c = t[4] >> 51;
-    t[4] &= kMask51;
-    t[0] += 19 * c;
-  }
+// One carry pass: any limbs below 2^63 come out tight (see fe25519.hpp).
+void carry_pass(u64 t[5]) {
+  u64 c;
+  c = t[0] >> 51;
+  t[0] &= kFeMask51;
+  t[1] += c;
+  c = t[1] >> 51;
+  t[1] &= kFeMask51;
+  t[2] += c;
+  c = t[2] >> 51;
+  t[2] &= kFeMask51;
+  t[3] += c;
+  c = t[3] >> 51;
+  t[3] &= kFeMask51;
+  t[4] += c;
+  c = t[4] >> 51;
+  t[4] &= kFeMask51;
+  t[0] += 19 * c;
 }
 }  // namespace
 
@@ -42,25 +33,24 @@ const Fe kFeZero = {{0, 0, 0, 0, 0}};
 const Fe kFeOne = {{1, 0, 0, 0, 0}};
 
 Fe fe_from_u64(u64 x) {
-  Fe f = {{x & kMask51, (x >> 51), 0, 0, 0}};
+  Fe f = {{x & kFeMask51, (x >> 51), 0, 0, 0}};
   return f;
 }
 
 Fe fe_frombytes(const std::uint8_t s[32]) {
   Fe f;
-  f.v[0] = util::load64_le(s) & kMask51;
-  f.v[1] = (util::load64_le(s + 6) >> 3) & kMask51;
-  f.v[2] = (util::load64_le(s + 12) >> 6) & kMask51;
-  f.v[3] = (util::load64_le(s + 19) >> 1) & kMask51;
-  f.v[4] = (util::load64_le(s + 24) >> 12) & kMask51;
+  f.v[0] = util::load64_le(s) & kFeMask51;
+  f.v[1] = (util::load64_le(s + 6) >> 3) & kFeMask51;
+  f.v[2] = (util::load64_le(s + 12) >> 6) & kFeMask51;
+  f.v[3] = (util::load64_le(s + 19) >> 1) & kFeMask51;
+  f.v[4] = (util::load64_le(s + 24) >> 12) & kFeMask51;
   return f;
 }
 
 void fe_tobytes(std::uint8_t s[32], const Fe& f) {
   u64 t[5];
   std::memcpy(t, f.v, sizeof(t));
-  carry_reduce(t);
-  carry_reduce(t);
+  for (int pass = 0; pass < 4; ++pass) carry_pass(t);
   // Now 0 <= value < 2^255. Subtract p if value >= p, i.e. if value+19 has
   // bit 255 set.
   u64 q[5];
@@ -68,11 +58,11 @@ void fe_tobytes(std::uint8_t s[32], const Fe& f) {
   q[0] += 19;
   for (int i = 0; i < 4; ++i) {
     q[i + 1] += q[i] >> 51;
-    q[i] &= kMask51;
+    q[i] &= kFeMask51;
   }
   u64 carry = q[4] >> 51;
   if (carry) {
-    q[4] &= kMask51;
+    q[4] &= kFeMask51;
     std::memcpy(t, q, sizeof(q));
   }
   // Serialize 5x51-bit limbs into 32 bytes LE.
@@ -96,93 +86,14 @@ void fe_tobytes(std::uint8_t s[32], const Fe& f) {
   std::memcpy(s, out, 32);
 }
 
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  carry_reduce(r.v);
-  return r;
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  Fe r;
-  r.v[0] = a.v[0] + k8P0 - b.v[0];
-  for (int i = 1; i < 5; ++i) r.v[i] = a.v[i] + k8P - b.v[i];
-  carry_reduce(r.v);
-  return r;
-}
-
 Fe fe_neg(const Fe& a) {
-  return fe_sub(kFeZero, a);
-}
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  u128 t0 = (u128)a.v[0] * b.v[0] + (u128)(19 * a.v[1]) * b.v[4] + (u128)(19 * a.v[2]) * b.v[3] +
-            (u128)(19 * a.v[3]) * b.v[2] + (u128)(19 * a.v[4]) * b.v[1];
-  u128 t1 = (u128)a.v[0] * b.v[1] + (u128)a.v[1] * b.v[0] + (u128)(19 * a.v[2]) * b.v[4] +
-            (u128)(19 * a.v[3]) * b.v[3] + (u128)(19 * a.v[4]) * b.v[2];
-  u128 t2 = (u128)a.v[0] * b.v[2] + (u128)a.v[1] * b.v[1] + (u128)a.v[2] * b.v[0] +
-            (u128)(19 * a.v[3]) * b.v[4] + (u128)(19 * a.v[4]) * b.v[3];
-  u128 t3 = (u128)a.v[0] * b.v[3] + (u128)a.v[1] * b.v[2] + (u128)a.v[2] * b.v[1] +
-            (u128)a.v[3] * b.v[0] + (u128)(19 * a.v[4]) * b.v[4];
-  u128 t4 = (u128)a.v[0] * b.v[4] + (u128)a.v[1] * b.v[3] + (u128)a.v[2] * b.v[2] +
-            (u128)a.v[3] * b.v[1] + (u128)a.v[4] * b.v[0];
-
+  // Tighten a first so 2p covers every limb, then tighten the difference.
+  Fe t = a;
+  carry_pass(t.v);
   Fe r;
-  u64 c;
-  r.v[0] = (u64)t0 & kMask51;
-  c = (u64)(t0 >> 51);
-  t1 += c;
-  r.v[1] = (u64)t1 & kMask51;
-  c = (u64)(t1 >> 51);
-  t2 += c;
-  r.v[2] = (u64)t2 & kMask51;
-  c = (u64)(t2 >> 51);
-  t3 += c;
-  r.v[3] = (u64)t3 & kMask51;
-  c = (u64)(t3 >> 51);
-  t4 += c;
-  r.v[4] = (u64)t4 & kMask51;
-  c = (u64)(t4 >> 51);
-  r.v[0] += 19 * c;
-  c = r.v[0] >> 51;
-  r.v[0] &= kMask51;
-  r.v[1] += c;
-  return r;
-}
-
-Fe fe_sq(const Fe& a) {
-  // Dedicated squaring: 15 u128 products instead of fe_mul's 25. Doubling
-  // chains in the Ed25519 hot path are squaring-dominated, so this matters.
-  u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  u64 d0 = 2 * a0, d1 = 2 * a1, d2 = 2 * a2;
-  u64 a3_19 = 19 * a3, a4_19 = 19 * a4;
-
-  u128 t0 = (u128)a0 * a0 + (u128)d1 * a4_19 + (u128)d2 * a3_19;
-  u128 t1 = (u128)d0 * a1 + (u128)d2 * a4_19 + (u128)a3 * a3_19;
-  u128 t2 = (u128)d0 * a2 + (u128)a1 * a1 + (u128)(2 * a3) * a4_19;
-  u128 t3 = (u128)d0 * a3 + (u128)d1 * a2 + (u128)a4 * a4_19;
-  u128 t4 = (u128)d0 * a4 + (u128)d1 * a3 + (u128)a2 * a2;
-
-  Fe r;
-  u64 c;
-  r.v[0] = (u64)t0 & kMask51;
-  c = (u64)(t0 >> 51);
-  t1 += c;
-  r.v[1] = (u64)t1 & kMask51;
-  c = (u64)(t1 >> 51);
-  t2 += c;
-  r.v[2] = (u64)t2 & kMask51;
-  c = (u64)(t2 >> 51);
-  t3 += c;
-  r.v[3] = (u64)t3 & kMask51;
-  c = (u64)(t3 >> 51);
-  t4 += c;
-  r.v[4] = (u64)t4 & kMask51;
-  c = (u64)(t4 >> 51);
-  r.v[0] += 19 * c;
-  c = r.v[0] >> 51;
-  r.v[0] &= kMask51;
-  r.v[1] += c;
+  r.v[0] = 2 * (kFeMask51 + 1 - 19) - t.v[0];
+  for (int i = 1; i < 5; ++i) r.v[i] = 2 * kFeMask51 - t.v[i];
+  carry_pass(r.v);
   return r;
 }
 
@@ -191,19 +102,19 @@ Fe fe_mul121666(const Fe& a) {
   for (int i = 0; i < 5; ++i) t[i] = (u128)a.v[i] * 121666;
   Fe r;
   u64 c;
-  r.v[0] = (u64)t[0] & kMask51;
+  r.v[0] = (u64)t[0] & kFeMask51;
   c = (u64)(t[0] >> 51);
   t[1] += c;
-  r.v[1] = (u64)t[1] & kMask51;
+  r.v[1] = (u64)t[1] & kFeMask51;
   c = (u64)(t[1] >> 51);
   t[2] += c;
-  r.v[2] = (u64)t[2] & kMask51;
+  r.v[2] = (u64)t[2] & kFeMask51;
   c = (u64)(t[2] >> 51);
   t[3] += c;
-  r.v[3] = (u64)t[3] & kMask51;
+  r.v[3] = (u64)t[3] & kFeMask51;
   c = (u64)(t[3] >> 51);
   t[4] += c;
-  r.v[4] = (u64)t[4] & kMask51;
+  r.v[4] = (u64)t[4] & kFeMask51;
   c = (u64)(t[4] >> 51);
   r.v[0] += 19 * c;
   return r;
@@ -295,15 +206,6 @@ bool fe_equal(const Fe& a, const Fe& b) {
   // sos-lint: allow(memcmp-public) every fe_equal caller compares public
   // curve coordinates during verification; no secret scalar reaches here.
   return std::memcmp(sa, sb, 32) == 0;
-}
-
-void fe_cswap(Fe& a, Fe& b, std::uint64_t bit) {
-  u64 mask = 0 - bit;
-  for (int i = 0; i < 5; ++i) {
-    u64 x = mask & (a.v[i] ^ b.v[i]);
-    a.v[i] ^= x;
-    b.v[i] ^= x;
-  }
 }
 
 const Fe& fe_sqrt_m1() {

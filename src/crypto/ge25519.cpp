@@ -138,15 +138,18 @@ GeP3 ge_sub(const GeP3& p, const GeCached& q) {
   return GeP3{fe_mul(e, f), fe_mul(h, g), fe_mul(g, f), fe_mul(e, h)};
 }
 
-// Doubling (dbl-2008-hwcd).
+// Doubling (dbl-2008-hwcd). The sums are ordered so no fe_sub subtracts a
+// lazy difference (fe25519.hpp bounds): 2XY = (X+Y)^2 - (YY+XX) and
+// t = (2ZZ + XX) - YY.
 GeP3 ge_double(const GeP3& p) {
   Fe xx = fe_sq(p.X);
   Fe yy = fe_sq(p.Y);
-  Fe zz2 = fe_add(fe_sq(p.Z), fe_sq(p.Z));
-  Fe xy2 = fe_sub(fe_sub(fe_sq(fe_add(p.X, p.Y)), yy), xx);  // 2XY
+  Fe zz = fe_sq(p.Z);
+  Fe zz2 = fe_add(zz, zz);
   Fe yy_plus_xx = fe_add(yy, xx);
+  Fe xy2 = fe_sub(fe_sq(fe_add(p.X, p.Y)), yy_plus_xx);
   Fe yy_minus_xx = fe_sub(yy, xx);
-  Fe t = fe_sub(zz2, yy_minus_xx);
+  Fe t = fe_sub(fe_add(zz2, xx), yy);
   return GeP3{fe_mul(xy2, t), fe_mul(yy_plus_xx, yy_minus_xx), fe_mul(yy_minus_xx, t),
               fe_mul(xy2, yy_plus_xx)};
 }

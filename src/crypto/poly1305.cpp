@@ -4,67 +4,51 @@
 
 namespace sos::crypto {
 
+namespace {
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+}  // namespace
+
 Poly1305::Poly1305(const std::uint8_t key[kPolyKeySize]) {
-  // r with the RFC clamping, split into 26-bit limbs.
-  std::uint32_t t0 = util::load32_le(key + 0);
-  std::uint32_t t1 = util::load32_le(key + 4);
-  std::uint32_t t2 = util::load32_le(key + 8);
-  std::uint32_t t3 = util::load32_le(key + 12);
-  r_[0] = t0 & 0x3ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
-  r_[4] = (t3 >> 8) & 0x00fffff;
-  std::memset(h_, 0, sizeof(h_));
-  for (int i = 0; i < 4; ++i) pad_[i] = util::load32_le(key + 16 + 4 * i);
+  // r with the RFC clamping. Clamping clears the low two bits of r1, so
+  // s1 = r1 + r1/4 = 5 * r1/4 exactly: it folds the limb products that land
+  // at 2^128 and above back down (2^130 = 5 mod p).
+  r_[0] = util::load64_le(key + 0) & 0x0ffffffc0fffffffULL;
+  r_[1] = util::load64_le(key + 8) & 0x0ffffffc0ffffffcULL;
+  pad_[0] = util::load64_le(key + 16);
+  pad_[1] = util::load64_le(key + 24);
 }
 
-void Poly1305::blocks(const std::uint8_t* data, std::size_t len, std::uint32_t hibit) {
-  const std::uint32_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+// h = (h + m + hibit * 2^128) * r, partially reduced: h0 and h1 are full
+// 64-bit limbs and h2 (bits 128 and up) stays below 8 between blocks.
+void Poly1305::blocks(const std::uint8_t* data, std::size_t len, u64 hibit) {
+  const u64 r0 = r_[0], r1 = r_[1];
+  const u64 s1 = r1 + (r1 >> 2);
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
   while (len >= 16) {
-    std::uint32_t t0 = util::load32_le(data + 0);
-    std::uint32_t t1 = util::load32_le(data + 4);
-    std::uint32_t t2 = util::load32_le(data + 8);
-    std::uint32_t t3 = util::load32_le(data + 12);
-    h0 += t0 & 0x3ffffff;
-    h1 += ((t0 >> 26) | (t1 << 6)) & 0x3ffffff;
-    h2 += ((t1 >> 20) | (t2 << 12)) & 0x3ffffff;
-    h3 += ((t2 >> 14) | (t3 << 18)) & 0x3ffffff;
-    h4 += (t3 >> 8) | hibit;
+    u128 t = (u128)h0 + util::load64_le(data);
+    h0 = (u64)t;
+    t = (u128)h1 + util::load64_le(data + 8) + (u64)(t >> 64);
+    h1 = (u64)t;
+    h2 += (u64)(t >> 64) + hibit;
 
-    std::uint64_t d0 = (std::uint64_t)h0 * r0 + (std::uint64_t)h1 * s4 + (std::uint64_t)h2 * s3 +
-                       (std::uint64_t)h3 * s2 + (std::uint64_t)h4 * s1;
-    std::uint64_t d1 = (std::uint64_t)h0 * r1 + (std::uint64_t)h1 * r0 + (std::uint64_t)h2 * s4 +
-                       (std::uint64_t)h3 * s3 + (std::uint64_t)h4 * s2;
-    std::uint64_t d2 = (std::uint64_t)h0 * r2 + (std::uint64_t)h1 * r1 + (std::uint64_t)h2 * r0 +
-                       (std::uint64_t)h3 * s4 + (std::uint64_t)h4 * s3;
-    std::uint64_t d3 = (std::uint64_t)h0 * r3 + (std::uint64_t)h1 * r2 + (std::uint64_t)h2 * r1 +
-                       (std::uint64_t)h3 * r0 + (std::uint64_t)h4 * s4;
-    std::uint64_t d4 = (std::uint64_t)h0 * r4 + (std::uint64_t)h1 * r3 + (std::uint64_t)h2 * r2 +
-                       (std::uint64_t)h3 * r1 + (std::uint64_t)h4 * r0;
+    const u128 d0 = (u128)h0 * r0 + (u128)h1 * s1;
+    u128 d1 = (u128)h0 * r1 + (u128)h1 * r0 + (u128)h2 * s1;
+    u64 d2 = h2 * r0;
+    h0 = (u64)d0;
+    d1 += (u64)(d0 >> 64);
+    h1 = (u64)d1;
+    d2 += (u64)(d1 >> 64);
 
-    std::uint32_t c;
-    c = (std::uint32_t)(d0 >> 26);
-    h0 = (std::uint32_t)d0 & 0x3ffffff;
-    d1 += c;
-    c = (std::uint32_t)(d1 >> 26);
-    h1 = (std::uint32_t)d1 & 0x3ffffff;
-    d2 += c;
-    c = (std::uint32_t)(d2 >> 26);
-    h2 = (std::uint32_t)d2 & 0x3ffffff;
-    d3 += c;
-    c = (std::uint32_t)(d3 >> 26);
-    h3 = (std::uint32_t)d3 & 0x3ffffff;
-    d4 += c;
-    c = (std::uint32_t)(d4 >> 26);
-    h4 = (std::uint32_t)d4 & 0x3ffffff;
-    h0 += c * 5;
-    c = h0 >> 26;
-    h0 &= 0x3ffffff;
-    h1 += c;
+    // Fold bits 130 and up: (d2 >> 2) * 2^130 = (d2 >> 2) * 5.
+    const u64 c = (d2 >> 2) + (d2 & ~u64{3});
+    h2 = d2 & 3;
+    t = (u128)h0 + c;
+    h0 = (u64)t;
+    t = (u128)h1 + (u64)(t >> 64);
+    h1 = (u64)t;
+    h2 += (u64)(t >> 64);
 
     data += 16;
     len -= 16;
@@ -72,8 +56,6 @@ void Poly1305::blocks(const std::uint8_t* data, std::size_t len, std::uint32_t h
   h_[0] = h0;
   h_[1] = h1;
   h_[2] = h2;
-  h_[3] = h3;
-  h_[4] = h4;
 }
 
 void Poly1305::update(util::ByteView data) {
@@ -87,13 +69,13 @@ void Poly1305::update(util::ByteView data) {
     buf_len_ += take;
     off = take;
     if (buf_len_ == 16) {
-      blocks(buf_, 16, 1u << 24);
+      blocks(buf_, 16, 1);
       buf_len_ = 0;
     }
   }
   std::size_t full = (data.size() - off) & ~static_cast<std::size_t>(15);
   if (full > 0) {
-    blocks(data.data() + off, full, 1u << 24);
+    blocks(data.data() + off, full, 1);
     off += full;
   }
   if (off < data.size()) {
@@ -111,75 +93,26 @@ PolyTag Poly1305::finish() {
     blocks(block, 16, 0);
     buf_len_ = 0;
   }
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  std::uint32_t c;
-  c = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  // h < 2p here, so one conditional subtraction reduces it: g = h + 5 has
+  // bit 130 set exactly when h >= p, and then h - p = g mod 2^130.
+  u128 t = (u128)h0 + 5;
+  const u64 g0 = (u64)t;
+  t = (u128)h1 + (u64)(t >> 64);
+  const u64 g1 = (u64)t;
+  const u64 g2 = h2 + (u64)(t >> 64);
+  const u64 mask = 0 - (g2 >> 2);  // all-ones iff h >= p
+  h0 = (h0 & ~mask) | (g0 & mask);
+  h1 = (h1 & ~mask) | (g1 & mask);
 
-  // compute h + -p
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
-
-  // select h if h < p, or h - p if h >= p
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if g4 did not underflow
-  g0 &= mask;
-  g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
-  mask = ~mask;
-  h0 = (h0 & mask) | g0;
-  h1 = (h1 & mask) | g1;
-  h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
-
-  // h = h % 2^128 as 4 32-bit words
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
-
-  // tag = (h + pad) % 2^128
-  std::uint64_t f;
-  f = (std::uint64_t)h0 + pad_[0];
-  h0 = (std::uint32_t)f;
-  f = (std::uint64_t)h1 + pad_[1] + (f >> 32);
-  h1 = (std::uint32_t)f;
-  f = (std::uint64_t)h2 + pad_[2] + (f >> 32);
-  h2 = (std::uint32_t)f;
-  f = (std::uint64_t)h3 + pad_[3] + (f >> 32);
-  h3 = (std::uint32_t)f;
+  // tag = (h + pad) mod 2^128
+  t = (u128)h0 + pad_[0];
+  const u64 lo = (u64)t;
+  const u64 hi = h1 + pad_[1] + (u64)(t >> 64);
 
   PolyTag tag;
-  util::store32_le(tag.data() + 0, h0);
-  util::store32_le(tag.data() + 4, h1);
-  util::store32_le(tag.data() + 8, h2);
-  util::store32_le(tag.data() + 12, h3);
+  util::store64_le(tag.data() + 0, lo);
+  util::store64_le(tag.data() + 8, hi);
   return tag;
 }
 

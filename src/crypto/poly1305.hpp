@@ -1,4 +1,7 @@
-// Poly1305 one-time authenticator (RFC 8439), 32-bit limb implementation.
+// Poly1305 one-time authenticator (RFC 8439). The accumulator is held in
+// 64-bit limbs (two full limbs plus the bits from 2^128 up) and r in two,
+// so each 16-byte block costs four full 64x64->128-bit products on
+// unsigned __int128.
 #pragma once
 
 #include <array>
@@ -22,11 +25,11 @@ class Poly1305 {
   static PolyTag mac(const std::uint8_t key[kPolyKeySize], util::ByteView data);
 
  private:
-  void blocks(const std::uint8_t* data, std::size_t len, std::uint32_t hibit);
+  void blocks(const std::uint8_t* data, std::size_t len, std::uint64_t hibit);
 
-  std::uint32_t r_[5];
-  std::uint32_t h_[5];
-  std::uint32_t pad_[4];
+  std::uint64_t r_[2];
+  std::uint64_t h_[3] = {0, 0, 0};
+  std::uint64_t pad_[2];
   std::uint8_t buf_[16];
   std::size_t buf_len_ = 0;
 };

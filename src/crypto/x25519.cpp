@@ -1,6 +1,7 @@
 #include "crypto/x25519.hpp"
 
 #include "crypto/fe25519.hpp"
+#include "crypto/ge25519.hpp"
 
 namespace sos::crypto {
 
@@ -52,8 +53,21 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {
-  X25519Key base = {9};
-  return x25519(scalar, base);
+  // u = 9 is the image of the Ed25519 base point under the birational map
+  // u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y). A clamped scalar is a nonzero
+  // multiple of 8 below 2^255 and so never a multiple of the group order:
+  // [k]B is never the identity and Z - Y never vanishes.
+  const X25519Key k = x25519_clamp(scalar);
+  const GeP3 p = ge_scalarmult_base(k.data());
+  const Fe u = fe_mul(fe_add(p.Z, p.Y), fe_invert(fe_sub(p.Z, p.Y)));
+  X25519Key result;
+  fe_tobytes(result.data(), u);
+  return result;
+}
+
+bool x25519_is_zero(const X25519Key& shared) {
+  static constexpr X25519Key kZero{};
+  return util::ct_equal(shared, kZero);
 }
 
 }  // namespace sos::crypto

@@ -20,6 +20,9 @@ constexpr std::uint8_t kOuterHello = 1;
 constexpr std::uint8_t kOuterSealed = 2;
 constexpr std::uint8_t kOuterResume = 3;
 
+// Associated data bound into every sealed session frame.
+constexpr auto kFrameAad = util::literal_bytes("sos-frame");
+
 void make_nonce(std::uint8_t nonce[12], std::uint64_t counter) {
   std::memset(nonce, 0, 12);
   util::store64_le(nonce, counter);
@@ -245,6 +248,13 @@ void AdHocManager::handle_hello(sim::PeerId peer, util::ByteView payload) {
 
   auto shared = crypto::x25519(s.eph_priv, hello->ephemeral_pub);
   ++stats_.ecdh_ops;
+  // A low-order ephemeral key forces the all-zero secret, and with it a
+  // session key the peer knows without any private key (RFC 7748 §6.1).
+  if (crypto::x25519_is_zero(shared)) {
+    ++stats_.malformed_frames;
+    endpoint_->disconnect(peer);
+    return;
+  }
   // Directional keys: the lexicographically smaller ephemeral key sends
   // with the first half of the OKM.
   bool mine_first =
@@ -552,17 +562,16 @@ void AdHocManager::send_frame(sim::PeerId peer, FrameType type, util::ByteView p
   if (it == sessions_.end() || !it->second.secure) return;
   Session& s = it->second;
 
-  util::Bytes plain;
-  plain.push_back(static_cast<std::uint8_t>(type));
-  util::append(plain, payload);
-
   std::uint8_t nonce[12];
   make_nonce(nonce, s.send_ctr++);
-  auto sealed = crypto::aead_seal(s.send_key, nonce, util::to_bytes("sos-frame"), plain);
-
+  // The frame type and payload are sealed in place behind the outer byte:
+  // one allocation per frame, sized for the tag up front.
   util::Bytes wire;
+  wire.reserve(2 + payload.size() + crypto::kAeadTagSize);
   wire.push_back(kOuterSealed);
-  util::append(wire, sealed);
+  wire.push_back(static_cast<std::uint8_t>(type));
+  util::append(wire, payload);
+  crypto::aead_seal_in_place(s.send_key, nonce, kFrameAad, wire, 1);
   ++stats_.frames_sent;
   endpoint_->send(peer, std::move(wire));
 }
@@ -598,19 +607,20 @@ void AdHocManager::handle_receive(sim::PeerId peer, util::Bytes wire) {
   // attacker-injected frame must not desynchronize the nonce sequence for
   // the legitimate traffic behind it.
   make_nonce(nonce, s.recv_ctr);
-  auto plain = crypto::aead_open(s.recv_key, nonce, util::to_bytes("sos-frame"), body);
-  if (!plain) {
+  if (!crypto::aead_open_in_place(s.recv_key, nonce, kFrameAad, wire, 1)) {
     ++stats_.decrypt_failures;
     return;
   }
   ++s.recv_ctr;
-  if (plain->empty()) {
+  if (wire.size() < 2) {
     ++stats_.malformed_frames;
     return;
   }
-  auto type = static_cast<FrameType>((*plain)[0]);
-  util::Bytes payload(plain->begin() + 1, plain->end());
-  if (on_frame) on_frame(peer, type, std::move(payload));
+  // The payload is opened in place; dropping the outer and type bytes
+  // hands the same buffer on.
+  auto type = static_cast<FrameType>(wire[1]);
+  wire.erase(wire.begin(), wire.begin() + 2);
+  if (on_frame) on_frame(peer, type, std::move(wire));
 }
 
 AdHocManager::VerifyDigest AdHocManager::verify_digest(util::ByteView bundle_signed,

@@ -198,6 +198,8 @@ bundle::BundleId SosNode::publish(util::Bytes payload, bundle::ContentType type)
 
 namespace {
 constexpr std::size_t kDmOverhead = crypto::kX25519KeySize + crypto::kAeadTagSize;
+// Associated data bound into every sealed direct message.
+constexpr auto kDmAad = util::literal_bytes("sos-dm");
 
 util::Bytes derive_dm_key(const crypto::X25519Key& shared, const crypto::X25519Key& eph_pub,
                           const crypto::X25519Key& dest_pub) {
@@ -218,7 +220,7 @@ bundle::BundleId SosNode::send_direct(const pki::Certificate& dest_cert,
   auto key = derive_dm_key(shared, eph_pub, dest_cert.subject_enc_key);
 
   std::uint8_t nonce[crypto::kAeadNonceSize] = {0};
-  auto sealed = crypto::aead_seal(key.data(), nonce, util::to_bytes("sos-dm"), plaintext);
+  auto sealed = crypto::aead_seal(key.data(), nonce, kDmAad, plaintext);
 
   bundle::Bundle b;
   b.origin = creds_.user_id;
@@ -242,10 +244,13 @@ std::optional<util::Bytes> SosNode::open_direct(const bundle::Bundle& b) const {
   crypto::X25519Key eph_pub{};
   std::memcpy(eph_pub.data(), b.payload.data(), eph_pub.size());
   auto shared = crypto::x25519(creds_.enc_private_key, eph_pub);
+  // A low-order ephemeral key yields the all-zero secret: anyone could have
+  // sealed under the key it derives (RFC 7748 §6.1).
+  if (crypto::x25519_is_zero(shared)) return std::nullopt;
   auto key = derive_dm_key(shared, eph_pub, creds_.enc_public_key);
   std::uint8_t nonce[crypto::kAeadNonceSize] = {0};
   util::ByteView sealed(b.payload.data() + eph_pub.size(), b.payload.size() - eph_pub.size());
-  return crypto::aead_open(key.data(), nonce, util::to_bytes("sos-dm"), sealed);
+  return crypto::aead_open(key.data(), nonce, kDmAad, sealed);
 }
 
 }  // namespace sos::mw

@@ -110,48 +110,4 @@ void append(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-std::uint32_t load32_le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load64_le(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load32_le(p)) |
-         (static_cast<std::uint64_t>(load32_le(p + 4)) << 32);
-}
-
-std::uint32_t load32_be(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
-}
-
-std::uint64_t load64_be(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(load32_be(p)) << 32) |
-         static_cast<std::uint64_t>(load32_be(p + 4));
-}
-
-void store32_le(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void store64_le(std::uint8_t* p, std::uint64_t v) {
-  store32_le(p, static_cast<std::uint32_t>(v));
-  store32_le(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-void store32_be(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-void store64_be(std::uint8_t* p, std::uint64_t v) {
-  store32_be(p, static_cast<std::uint32_t>(v >> 32));
-  store32_be(p + 4, static_cast<std::uint32_t>(v));
-}
-
 }  // namespace sos::util

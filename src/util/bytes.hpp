@@ -19,6 +19,15 @@ using ByteView = std::span<const std::uint8_t>;
 /// Bytes from a string's raw characters.
 Bytes to_bytes(std::string_view s);
 
+/// A string literal's characters (without the terminating NUL) as a
+/// compile-time byte array, for protocol labels used on hot paths.
+template <std::size_t N>
+constexpr std::array<std::uint8_t, N - 1> literal_bytes(const char (&s)[N]) {
+  std::array<std::uint8_t, N - 1> out{};
+  for (std::size_t i = 0; i + 1 < N; ++i) out[i] = static_cast<std::uint8_t>(s[i]);
+  return out;
+}
+
 /// Raw characters of a byte buffer as a std::string (may contain NUL).
 std::string to_string(ByteView b);
 
@@ -70,13 +79,49 @@ std::array<std::uint8_t, N> to_array(ByteView v) {
 }
 
 // Little/big-endian scalar load/store used by crypto and the wire codec.
-std::uint32_t load32_le(const std::uint8_t* p);
-std::uint64_t load64_le(const std::uint8_t* p);
-std::uint32_t load32_be(const std::uint8_t* p);
-std::uint64_t load64_be(const std::uint8_t* p);
-void store32_le(std::uint8_t* p, std::uint32_t v);
-void store64_le(std::uint8_t* p, std::uint64_t v);
-void store32_be(std::uint8_t* p, std::uint32_t v);
-void store64_be(std::uint8_t* p, std::uint64_t v);
+// Inline: they sit inside every cipher, MAC and field-element loop.
+inline std::uint32_t load32_le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+inline std::uint64_t load64_le(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load32_le(p)) |
+         (static_cast<std::uint64_t>(load32_le(p + 4)) << 32);
+}
+
+inline std::uint32_t load32_be(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load64_be(const std::uint8_t* p) {
+  return (static_cast<std::uint64_t>(load32_be(p)) << 32) |
+         static_cast<std::uint64_t>(load32_be(p + 4));
+}
+
+inline void store32_le(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+inline void store64_le(std::uint8_t* p, std::uint64_t v) {
+  store32_le(p, static_cast<std::uint32_t>(v));
+  store32_le(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline void store32_be(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+inline void store64_be(std::uint8_t* p, std::uint64_t v) {
+  store32_be(p, static_cast<std::uint32_t>(v >> 32));
+  store32_be(p + 4, static_cast<std::uint32_t>(v));
+}
 
 }  // namespace sos::util

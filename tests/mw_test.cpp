@@ -8,11 +8,14 @@
 #include <string>
 #include <vector>
 
+#include "crypto/aead.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/hkdf.hpp"
 #include "crypto/sha256.hpp"
 #include "mw/schemes/prophet.hpp"
 #include "mw/schemes/spray_wait.hpp"
 #include "mw/sos_node.hpp"
+#include "mw/wire.hpp"
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
@@ -362,6 +365,113 @@ TEST(MwSecurity, ReplayedFrameIsRejected) {
   bed.sched.run_all();
   EXPECT_EQ(bed.node(1).stats().decrypt_failures, failures_before + 1);
   EXPECT_EQ(bed.received[1].size(), 1u);  // no duplicate delivery
+}
+
+// --- low-order X25519 keys (RFC 7748 §6.1) ---------------------------------------
+
+namespace {
+
+/// One SOS node (endpoint 0) and a certified peer that speaks the wire
+/// protocol by hand (endpoint 1), so its Hello can carry any ephemeral key.
+struct HelloRig {
+  ss::Scheduler sched;
+  sp::BootstrapService infra{su::to_bytes("low-order")};
+  ss::MpcNetwork net{sched, 2};
+  std::unique_ptr<sm::SosNode> bob;
+  sp::DeviceCredentials mallory;
+
+  HelloRig() {
+    sc::Drbg db(su::to_bytes("lo-bob")), dm(su::to_bytes("lo-mallory"));
+    sm::SosConfig config;
+    config.maintenance_interval_s = 0;
+    bob = std::make_unique<sm::SosNode>(sched, net.endpoint(0),
+                                        *infra.signup("lo-bob", db, 0), config);
+    mallory = *infra.signup("lo-mallory", dm, 0);
+    bob->start();
+  }
+
+  /// Connects and sends a Hello binding `eph_pub` under mallory's certified
+  /// signing key.
+  void hello_with(const sc::X25519Key& eph_pub) {
+    sm::HelloFrame hello;
+    hello.certificate = mallory.certificate.encode();
+    hello.ephemeral_pub = eph_pub;
+    hello.binding_sig = mallory.signing_keypair.sign(hello.signing_bytes());
+    net.endpoint(1).start_advertising({});
+    net.endpoint(1).on_connected = [this, hello](ss::PeerId peer) {
+      su::Bytes wire{0x01};  // kOuterHello
+      su::append(wire, hello.encode());
+      net.endpoint(1).send(peer, std::move(wire));
+    };
+    net.set_in_range(0, 1, true);
+    net.endpoint(1).invite(0);
+    sched.run_all();
+  }
+};
+
+}  // namespace
+
+class MwLowOrderKey : public ::testing::TestWithParam<const char*> {
+ protected:
+  sc::X25519Key point() const { return su::to_array<32>(*su::hex_decode(GetParam())); }
+};
+
+// A certified peer that sends a low-order ephemeral key forces the all-zero
+// DH secret, and with it session keys it can compute alone. The handshake
+// fails closed: counted as malformed, disconnected, no session.
+TEST_P(MwLowOrderKey, HelloEstablishesNoSession) {
+  HelloRig rig;
+  rig.hello_with(point());
+  EXPECT_EQ(rig.bob->stats().full_handshakes, 0u);
+  EXPECT_EQ(rig.bob->stats().sessions_established, 0u);
+  EXPECT_GE(rig.bob->stats().malformed_frames, 1u);
+  EXPECT_FALSE(rig.bob->adhoc().session_secure(1));
+  EXPECT_FALSE(rig.net.endpoint(0).is_connected(1));
+}
+
+// A direct message whose ephemeral key is low-order was sealed under a key
+// anyone can derive; open_direct refuses it.
+TEST_P(MwLowOrderKey, DirectMessageIsNotOpened) {
+  Testbed bed(2);
+  const auto& bob_cert = bed.node(1).credentials().certificate;
+  const sc::X25519Key eph_pub = point();
+  const su::Bytes zero_secret(32, 0);
+  auto key = sc::hkdf(su::concat(eph_pub, bob_cert.subject_enc_key), zero_secret,
+                      su::to_bytes("sos-dm-v1"), sc::kAeadKeySize);
+  std::uint8_t nonce[sc::kAeadNonceSize] = {0};
+  sb::Bundle b;
+  b.origin = bed.uid(0);
+  b.msg_num = 1;
+  b.creation_ts = bed.sched.now();
+  b.content = sb::ContentType::DirectMessage;
+  b.dest = bed.uid(1);
+  b.payload = su::concat(
+      eph_pub, sc::aead_seal(key.data(), nonce, su::to_bytes("sos-dm"), su::to_bytes("forged")));
+  b.sign(bed.node(0).credentials().signing_keypair);
+  EXPECT_FALSE(bed.node(1).open_direct(b).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rfc7748, MwLowOrderKey,
+    ::testing::Values(
+        "0000000000000000000000000000000000000000000000000000000000000000",  // 0
+        "0100000000000000000000000000000000000000000000000000000000000000",  // 1
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",  // order 8
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",  // order 8
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p - 1
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"   // p + 1
+        ));
+
+// The same rig with an honest ephemeral key does establish a session, so
+// the rejections above are the key's doing.
+TEST(MwLowOrder, HonestKeyEstablishesSession) {
+  HelloRig rig;
+  sc::Drbg d(su::to_bytes("lo-honest"));
+  rig.hello_with(sc::x25519_base(sc::x25519_clamp(d.generate_array<32>())));
+  EXPECT_EQ(rig.bob->stats().full_handshakes, 1u);
+  EXPECT_TRUE(rig.bob->adhoc().session_secure(1));
+  EXPECT_EQ(rig.bob->stats().malformed_frames, 0u);
 }
 
 // --- partial transfers ----------------------------------------------------------
