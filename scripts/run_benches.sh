@@ -99,7 +99,7 @@ if [[ $check -eq 1 ]]; then
   cmake -B "$tsan_dir" -S "$repo_root" -DSOS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   require_cache_flag "$tsan_dir" thread
   cmake --build "$tsan_dir" -j "$(nproc)" --target sweep_test episode_test fault_test \
-        bundle_test fastpath_test mw_test sim_test soak_test
+        bundle_test fastpath_test mw_test sim_test soak_test sos_soak
   require_instrumented "$tsan_dir" __tsan sweep_test episode_test fault_test mw_test soak_test
   for label in sweep fault mw soak; do
     echo "== TSan check: ctest -L $label =="

@@ -30,12 +30,7 @@ namespace {
 /// task-index order so the outcome never depends on completion order.
 struct TaskOut {
   MetricsOracle oracle;
-  std::uint64_t wire_frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t connections_failed = 0;
-  std::uint64_t frames_lost = 0;
-  std::uint64_t frames_dropped_fault = 0;
+  SOS_NET_COUNTERS(SOS_NET_COUNTER_MEMBER)
 };
 
 /// Shared engine state. Workers touch disjoint slices: a task only
@@ -304,12 +299,7 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
 
   for (const sim::ContactStrand& s : task.strands)
     st.resume_at[s.node] = tail ? t_end : s.last_end;
-  out.wire_frames = net.frames_sent();
-  out.wire_bytes = net.bytes_sent();
-  out.connections = net.connections_established();
-  out.connections_failed = net.connections_failed();
-  out.frames_lost = net.frames_lost();
-  out.frames_dropped_fault = net.frames_dropped_fault();
+  detail::fill_net_counters(out, net);
   // player cancels its leftover events before sched is destroyed.
 }
 
@@ -467,12 +457,8 @@ void ReplaySession::advance_to(util::SimTime t) {
     for (const auto& r : out.oracle.posts()) im.result.oracle.record_post(r);
     for (const auto& r : out.oracle.carries()) im.result.oracle.record_carry(r);
     for (const auto& r : out.oracle.deliveries()) im.result.oracle.record_delivery(r);
-    im.result.wire_frames += out.wire_frames;
-    im.result.wire_bytes += out.wire_bytes;
-    im.result.connections += out.connections;
-    im.result.connections_failed += out.connections_failed;
-    im.result.frames_lost += out.frames_lost;
-    im.result.frames_dropped_fault += out.frames_dropped_fault;
+    for_each_net_counter([](const char*, std::uint64_t& a, std::uint64_t b) { a += b; },
+                         im.result, out);
   }
   for (std::size_t i : picked) im.consumed[i] = true;
   im.now = t;
@@ -486,14 +472,14 @@ mw::SosNode& ReplaySession::node(std::size_t i) { return *impl_->fleet.nodes[i];
 
 mw::NodeStats ReplaySession::stats_totals() const {
   mw::NodeStats totals;
-  for (const auto& node : impl_->fleet.nodes) detail::add_stats(totals, node->stats());
+  for (const auto& node : impl_->fleet.nodes) totals += node->stats();
   return totals;
 }
 
 ScenarioResult ReplaySession::finish() {
   Impl& im = *impl_;
   ScenarioResult result = std::move(im.result);
-  for (const auto& node : im.fleet.nodes) detail::add_stats(result.totals, node->stats());
+  for (const auto& node : im.fleet.nodes) result.totals += node->stats();
   result.contacts = im.trace->size();
   result.simulated_days = im.config.days;
   return result;
@@ -539,12 +525,7 @@ void ReplaySession::save_state(util::Writer& w) const {
     w.f64(r.location.x);
     w.f64(r.location.y);
   }
-  w.u64(im.result.wire_frames);
-  w.u64(im.result.wire_bytes);
-  w.u64(im.result.connections);
-  w.u64(im.result.connections_failed);
-  w.u64(im.result.frames_lost);
-  w.u64(im.result.frames_dropped_fault);
+  for_each_net_counter([&](const char*, std::uint64_t v) { w.u64(v); }, im.result);
 }
 
 bool ReplaySession::load_state(util::Reader& r) {
@@ -606,12 +587,8 @@ bool ReplaySession::load_state(util::Reader& r) {
     rec.location.y = r.f64();
     carry_recs.push_back(rec);
   }
-  std::uint64_t wire_frames = r.u64();
-  std::uint64_t wire_bytes = r.u64();
-  std::uint64_t connections = r.u64();
-  std::uint64_t connections_failed = r.u64();
-  std::uint64_t frames_lost = r.u64();
-  std::uint64_t frames_dropped_fault = r.u64();
+  TaskOut net;
+  for_each_net_counter([&](const char*, std::uint64_t& v) { v = r.u64(); }, net);
   if (!r.ok()) return false;
   for (std::size_t i = 0; i < im.fleet.nodes.size(); ++i) {
     util::Reader sub{util::ByteView(blobs[i])};
@@ -622,12 +599,8 @@ bool ReplaySession::load_state(util::Reader& r) {
   for (const PostRecord& rec : post_recs) im.result.oracle.record_post(rec);
   for (const DeliveryRecord& rec : delivery_recs) im.result.oracle.record_delivery(rec);
   for (const CarryRecord& rec : carry_recs) im.result.oracle.record_carry(rec);
-  im.result.wire_frames = wire_frames;
-  im.result.wire_bytes = wire_bytes;
-  im.result.connections = connections;
-  im.result.connections_failed = connections_failed;
-  im.result.frames_lost = frames_lost;
-  im.result.frames_dropped_fault = frames_dropped_fault;
+  for_each_net_counter([](const char*, std::uint64_t& a, std::uint64_t b) { a = b; },
+                       im.result, net);
   // Contacts already replayed are recomputable from the cut time: a
   // quiescent cut consumes exactly the contacts ending before it.
   const std::vector<sim::ContactInterval>& contacts = im.trace->contacts();

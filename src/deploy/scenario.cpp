@@ -145,36 +145,6 @@ std::vector<std::vector<TimelineEvent>> build_timelines(const ScenarioConfig& co
   return timelines;
 }
 
-void add_stats(mw::NodeStats& a, const mw::NodeStats& b) {
-  a.sessions_established += b.sessions_established;
-  a.sessions_lost += b.sessions_lost;
-  a.full_handshakes += b.full_handshakes;
-  a.sessions_resumed += b.sessions_resumed;
-  a.resume_attempts += b.resume_attempts;
-  a.resume_rejected += b.resume_rejected;
-  a.ecdh_ops += b.ecdh_ops;
-  a.handshake_cert_rejected += b.handshake_cert_rejected;
-  a.handshake_sig_rejected += b.handshake_sig_rejected;
-  a.frames_sent += b.frames_sent;
-  a.frames_received += b.frames_received;
-  a.decrypt_failures += b.decrypt_failures;
-  a.malformed_frames += b.malformed_frames;
-  a.bundles_sent += b.bundles_sent;
-  a.bundles_received += b.bundles_received;
-  a.bundle_sig_rejected += b.bundle_sig_rejected;
-  a.bundle_cert_rejected += b.bundle_cert_rejected;
-  a.bundle_sig_cache_hits += b.bundle_sig_cache_hits;
-  a.bundle_sig_cache_misses += b.bundle_sig_cache_misses;
-  a.bundle_batch_verifies += b.bundle_batch_verifies;
-  a.bundle_batch_fallbacks += b.bundle_batch_fallbacks;
-  a.duplicates_ignored += b.duplicates_ignored;
-  a.bundles_carried += b.bundles_carried;
-  a.deliveries += b.deliveries;
-  a.transfers_interrupted += b.transfers_interrupted;
-  a.published += b.published;
-  a.reboots += b.reboots;
-}
-
 }  // namespace detail
 
 graph::Digraph scenario_social_graph(const ScenarioConfig& config) {
@@ -334,14 +304,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config, const ScenarioWorld* w
   sched.run_until(horizon);
 
   // --- collect ----------------------------------------------------------------------
-  for (const auto& node : nodes) detail::add_stats(result.totals, node->stats());
+  for (const auto& node : nodes) result.totals += node->stats();
   result.contacts = contact_count;
-  result.wire_frames = net.frames_sent();
-  result.wire_bytes = net.bytes_sent();
-  result.connections = net.connections_established();
-  result.connections_failed = net.connections_failed();
-  result.frames_lost = net.frames_lost();
-  result.frames_dropped_fault = net.frames_dropped_fault();
+  detail::fill_net_counters(result, net);
   result.simulated_days = config.days;
   return result;
 }

@@ -91,16 +91,33 @@ struct ScenarioConfig {
   double post_window_end_h = 23.5;
 };
 
+// The network counters a run reports, X(name, source): `name` is the member
+// on ScenarioResult (and on every struct that carries them, declared with
+// SOS_NET_COUNTER_MEMBER), `source` the sim::MpcNetwork accessor it is read
+// from. Table order is checkpoint order, as for SOS_NODE_STATS.
+#define SOS_NET_COUNTERS(X)                                                  \
+  X(wire_frames, frames_sent)                                                \
+  X(wire_bytes, bytes_sent)                                                  \
+  X(connections, connections_established)                                    \
+  X(connections_failed, connections_failed)  /* declined/out-of-range/broken setups */ \
+  X(frames_lost, frames_lost)                /* mid-transfer disconnects */  \
+  X(frames_dropped_fault, frames_dropped_fault)  /* injected loss/grayhole drops */
+
+#define SOS_NET_COUNTER_MEMBER(name, source) std::uint64_t name = 0;
+
+/// mw::for_each_stat over the network counters of one or more structs.
+template <class F, class... S>
+void for_each_net_counter(F&& f, S&... s) {
+#define SOS_NET_COUNTER_VISIT(name, source) f(#name, s.name...);
+  SOS_NET_COUNTERS(SOS_NET_COUNTER_VISIT)
+#undef SOS_NET_COUNTER_VISIT
+}
+
 struct ScenarioResult {
   MetricsOracle oracle;
   mw::NodeStats totals;                 // summed over all nodes
   std::uint64_t contacts = 0;           // radio-range encounters
-  std::uint64_t wire_frames = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t connections_failed = 0; // declined/out-of-range/broken setups
-  std::uint64_t frames_lost = 0;        // mid-transfer disconnects
-  std::uint64_t frames_dropped_fault = 0;  // injected loss/grayhole drops
+  SOS_NET_COUNTERS(SOS_NET_COUNTER_MEMBER)
   graph::Digraph social;                // the graph actually used
   double simulated_days = 0;
 };

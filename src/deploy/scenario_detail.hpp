@@ -85,7 +85,13 @@ std::unique_ptr<sim::TrajectoryMobility> build_mobility(const ScenarioConfig& co
 /// branch, so override/Fig-4a configs leave the stream untouched.
 graph::Digraph build_social_graph(const ScenarioConfig& config, util::Rng& rng);
 
-/// a += b for every NodeStats counter (the per-run totals aggregation).
-void add_stats(mw::NodeStats& a, const mw::NodeStats& b);
+/// Read every network counter off `net` into `out` (a ScenarioResult, or a
+/// strand task's share of one).
+template <class S>
+void fill_net_counters(S& out, const sim::MpcNetwork& net) {
+#define SOS_NET_COUNTER_FILL(name, source) out.name = net.source();
+  SOS_NET_COUNTERS(SOS_NET_COUNTER_FILL)
+#undef SOS_NET_COUNTER_FILL
+}
 
 }  // namespace sos::deploy::detail

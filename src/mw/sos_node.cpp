@@ -16,38 +16,6 @@
 
 namespace sos::mw {
 
-namespace {
-// NodeStats has no behavior of its own; serialize the counters in
-// declaration order so the checkpoint layout is stable and reviewable.
-void save_stats(util::Writer& w, const NodeStats& s) {
-  const std::uint64_t counters[] = {
-      s.sessions_established, s.sessions_lost, s.full_handshakes, s.sessions_resumed,
-      s.resume_attempts, s.resume_rejected, s.ecdh_ops, s.handshake_cert_rejected,
-      s.handshake_sig_rejected, s.frames_sent, s.frames_received, s.decrypt_failures,
-      s.malformed_frames, s.bundles_sent, s.bundles_received, s.bundle_sig_rejected,
-      s.bundle_cert_rejected, s.bundle_sig_cache_hits, s.bundle_sig_cache_misses,
-      s.bundle_batch_verifies, s.bundle_batch_fallbacks, s.duplicates_ignored,
-      s.bundles_carried, s.deliveries, s.transfers_interrupted, s.published, s.reboots};
-  for (std::uint64_t c : counters) w.u64(c);
-}
-
-bool load_stats(util::Reader& r, NodeStats& s) {
-  NodeStats t;
-  std::uint64_t* counters[] = {
-      &t.sessions_established, &t.sessions_lost, &t.full_handshakes, &t.sessions_resumed,
-      &t.resume_attempts, &t.resume_rejected, &t.ecdh_ops, &t.handshake_cert_rejected,
-      &t.handshake_sig_rejected, &t.frames_sent, &t.frames_received, &t.decrypt_failures,
-      &t.malformed_frames, &t.bundles_sent, &t.bundles_received, &t.bundle_sig_rejected,
-      &t.bundle_cert_rejected, &t.bundle_sig_cache_hits, &t.bundle_sig_cache_misses,
-      &t.bundle_batch_verifies, &t.bundle_batch_fallbacks, &t.duplicates_ignored,
-      &t.bundles_carried, &t.deliveries, &t.transfers_interrupted, &t.published, &t.reboots};
-  for (std::uint64_t* c : counters) *c = r.u64();
-  if (!r.ok()) return false;
-  s = t;
-  return true;
-}
-}  // namespace
-
 std::unique_ptr<RoutingScheme> make_scheme(const std::string& name) {
   if (name == "epidemic") return std::make_unique<EpidemicScheme>();
   if (name == "interest") return std::make_unique<InterestBasedScheme>();
@@ -116,7 +84,7 @@ bool SosNode::attached() const {
 void SosNode::save_state(util::Writer& w) const {
   assert(!attached());
   w.u32(next_msg_num_);
-  save_stats(w, stats_);
+  for_each_stat([&](const char*, std::uint64_t v) { w.u64(v); }, stats_);
   {
     util::Writer sub;
     adhoc_->save_state(sub);
@@ -138,7 +106,7 @@ bool SosNode::load_state(util::Reader& r) {
   assert(!attached());
   std::uint32_t next_msg_num = r.u32();
   NodeStats stats;
-  if (!load_stats(r, stats)) return false;
+  for_each_stat([&](const char*, std::uint64_t& v) { v = r.u64(); }, stats);
   util::Bytes adhoc_blob = r.bytes();
   util::Bytes msgs_blob = r.bytes();
   util::Bytes routing_blob = r.bytes();

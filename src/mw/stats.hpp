@@ -1,44 +1,67 @@
 // Per-node counters surfaced by the middleware; the evaluation harness and
-// the security tests read these.
+// the security tests read these. SOS_NODE_STATS, X(name) per counter, is the
+// one list of them: it declares the members, and for_each_stat walks it for
+// fleet aggregation, the checkpoint codec and the soak JSONL snapshot and
+// stop predicates. Table order is checkpoint order: append, and bump
+// kCheckpointVersion.
 #pragma once
 
 #include <cstdint>
 
 namespace sos::mw {
 
+#define SOS_NODE_STATS(X)                                                    \
+  /* ad hoc manager */                                                       \
+  X(sessions_established)     /* full handshakes + resumes */                \
+  X(sessions_lost)                                                           \
+  X(full_handshakes)          /* cert exchange + X25519 + HKDF */            \
+  X(sessions_resumed)         /* 1-RTT resumes (no X25519) */                \
+  X(resume_attempts)          /* Resume frames sent */                       \
+  X(resume_rejected)          /* unknown/expired/bad-proof resumes */        \
+  X(ecdh_ops)                 /* X25519 scalar mults by the handshake */     \
+  X(handshake_cert_rejected)  /* invalid/revoked/expired cert */             \
+  X(handshake_sig_rejected)   /* bad ephemeral-key binding */                \
+  X(frames_sent)                                                             \
+  X(frames_received)                                                         \
+  X(decrypt_failures)                                                        \
+  X(malformed_frames)                                                        \
+  /* message manager / routing */                                            \
+  X(bundles_sent)                                                            \
+  X(bundles_received)                                                        \
+  X(bundle_sig_rejected)                                                     \
+  X(bundle_cert_rejected)                                                    \
+  X(bundle_sig_cache_hits)    /* re-receptions skipping verify */            \
+  X(bundle_sig_cache_misses)  /* full signature verifications */             \
+  X(bundle_batch_verifies)    /* batch passes executed */                    \
+  X(bundle_batch_fallbacks)   /* batches with a bad signature */             \
+  X(duplicates_ignored)                                                      \
+  X(bundles_carried)          /* stored for forwarding */                    \
+  X(deliveries)               /* handed to the application */                \
+  X(transfers_interrupted)    /* queue dropped with the session */           \
+  /* app layer */                                                            \
+  X(published)                                                               \
+  X(reboots)                  /* power cycles (fault-injection churn) */
+
 struct NodeStats {
-  // ad hoc manager
-  std::uint64_t sessions_established = 0;      // full handshakes + resumes
-  std::uint64_t sessions_lost = 0;
-  std::uint64_t full_handshakes = 0;           // cert exchange + X25519 + HKDF
-  std::uint64_t sessions_resumed = 0;          // 1-RTT resumes (no X25519)
-  std::uint64_t resume_attempts = 0;           // Resume frames sent
-  std::uint64_t resume_rejected = 0;           // unknown/expired/bad-proof resumes
-  std::uint64_t ecdh_ops = 0;                  // X25519 scalar mults by the handshake
-  std::uint64_t handshake_cert_rejected = 0;   // invalid/revoked/expired cert
-  std::uint64_t handshake_sig_rejected = 0;    // bad ephemeral-key binding
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t decrypt_failures = 0;
-  std::uint64_t malformed_frames = 0;
+#define SOS_NODE_STATS_MEMBER(name) std::uint64_t name = 0;
+  SOS_NODE_STATS(SOS_NODE_STATS_MEMBER)
+#undef SOS_NODE_STATS_MEMBER
 
-  // message manager / routing
-  std::uint64_t bundles_sent = 0;
-  std::uint64_t bundles_received = 0;
-  std::uint64_t bundle_sig_rejected = 0;
-  std::uint64_t bundle_cert_rejected = 0;
-  std::uint64_t bundle_sig_cache_hits = 0;     // re-receptions skipping verify
-  std::uint64_t bundle_sig_cache_misses = 0;   // full signature verifications
-  std::uint64_t bundle_batch_verifies = 0;     // batch passes executed
-  std::uint64_t bundle_batch_fallbacks = 0;    // batches with a bad signature
-  std::uint64_t duplicates_ignored = 0;
-  std::uint64_t bundles_carried = 0;       // stored for forwarding
-  std::uint64_t deliveries = 0;            // handed to the application
-  std::uint64_t transfers_interrupted = 0; // queue dropped with the session
-
-  // app layer
-  std::uint64_t published = 0;
-  std::uint64_t reboots = 0;  // power cycles (fault-injection churn)
+  bool operator==(const NodeStats&) const = default;
 };
+
+/// Calls f(name, s.<counter>...) for every counter in table order, over one
+/// or more NodeStats side by side: f(name, a.x, b.x) combines two.
+template <class F, class... S>
+void for_each_stat(F&& f, S&... s) {
+#define SOS_NODE_STATS_VISIT(name) f(#name, s.name...);
+  SOS_NODE_STATS(SOS_NODE_STATS_VISIT)
+#undef SOS_NODE_STATS_VISIT
+}
+
+inline NodeStats& operator+=(NodeStats& a, const NodeStats& b) {
+  for_each_stat([](const char*, std::uint64_t& x, std::uint64_t y) { x += y; }, a, b);
+  return a;
+}
 
 }  // namespace sos::mw

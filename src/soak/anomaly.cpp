@@ -88,15 +88,11 @@ std::vector<Anomaly> AnomalyDetector::observe(const MetricSnapshot& snap) {
       primed_ && snap.wire_frames >= last_frames_ ? snap.wire_frames - last_frames_ : 0;
   double hours = primed_ ? (snap.sim_time - last_sim_time_) / 3600.0 : 0;
 
-  track_rate("sessions_established", snap.totals.sessions_established, hours,
-             snap.sim_time, out);
-  track_rate("full_handshakes", snap.totals.full_handshakes, hours, snap.sim_time, out);
-  track_rate("frames_sent", snap.totals.frames_sent, hours, snap.sim_time, out);
-  track_rate("bundles_sent", snap.totals.bundles_sent, hours, snap.sim_time, out);
-  track_rate("decrypt_failures", snap.totals.decrypt_failures, hours, snap.sim_time, out);
-  track_rate("malformed_frames", snap.totals.malformed_frames, hours, snap.sim_time, out);
-  track_rate("resume_rejected", snap.totals.resume_rejected, hours, snap.sim_time, out);
-  track_rate("reboots", snap.totals.reboots, hours, snap.sim_time, out);
+  // Every middleware counter is rate-watched: a retry storm or feedback loop
+  // can start in any layer, the security layer included.
+  mw::for_each_stat(
+      [&](const char* name, std::uint64_t v) { track_rate(name, v, hours, snap.sim_time, out); },
+      snap.totals);
 
   if (primed_) {
     track_stall("bundles_sent", snap.totals.bundles_sent, frames_delta, snap.sim_time, out);

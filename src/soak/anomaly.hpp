@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "deploy/scenario.hpp"
 #include "mw/stats.hpp"
 
 namespace sos::soak {
@@ -45,8 +46,7 @@ struct MetricSnapshot {
   std::uint64_t posts = 0;            // oracle: posts recorded
   std::uint64_t deliveries = 0;       // oracle: deliveries recorded
   std::uint64_t carries = 0;          // oracle: carry records
-  std::uint64_t wire_frames = 0;      // network frames delivered
-  std::uint64_t wire_bytes = 0;       // network bytes delivered
+  SOS_NET_COUNTERS(SOS_NET_COUNTER_MEMBER)  // the run's network counters so far
   std::uint64_t store_bundles = 0;    // bundles resident across all stores
   std::uint64_t resume_cache_entries = 0;
   std::uint64_t prophet_entries = 0;  // PRoPHET predictability rows (0 if n/a)

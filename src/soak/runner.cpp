@@ -1,9 +1,12 @@
 #include "soak/runner.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <type_traits>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -46,8 +49,8 @@ MetricSnapshot make_snapshot(deploy::ReplaySession& session, std::uint64_t segme
   snap.posts = partial.oracle.posts().size();
   snap.deliveries = partial.oracle.deliveries().size();
   snap.carries = partial.oracle.carries().size();
-  snap.wire_frames = partial.wire_frames;
-  snap.wire_bytes = partial.wire_bytes;
+  deploy::for_each_net_counter([](const char*, std::uint64_t& a, std::uint64_t b) { a = b; },
+                               snap, partial);
   for (std::size_t i = 0; i < session.node_count(); ++i) {
     mw::SosNode& node = session.node(i);
     snap.store_bundles += node.store().size();
@@ -61,70 +64,77 @@ MetricSnapshot make_snapshot(deploy::ReplaySession& session, std::uint64_t segme
   return snap;
 }
 
-void log_snapshot(JsonlWriter& log, const MetricSnapshot& s) {
-  JsonObject o;
-  o.str("kind", "snapshot")
-      .num("sim_time", s.sim_time)
-      .num("sim_days", s.sim_time / 86400.0)
-      .count("segment", s.segment)
-      .count("posts", s.posts)
-      .count("deliveries", s.deliveries)
-      .count("carries", s.carries)
-      .count("sessions_established", s.totals.sessions_established)
-      .count("sessions_resumed", s.totals.sessions_resumed)
-      .count("full_handshakes", s.totals.full_handshakes)
-      .count("resume_rejected", s.totals.resume_rejected)
-      .count("frames_sent", s.totals.frames_sent)
-      .count("frames_received", s.totals.frames_received)
-      .count("bundles_sent", s.totals.bundles_sent)
-      .count("bundles_received", s.totals.bundles_received)
-      .count("decrypt_failures", s.totals.decrypt_failures)
-      .count("malformed_frames", s.totals.malformed_frames)
-      .count("duplicates_ignored", s.totals.duplicates_ignored)
-      .count("reboots", s.totals.reboots)
-      .count("wire_frames", s.wire_frames)
-      .count("wire_bytes", s.wire_bytes)
-      .count("store_bundles", s.store_bundles)
-      .count("resume_cache_entries", s.resume_cache_entries)
-      .count("prophet_entries", s.prophet_entries)
-      .count("crl_entries", s.crl_entries)
-      .count("rss_kb", s.rss_kb);
-  log.write(o);
+/// Calls f(key, value) for every field of a snapshot's JSONL record, in
+/// record order; value is a double for the two clocks, a std::uint64_t
+/// otherwise. The record writer and the predicate lookup both walk this.
+template <class F>
+void for_each_snapshot_field(const MetricSnapshot& s, F&& f) {
+  f("sim_time", s.sim_time);
+  f("sim_days", s.sim_time / 86400.0);
+  f("segment", s.segment);
+  f("posts", s.posts);
+  f("deliveries", s.deliveries);
+  f("carries", s.carries);
+  // The NodeStats counter `deliveries` also counts a bundle a full store
+  // evicted on insert, before the application saw it, so it can exceed the
+  // oracle's count above; the key keeps the oracle meaning it always had.
+  mw::for_each_stat(
+      [&](std::string_view name, std::uint64_t v) {
+        if (name != "deliveries") f(name, v);
+      },
+      s.totals);
+  deploy::for_each_net_counter([&](std::string_view name, std::uint64_t v) { f(name, v); }, s);
+  f("store_bundles", s.store_bundles);
+  f("resume_cache_entries", s.resume_cache_entries);
+  f("prophet_entries", s.prophet_entries);
+  f("crl_entries", s.crl_entries);
+  f("rss_kb", s.rss_kb);
 }
 
 }  // namespace
 
-bool snapshot_metric(const MetricSnapshot& snap, const std::string& name, double* out) {
-  auto set = [out](double v) {
-    *out = v;
-    return true;
+JsonObject snapshot_record(const MetricSnapshot& snap) {
+  JsonObject o;
+  o.str("kind", "snapshot");
+  for_each_snapshot_field(snap, [&](std::string_view key, auto v) {
+    if constexpr (std::is_same_v<decltype(v), double>) {
+      o.num(key, v);
+    } else {
+      o.count(key, v);
+    }
+  });
+  return o;
+}
+
+std::optional<double> snapshot_metric(const MetricSnapshot& snap, std::string_view name) {
+  std::optional<double> found;
+  for_each_snapshot_field(snap, [&](std::string_view key, auto v) {
+    if (!found && key == name) found = static_cast<double>(v);
+  });
+  return found;
+}
+
+std::optional<StopPredicate> parse_stop(std::string_view expr, std::string* error) {
+  auto fail = [error](std::string why) -> std::optional<StopPredicate> {
+    if (error != nullptr) *error = std::move(why);
+    return std::nullopt;
   };
-  if (name == "sim_time") return set(snap.sim_time);
-  if (name == "sim_days") return set(snap.sim_time / 86400.0);
-  if (name == "posts") return set(static_cast<double>(snap.posts));
-  if (name == "deliveries") return set(static_cast<double>(snap.deliveries));
-  if (name == "carries") return set(static_cast<double>(snap.carries));
-  if (name == "sessions_established")
-    return set(static_cast<double>(snap.totals.sessions_established));
-  if (name == "sessions_resumed")
-    return set(static_cast<double>(snap.totals.sessions_resumed));
-  if (name == "full_handshakes")
-    return set(static_cast<double>(snap.totals.full_handshakes));
-  if (name == "frames_sent") return set(static_cast<double>(snap.totals.frames_sent));
-  if (name == "bundles_sent") return set(static_cast<double>(snap.totals.bundles_sent));
-  if (name == "decrypt_failures")
-    return set(static_cast<double>(snap.totals.decrypt_failures));
-  if (name == "malformed_frames")
-    return set(static_cast<double>(snap.totals.malformed_frames));
-  if (name == "wire_frames") return set(static_cast<double>(snap.wire_frames));
-  if (name == "wire_bytes") return set(static_cast<double>(snap.wire_bytes));
-  if (name == "store_bundles") return set(static_cast<double>(snap.store_bundles));
-  if (name == "resume_cache_entries")
-    return set(static_cast<double>(snap.resume_cache_entries));
-  if (name == "prophet_entries") return set(static_cast<double>(snap.prophet_entries));
-  if (name == "crl_entries") return set(static_cast<double>(snap.crl_entries));
-  if (name == "rss_kb") return set(static_cast<double>(snap.rss_kb));
-  return false;
+  for (std::string_view op : {">=", "<="}) {
+    std::size_t at = expr.find(op);
+    if (at == std::string_view::npos) continue;
+    StopPredicate p{std::string(expr.substr(0, at)), std::string(op), 0};
+    if (!snapshot_metric(MetricSnapshot{}, p.metric)) {
+      return fail("unknown metric '" + p.metric + "'");
+    }
+    std::string value(expr.substr(at + op.size()));
+    char* end = nullptr;
+    p.value = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || !std::isfinite(p.value)) {
+      return fail("'" + value + "' is not a finite number");
+    }
+    return p;
+  }
+  return fail("no >= or <= operator");
 }
 
 SoakResult Runner::run(const deploy::ScenarioWorld& world) {
@@ -153,6 +163,15 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
                          std::uint64_t start_segment) {
   SoakResult result;
   result.segments = start_segment;
+
+  // A predicate that can never hold would let the run go on to the horizon
+  // unnoticed; reject it before replaying anything.
+  for (const StopPredicate& p : opts_.stop.predicates) {
+    if (!snapshot_metric(MetricSnapshot{}, p.metric) || (p.op != ">=" && p.op != "<=")) {
+      result.stop_reason = "predicate-rejected: cannot evaluate '" + p.metric + p.op + "'";
+      return result;
+    }
+  }
 
   if (!opts_.jsonl_path.empty()) {
     std::filesystem::path parent = std::filesystem::path(opts_.jsonl_path).parent_path();
@@ -189,7 +208,7 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
 
     MetricSnapshot snap = make_snapshot(session, result.segments);
     result.snapshots.push_back(snap);
-    if (logging) log_snapshot(log, snap);
+    if (logging) log.write(snapshot_record(snap));
 
     if (opts_.anomaly_detection) {
       std::vector<Anomaly> found = detector.observe(snap);
@@ -212,8 +231,7 @@ SoakResult Runner::drive(deploy::ReplaySession& session,
     }
 
     for (const StopPredicate& p : opts_.stop.predicates) {
-      double v = 0;
-      if (!snapshot_metric(snap, p.metric, &v)) continue;
+      double v = *snapshot_metric(snap, p.metric);
       bool hit = (p.op == ">=" && v >= p.value) || (p.op == "<=" && v <= p.value);
       if (hit) {
         std::ostringstream os;

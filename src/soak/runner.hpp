@@ -8,12 +8,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "deploy/scenario.hpp"
 #include "soak/anomaly.hpp"
 #include "soak/checkpoint.hpp"
+#include "soak/jsonl.hpp"
 
 namespace sos::deploy {
 class ReplaySession;
@@ -22,8 +25,8 @@ class ReplaySession;
 namespace sos::soak {
 
 /// One metric predicate: halt when `metric op value` holds at a snapshot.
-/// Supported ops: ">=" and "<=". Metrics are the snapshot's flat names
-/// (e.g. "deliveries", "bundles_sent", "rss_kb", "sim_days").
+/// Supported ops: ">=" and "<=". Metrics are the snapshot's JSONL keys
+/// (e.g. "deliveries", "bundle_sig_rejected", "rss_kb", "sim_days").
 struct StopPredicate {
   std::string metric;
   std::string op;
@@ -57,6 +60,7 @@ struct SoakResult {
   deploy::ScenarioResult scenario;  // merged metrics at halt (final iff completed)
   bool completed = false;           // reached the horizon
   std::string stop_reason;          // "horizon" | "wall-budget" | "predicate:..." | "anomaly:..."
+                                    // | "resume-rejected:..." | "predicate-rejected:..."
   std::vector<Anomaly> anomalies;
   std::uint64_t segments = 0;            // advance_to segments executed (cumulative)
   std::uint64_t checkpoints_written = 0;
@@ -64,8 +68,20 @@ struct SoakResult {
   std::vector<MetricSnapshot> snapshots;
 };
 
-/// Resolve a snapshot metric by its flat JSONL name; false if unknown.
-bool snapshot_metric(const MetricSnapshot& snap, const std::string& name, double* out);
+/// A snapshot as its flat JSONL record: "kind":"snapshot", then sim_time,
+/// sim_days, segment, the oracle's posts/deliveries/carries, every NodeStats
+/// counter (table order) but `deliveries`, which keeps the oracle's meaning,
+/// every network counter, and the fleet's resident-state gauges.
+JsonObject snapshot_record(const MetricSnapshot& snap);
+
+/// The value snapshot_record logs under `name`; nothing for "kind" or a key
+/// it does not write.
+std::optional<double> snapshot_metric(const MetricSnapshot& snap, std::string_view name);
+
+/// Parse a stop expression, "metric>=N" or "metric<=N". Returns nothing, with
+/// the reason in *error, when the metric is no snapshot key, the operator is
+/// neither >= nor <=, or N is not a finite number.
+std::optional<StopPredicate> parse_stop(std::string_view expr, std::string* error = nullptr);
 
 class Runner {
  public:

@@ -19,6 +19,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/subepisode.hpp"
 #include "util/rng.hpp"
+#include "run_fingerprint.hpp"
 
 namespace sd = sos::deploy;
 namespace sg = sos::graph;
@@ -31,37 +32,6 @@ ss::ContactTrace make_trace(std::vector<ss::ContactInterval> contacts) {
   ss::ContactTrace t;
   for (const auto& c : contacts) EXPECT_TRUE(t.add(c));
   return t;
-}
-
-/// The metrics that must be bitwise identical across replay engines.
-struct Fingerprint {
-  std::size_t posts, deliveries, carries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections, frames_lost;
-  std::uint64_t bundles_sent, bundles_received, sessions, full_handshakes, resumed;
-  std::uint64_t ecdh, cache_hits, cache_misses, batch_verifies, interrupted, duplicates;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::ScenarioResult& r) {
-  return {r.oracle.post_count(),
-          r.oracle.delivery_count(),
-          r.oracle.carry_count(),
-          r.contacts,
-          r.wire_frames,
-          r.wire_bytes,
-          r.connections,
-          r.frames_lost,
-          r.totals.bundles_sent,
-          r.totals.bundles_received,
-          r.totals.sessions_established,
-          r.totals.full_handshakes,
-          r.totals.sessions_resumed,
-          r.totals.ecdh_ops,
-          r.totals.bundle_sig_cache_hits,
-          r.totals.bundle_sig_cache_misses,
-          r.totals.bundle_batch_verifies,
-          r.totals.transfers_interrupted,
-          r.totals.duplicates_ignored};
 }
 
 /// The mono path: a ReplaySession with default options (one fused task per
@@ -246,7 +216,7 @@ TEST(Replay, SchemeSwapOnDetachedNodesReplaysToHorizon) {
   sd::ScenarioConfig interest = epidemic;
   interest.scheme = "interest";
   auto world = sd::record_world(epidemic);
-  const Fingerprint expected = fingerprint(sd::run_scenario(epidemic, world.get()));
+  const RunFingerprint expected = fingerprint(sd::run_scenario(epidemic, world.get()));
   for (std::size_t j : {std::size_t{0}, std::size_t{2}}) {
     sd::ReplaySession session(interest, *world, {.subepisode_jobs = j});
     for (std::size_t i = 0; i < session.node_count(); ++i) {
@@ -274,7 +244,7 @@ TEST(Replay, SharedVerifyMemoDoesNotChangeMetrics) {
   EXPECT_GT(with_memo.deliveries, 0u);
   // The memo must not leak into the per-node counters: every node still
   // records the verifies the real device would perform.
-  EXPECT_GT(with_memo.cache_misses, 0u);
+  EXPECT_GT(with_memo.totals.bundle_sig_cache_misses, 0u);
 }
 
 TEST(Replay, SweepRunnerStrandJobsMatchesSingleScheduler) {
@@ -442,12 +412,12 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
         ss::ContactDag::partition(world->trace, config.nodes, su::days(config.days));
     check_contactdag_invariants(world->trace, dag, config.nodes, su::days(config.days));
 
-    const Fingerprint single = fingerprint(sd::run_scenario(config, world.get()));
+    const RunFingerprint single = fingerprint(sd::run_scenario(config, world.get()));
     EXPECT_EQ(single, fingerprint(run_mono(config, *world)))
         << "world " << w << " (" << config.scheme << ", " << config.communities
         << " communities, seed " << config.seed << ") diverged on the mono session";
     for (std::size_t j : strand_jobs) {
-      const Fingerprint strands =
+      const RunFingerprint strands =
           fingerprint(sd::run_scenario(config, world.get(), {.subepisode_jobs = j}));
       EXPECT_EQ(single, strands)
           << "world " << w << " (" << config.scheme << ", " << config.communities

@@ -23,6 +23,7 @@
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+#include "run_fingerprint.hpp"
 
 namespace sb = sos::bundle;
 namespace sc = sos::crypto;
@@ -264,37 +265,6 @@ TEST(FaultValidate, SweepRunnerRejectsInsaneGridUpFront) {
 
 // --- engine/thread-count determinism ---------------------------------------
 
-/// The metrics that must be bitwise identical across thread counts and
-/// replay engines, extended with the fault-layer counters.
-struct Fingerprint {
-  std::size_t posts, deliveries, delivered_of_posted;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections;
-  std::uint64_t connections_failed, frames_dropped_fault;
-  std::uint64_t bundles_sent, sessions_established, full_handshakes;
-  std::uint64_t sig_rejected, interrupted, reboots;
-  std::string label;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::CellResult& r) {
-  return {r.result.oracle.post_count(),
-          r.result.oracle.delivery_count(),
-          r.result.oracle.delivered_of_posted(),
-          r.result.contacts,
-          r.result.wire_frames,
-          r.result.wire_bytes,
-          r.result.connections,
-          r.result.connections_failed,
-          r.result.frames_dropped_fault,
-          r.result.totals.bundles_sent,
-          r.result.totals.sessions_established,
-          r.result.totals.full_handshakes,
-          r.result.totals.bundle_sig_rejected,
-          r.result.totals.transfers_interrupted,
-          r.result.totals.reboots,
-          r.label};
-}
-
 /// Trimmed disaster grid: every fault family, one signed + one unsigned
 /// variant, short horizon — small enough for ctest, real enough to exercise
 /// churn reboots, partition healing, frame drops, and forged storms.
@@ -306,14 +276,11 @@ std::vector<sd::SweepCell> fault_grid() {
   return grid;
 }
 
-std::vector<Fingerprint> run_fault_grid(std::size_t jobs, std::size_t strand_jobs) {
+std::vector<sd::CellResult> run_fault_grid(std::size_t jobs, std::size_t strand_jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
   opts.subepisode_jobs = strand_jobs;
-  auto results = sd::SweepRunner(opts).run(fault_grid());
-  std::vector<Fingerprint> fps;
-  for (const auto& r : results) fps.push_back(fingerprint(r));
-  return fps;
+  return sd::SweepRunner(opts).run(fault_grid());
 }
 
 TEST(FaultSweep, BitwiseIdenticalAcrossJobsAndEngines) {
@@ -324,16 +291,18 @@ TEST(FaultSweep, BitwiseIdenticalAcrossJobsAndEngines) {
   auto parallel = run_fault_grid(4, 2);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "cell/variant " << serial[i].label;
+    EXPECT_EQ(serial[i].label, parallel[i].label);
+    EXPECT_EQ(fingerprint(serial[i].result), fingerprint(parallel[i].result))
+        << "cell/variant " << serial[i].label;
   }
   // The faults actually bit: churn rebooted phones, adversaries/loss
   // dropped frames, and the grid still delivered something.
   std::uint64_t reboots = 0, dropped = 0, delivered = 0, rejected = 0;
-  for (const auto& fp : serial) {
-    reboots += fp.reboots;
-    dropped += fp.frames_dropped_fault;
-    delivered += fp.delivered_of_posted;
-    rejected += fp.sig_rejected;
+  for (const auto& r : serial) {
+    reboots += r.result.totals.reboots;
+    dropped += r.result.frames_dropped_fault;
+    delivered += r.result.oracle.delivered_of_posted();
+    rejected += r.result.totals.bundle_sig_rejected;
   }
   EXPECT_GT(reboots, 0u);
   EXPECT_GT(dropped, 0u);
@@ -386,9 +355,7 @@ TEST(FaultAdversary, SigstormRejectionsSurviveSharedMemoReplays) {
   auto first = sd::run_scenario(config, world.get(), replay);
   auto second = sd::run_scenario(config, world.get(), replay);
   EXPECT_GT(first.totals.bundle_sig_rejected, 0u);
-  EXPECT_EQ(first.totals.bundle_sig_rejected, second.totals.bundle_sig_rejected);
-  EXPECT_EQ(first.oracle.delivery_count(), second.oracle.delivery_count());
-  EXPECT_EQ(first.oracle.delivered_of_posted(), second.oracle.delivered_of_posted());
+  EXPECT_EQ(fingerprint(first), fingerprint(second));
 }
 
 TEST(FaultAdversary, GrayholeDropsAreLossNotDeliveries) {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "soak/runner.hpp"
 #include "util/codec.hpp"
 #include "util/rng.hpp"
+#include "run_fingerprint.hpp"
 
 namespace sc = sos::crypto;
 namespace sd = sos::deploy;
@@ -43,44 +45,15 @@ namespace su = sos::util;
 
 namespace {
 
-/// The metrics that must be bitwise identical across engines and across a
-/// checkpoint/resume boundary (mirrors tests/episode_test.cpp).
-struct Fingerprint {
-  std::size_t posts, deliveries, carries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections, frames_lost;
-  std::uint64_t bundles_sent, bundles_received, sessions, full_handshakes, resumed;
-  std::uint64_t ecdh, cache_hits, cache_misses, batch_verifies, interrupted, duplicates;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::ScenarioResult& r) {
-  return {r.oracle.post_count(),
-          r.oracle.delivery_count(),
-          r.oracle.carry_count(),
-          r.contacts,
-          r.wire_frames,
-          r.wire_bytes,
-          r.connections,
-          r.frames_lost,
-          r.totals.bundles_sent,
-          r.totals.bundles_received,
-          r.totals.sessions_established,
-          r.totals.full_handshakes,
-          r.totals.sessions_resumed,
-          r.totals.ecdh_ops,
-          r.totals.bundle_sig_cache_hits,
-          r.totals.bundle_sig_cache_misses,
-          r.totals.bundle_batch_verifies,
-          r.totals.transfers_interrupted,
-          r.totals.duplicates_ignored};
-}
-
-sd::ScenarioConfig small_config(const std::string& scheme, std::uint64_t seed) {
+/// Checkpoint pins run two days: one-day cells rarely open any session, and
+/// a checkpoint of an idle fleet pins nothing.
+sd::ScenarioConfig small_config(const std::string& scheme, std::uint64_t seed,
+                                double days = 1.0) {
   sd::ScenarioConfig c = sd::gainesville_config(scheme, seed);
   c.nodes = 12;
   c.area_w_m = 1800;
   c.area_h_m = 1800;
-  c.days = 1.0;
+  c.days = days;
   c.total_posts_target = 50;
   return c;
 }
@@ -316,11 +289,11 @@ TEST(CheckpointCodec, WorldDigestDistinguishesWorlds) {
 // --- checkpoint/resume determinism pins -------------------------------------
 
 TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 1));
+  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 26), 2.0);
   auto world = sd::record_world(config);
   ASSERT_GT(world->trace.size(), 0u);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
-  ASSERT_GT(baseline.posts, 0u);
+  RunFingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  ASSERT_GT(baseline.totals.sessions_established, 0u);
   for (const EngineOpt& e : all_engines()) {
     // One uninterrupted session equals the single-scheduler replay.
     sd::ReplaySession whole(config, *world, e.opt);
@@ -353,9 +326,9 @@ TEST(SoakResume, CheckpointResumeBitwiseIdenticalOnEveryEngine) {
 }
 
 TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
-  sd::ScenarioConfig config = small_config("epidemic", su::derive_seed(77, 2));
+  sd::ScenarioConfig config = small_config("epidemic", su::derive_seed(77, 15), 2.0);
   auto world = sd::record_world(config);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  RunFingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
   for (const EngineOpt& e :
        {EngineOpt{"mono", {}}, EngineOpt{"strand-j4", {.subepisode_jobs = 4}}}) {
     sd::ReplaySession session(config, *world, e.opt);
@@ -370,9 +343,9 @@ TEST(SoakResume, SegmentedAdvanceThroughEveryCutMatchesUninterrupted) {
 TEST(SoakResume, CheckpointCrossesEngines) {
   // Checkpoint under the strand engine at 4 workers, resume under it at 1
   // worker and under the mono session: node state is engine-agnostic.
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 3));
+  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 4), 2.0);
   auto world = sd::record_world(config);
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  RunFingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
 
   sd::ReplaySession writer(config, *world, {.subepisode_jobs = 4});
   std::vector<su::SimTime> cuts = writer.quiescent_cuts(60.0);
@@ -392,8 +365,27 @@ TEST(SoakResume, CheckpointCrossesEngines) {
   }
 }
 
+TEST(SoakResume, CheckpointPayloadLayoutIsPinned) {
+  // A fixed two-day cell's session payload at its last quiescent cut (the
+  // earlier ones carry no session traffic yet). Changing what is serialized,
+  // or its order, changes this digest and needs a kCheckpointVersion bump.
+  sd::ScenarioConfig config = small_config("interest", su::derive_seed(88, 4), 2.0);
+  auto world = sd::record_world(config);
+  sd::ReplaySession session(config, *world, {});
+  std::vector<su::SimTime> cuts = session.quiescent_cuts(60.0);
+  ASSERT_FALSE(cuts.empty());
+  session.advance_to(cuts.back());
+  ASSERT_GT(session.partial().wire_frames, 0u);
+  ASSERT_GT(session.stats_totals().sessions_established, 0u);
+  su::Writer w;
+  session.save_state(w);
+  su::Bytes blob = w.take();
+  EXPECT_EQ(su::hex_encode(sc::Sha256::hash(su::ByteView(blob))),
+            "c0f9b3cfc2f15a962a01cf8ec4a19ca4b78fc88cebd0e9f8714b47b083b7e2f4");
+}
+
 TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
-  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 1));
+  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 26), 2.0);
   auto world = sd::record_world(config);
   sd::ReplaySession donor(config, *world, {});
   std::vector<su::SimTime> cuts = donor.quiescent_cuts(60.0);
@@ -411,7 +403,7 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
   EXPECT_FALSE(victim.load_state(r));
   EXPECT_EQ(victim.sim_time(), 0.0);
   victim.advance_to(victim.horizon());
-  Fingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
+  RunFingerprint baseline = fingerprint(sd::run_scenario(config, world.get()));
   EXPECT_EQ(baseline, fingerprint(victim.finish()));
 
   // Well-framed payloads with out-of-range fields fail closed too: a sim
@@ -532,6 +524,69 @@ TEST(SoakRunner, MetricPredicateHaltsBeforeHorizon) {
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.stop_reason.rfind("predicate", 0), 0u) << result.stop_reason;
   EXPECT_LT(result.sim_time, su::days(opts.config.days));
+}
+
+TEST(SoakRunner, UnevaluablePredicateRejectedBeforeReplay) {
+  sk::SoakOptions opts;
+  opts.config = small_config("interest", su::derive_seed(88, 4));
+  auto world = sd::record_world(opts.config);
+  for (const sk::StopPredicate& p : {sk::StopPredicate{"no_such_metric", ">=", 0},
+                                     sk::StopPredicate{"posts", "==", 0}}) {
+    opts.stop.predicates = {p};
+    sk::SoakResult result = sk::Runner(opts).run(*world);
+    EXPECT_EQ(result.stop_reason.rfind("predicate-rejected", 0), 0u) << result.stop_reason;
+    EXPECT_TRUE(result.snapshots.empty()) << p.metric;
+  }
+}
+
+TEST(SoakRunner, StopParserAcceptsOnlySnapshotKeysAndFiniteBounds) {
+  auto p = sk::parse_stop("bundle_sig_rejected<=5");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->metric, "bundle_sig_rejected");
+  EXPECT_EQ(p->op, "<=");
+  EXPECT_EQ(p->value, 5.0);
+  EXPECT_EQ(sk::parse_stop("sim_days>=1.5")->value, 1.5);
+  std::string error;
+  EXPECT_FALSE(sk::parse_stop("no_such_metric>=0", &error).has_value());
+  EXPECT_NE(error.find("'no_such_metric'"), std::string::npos) << error;
+  for (const char* bad : {"posts==3", "posts>3", "posts", ">=3", "posts>=", "posts>=abc",
+                          "posts>=1x", "posts>=nan", "posts>=inf", "kind>=0"}) {
+    error.clear();
+    EXPECT_FALSE(sk::parse_stop(bad, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
+TEST(SoakRunner, SnapshotKeysAreUniqueAndEachResolvesToItsLoggedValue) {
+  // Distinct values everywhere, so a key resolving to the wrong field shows.
+  sk::MetricSnapshot snap;
+  snap.sim_time = 1.25 * 86400.0;
+  snap.deliveries = 12;  // the oracle's count
+  std::uint64_t next = 1000;
+  sm::for_each_stat([&](const char*, std::uint64_t& v) { v = next++; }, snap.totals);
+  sd::for_each_net_counter([&](const char*, std::uint64_t& v) { v = next++; }, snap);
+
+  const std::string record = sk::snapshot_record(snap).render();
+  std::set<std::string> keys;
+  std::stringstream fields(record.substr(1, record.size() - 2));
+  for (std::string field; std::getline(fields, field, ',');) {
+    const std::size_t colon = field.find(':');
+    const std::string key = field.substr(1, colon - 2);
+    EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
+    if (key == "kind") continue;
+    EXPECT_EQ(sk::snapshot_metric(snap, key), std::stod(field.substr(colon + 1))) << key;
+  }
+  // Every counter is logged under its own name but one: `deliveries` keeps
+  // the oracle's meaning. A second shared name would land in `shadowed`.
+  std::set<std::string> shadowed;
+  auto check = [&](const char* name, std::uint64_t v) {
+    if (!keys.count(name) || sk::snapshot_metric(snap, name) != static_cast<double>(v)) {
+      shadowed.insert(name);
+    }
+  };
+  sm::for_each_stat(check, snap.totals);
+  sd::for_each_net_counter(check, snap);
+  EXPECT_EQ(shadowed, std::set<std::string>{"deliveries"});
 }
 
 // --- anomaly detector -------------------------------------------------------

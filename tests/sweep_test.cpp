@@ -15,6 +15,7 @@
 #include "deploy/sweep.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
+#include "run_fingerprint.hpp"
 
 namespace sd = sos::deploy;
 namespace ss = sos::sim;
@@ -40,38 +41,10 @@ std::vector<sd::SweepCell> tiny_grid() {
   return grid;
 }
 
-/// The metrics that must be bitwise identical across thread counts.
-struct Fingerprint {
-  std::size_t posts, deliveries;
-  std::uint64_t contacts, wire_frames, wire_bytes, connections;
-  std::uint64_t bundles_sent, sessions_established, full_handshakes, ecdh_ops;
-  std::string label;
-  std::uint64_t seed;
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const sd::CellResult& r) {
-  return {r.result.oracle.post_count(),
-          r.result.oracle.delivery_count(),
-          r.result.contacts,
-          r.result.wire_frames,
-          r.result.wire_bytes,
-          r.result.connections,
-          r.result.totals.bundles_sent,
-          r.result.totals.sessions_established,
-          r.result.totals.full_handshakes,
-          r.result.totals.ecdh_ops,
-          r.label,
-          r.config.seed};
-}
-
-std::vector<Fingerprint> run_with_jobs(std::size_t jobs) {
+std::vector<sd::CellResult> run_with_jobs(std::size_t jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
-  auto results = sd::SweepRunner(opts).run(tiny_grid());
-  std::vector<Fingerprint> fps;
-  for (const auto& r : results) fps.push_back(fingerprint(r));
-  return fps;
+  return sd::SweepRunner(opts).run(tiny_grid());
 }
 }  // namespace
 
@@ -80,11 +53,14 @@ TEST(Sweep, MetricsBitwiseIdenticalAtAnyThreadCount) {
   auto parallel = run_with_jobs(4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "cell/variant " << serial[i].label;
+    EXPECT_EQ(serial[i].label, parallel[i].label);
+    EXPECT_EQ(serial[i].config.seed, parallel[i].config.seed);
+    EXPECT_EQ(fingerprint(serial[i].result), fingerprint(parallel[i].result))
+        << "cell/variant " << serial[i].label;
   }
   // The workload actually exercised something.
   std::uint64_t contacts = 0;
-  for (const auto& fp : serial) contacts += fp.contacts;
+  for (const auto& r : serial) contacts += r.result.contacts;
   EXPECT_GT(contacts, 0u);
 }
 
@@ -115,11 +91,11 @@ TEST(Sweep, VariantsShareTheCellWorld) {
 }
 
 TEST(Sweep, DerivedSeedsDecorrelateCells) {
-  auto fps = run_with_jobs(1);
-  EXPECT_NE(fps[0].seed, fps[2].seed);  // different cells, different streams
-  EXPECT_NE(fps[0].seed, 42u);          // derived, not the raw base seed
-  EXPECT_EQ(su::derive_seed(42, 0), fps[0].seed);
-  EXPECT_EQ(su::derive_seed(42, 1), fps[2].seed);
+  auto results = run_with_jobs(1);
+  EXPECT_NE(results[0].config.seed, results[2].config.seed);  // different cells, different streams
+  EXPECT_NE(results[0].config.seed, 42u);  // derived, not the raw base seed
+  EXPECT_EQ(su::derive_seed(42, 0), results[0].config.seed);
+  EXPECT_EQ(su::derive_seed(42, 1), results[2].config.seed);
 }
 
 TEST(Sweep, DeriveSeedsOffKeepsConfiguredSeed) {
@@ -181,7 +157,8 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   ASSERT_EQ(run_local.size(), sweep_wide.size());
   std::uint64_t deliveries = 0;
   for (std::size_t i = 0; i < run_local.size(); ++i) {
-    EXPECT_EQ(fingerprint(run_local[i]), fingerprint(sweep_wide[i])) << run_local[i].label;
+    EXPECT_EQ(fingerprint(run_local[i].result), fingerprint(sweep_wide[i].result))
+        << run_local[i].label;
     deliveries += run_local[i].result.oracle.delivery_count();
   }
   EXPECT_GT(deliveries, 0u);
@@ -254,8 +231,7 @@ TEST(WorkerBudget, DonatedThreadsDoNotChangeSweepMetrics) {
   auto donated = sd::SweepRunner(donate_opts).run(grid);
   ASSERT_EQ(serial.size(), donated.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(fingerprint(serial[i]), fingerprint(donated[i]))
-        << serial[i].label;
+    EXPECT_EQ(fingerprint(serial[i].result), fingerprint(donated[i].result)) << serial[i].label;
   }
 }
 

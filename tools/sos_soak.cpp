@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "deploy/scenario.hpp"
@@ -39,21 +40,9 @@ void usage() {
                "  --jsonl PATH            append metric snapshots to this JSONL file\n"
                "  --wall-budget-s W       halt after W wall seconds (default unlimited)\n"
                "  --stop EXPR             halt when EXPR holds, e.g. 'deliveries>=1000'\n"
+               "                          (any snapshot JSONL key; unknown keys are rejected)\n"
                "  --min-gap-s G           minimum quiescent gap for a cut (default 60)\n"
                "  --no-anomaly            disable anomaly detection\n");
-}
-
-bool parse_stop(const std::string& expr, soak::StopPredicate* out) {
-  for (const char* op : {">=", "<="}) {
-    std::size_t at = expr.find(op);
-    if (at == std::string::npos || at == 0) continue;
-    out->metric = expr.substr(0, at);
-    out->op = op;
-    char* end = nullptr;
-    out->value = std::strtod(expr.c_str() + at + 2, &end);
-    return end != nullptr && *end == '\0';
-  }
-  return false;
 }
 
 }  // namespace
@@ -108,12 +97,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--wall-budget-s") == 0) {
       opts.stop.wall_budget_s = std::strtod(need_value(i++), nullptr);
     } else if (std::strcmp(arg, "--stop") == 0) {
-      soak::StopPredicate p;
-      if (!parse_stop(need_value(i++), &p)) {
-        std::fprintf(stderr, "sos_soak: bad --stop expression (want metric>=N or metric<=N)\n");
+      std::string error;
+      std::optional<soak::StopPredicate> p = soak::parse_stop(need_value(i++), &error);
+      if (!p) {
+        std::fprintf(stderr,
+                     "sos_soak: bad --stop expression: %s (want metric>=N or metric<=N, "
+                     "metric a snapshot JSONL key)\n",
+                     error.c_str());
         return 1;
       }
-      opts.stop.predicates.push_back(p);
+      opts.stop.predicates.push_back(*p);
     } else if (std::strcmp(arg, "--min-gap-s") == 0) {
       opts.min_gap_s = std::strtod(need_value(i++), nullptr);
     } else if (std::strcmp(arg, "--no-anomaly") == 0) {
