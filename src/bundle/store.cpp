@@ -1,10 +1,26 @@
 #include "bundle/store.hpp"
 
+#include <cmath>
 #include <limits>
 
 #include "util/codec.hpp"
 
 namespace sos::bundle {
+
+namespace {
+
+// The instant after which Bundle::expired(now) holds — the same sum and
+// the same strict comparison (expired iff deadline < now). Lifetime-0
+// bundles never expire; neither does a NaN deadline (every comparison with
+// it is false), which also must not enter an ordered index.
+std::optional<util::SimTime> expiry_deadline(const Bundle& b) {
+  if (b.lifetime_s == 0) return std::nullopt;
+  util::SimTime deadline = b.creation_ts + static_cast<double>(b.lifetime_s);
+  if (std::isnan(deadline)) return std::nullopt;
+  return deadline;
+}
+
+}  // namespace
 
 bool BundleStore::insert(Bundle b, util::SimTime now) {
   BundleId id = b.id();
@@ -16,6 +32,7 @@ bool BundleStore::insert(Bundle b, util::SimTime now) {
   stored.hops_on_arrival = stored.bundle.hop_count;
   if (stored.bundle.is_unicast()) ++unicast_count_;
   by_creation_.emplace(stored.bundle.creation_ts, id);
+  if (auto deadline = expiry_deadline(stored.bundle)) by_deadline_.emplace(*deadline, id);
   bundles_.emplace(id, std::move(stored));
   auto& held = summary_[id.origin];
   if (id.msg_num > held) held = id.msg_num;
@@ -52,8 +69,14 @@ void BundleStore::refresh_summary(const pki::UserId& origin) {
   summary_.erase(origin);
 }
 
-void BundleStore::on_removed(const StoredBundle& stored) {
-  if (stored.bundle.is_unicast()) --unicast_count_;
+void BundleStore::erase(std::map<BundleId, StoredBundle>::iterator it) {
+  const BundleId id = it->first;
+  const Bundle& b = it->second.bundle;
+  by_creation_.erase({b.creation_ts, id});
+  if (auto deadline = expiry_deadline(b)) by_deadline_.erase({*deadline, id});
+  if (b.is_unicast()) --unicast_count_;
+  bundles_.erase(it);
+  refresh_summary(id.origin);
 }
 
 std::vector<Bundle> BundleStore::newer_than(const pki::UserId& origin,
@@ -78,28 +101,16 @@ std::vector<const StoredBundle*> BundleStore::all() const {
 
 std::size_t BundleStore::expire(util::SimTime now) {
   std::size_t removed = 0;
-  for (auto it = bundles_.begin(); it != bundles_.end();) {
-    if (it->second.bundle.expired(now)) {
-      pki::UserId origin = it->first.origin;
-      by_creation_.erase({it->second.bundle.creation_ts, it->first});
-      on_removed(it->second);
-      it = bundles_.erase(it);
-      refresh_summary(origin);
-      ++removed;
-    } else {
-      ++it;
-    }
+  while (!by_deadline_.empty() && by_deadline_.begin()->first < now) {
+    erase(bundles_.find(by_deadline_.begin()->second));
+    ++removed;
   }
   return removed;
 }
 
 void BundleStore::remove(const BundleId& id) {
   auto it = bundles_.find(id);
-  if (it == bundles_.end()) return;
-  by_creation_.erase({it->second.bundle.creation_ts, id});
-  on_removed(it->second);
-  bundles_.erase(it);
-  refresh_summary(id.origin);
+  if (it != bundles_.end()) erase(it);
 }
 
 void BundleStore::save_state(util::Writer& w) const {
@@ -118,7 +129,8 @@ void BundleStore::save_state(util::Writer& w) const {
 bool BundleStore::load_state(util::Reader& r) {
   std::uint64_t n = r.varint();
   std::map<BundleId, StoredBundle> bundles;
-  std::set<std::pair<util::SimTime, BundleId>> by_creation;
+  TimeIndex by_creation;
+  TimeIndex by_deadline;
   std::map<pki::UserId, std::uint32_t> summary;
   std::size_t unicast = 0;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -129,8 +141,12 @@ bool BundleStore::load_state(util::Reader& r) {
     auto b = Bundle::decode(enc);
     if (!b) return false;
     BundleId id = b->id();
+    // A repeated id cannot come from save_state (bundles_ is keyed by id),
+    // and would leave index entries naming no held bundle.
+    if (bundles.count(id) > 0) return false;
     if (b->is_unicast()) ++unicast;
     by_creation.emplace(b->creation_ts, id);
+    if (auto deadline = expiry_deadline(*b)) by_deadline.emplace(*deadline, id);
     auto& held = summary[id.origin];
     if (id.msg_num > held) held = id.msg_num;
     bundles.emplace(id, StoredBundle{std::move(*b), received_at, hops});
@@ -140,6 +156,7 @@ bool BundleStore::load_state(util::Reader& r) {
   if (!r.ok()) return false;
   bundles_ = std::move(bundles);
   by_creation_ = std::move(by_creation);
+  by_deadline_ = std::move(by_deadline);
   summary_ = std::move(summary);
   unicast_count_ = unicast;
   evicted_ = evicted;
@@ -153,13 +170,11 @@ void BundleStore::evict_if_needed() {
     // creation-time index makes this O(log n) per eviction.
     auto oldest = by_creation_.begin();
     auto it = bundles_.find(oldest->second);
-    pki::UserId origin = oldest->second.origin;
     if (it != bundles_.end()) {
-      on_removed(it->second);
-      bundles_.erase(it);
+      erase(it);
+    } else {
+      by_creation_.erase(oldest);
     }
-    by_creation_.erase(oldest);
-    refresh_summary(origin);
     ++evicted_;
   }
 }

@@ -55,7 +55,9 @@ class BundleStore {
   /// Every held bundle (routing schemes iterate for forwarding decisions).
   std::vector<const StoredBundle*> all() const;
 
-  /// Drop bundles whose lifetime elapsed; returns number removed.
+  /// Drop bundles whose lifetime elapsed (Bundle::expired); returns the
+  /// number removed. Pops due entries off the deadline index, so a store
+  /// holding only lifetime-0 bundles pays nothing.
   std::size_t expire(util::SimTime now);
 
   void remove(const BundleId& id);
@@ -68,6 +70,7 @@ class BundleStore {
   void clear() {
     bundles_.clear();
     by_creation_.clear();
+    by_deadline_.clear();
     summary_.clear();
     unicast_count_ = 0;
   }
@@ -85,12 +88,18 @@ class BundleStore {
   /// BundleId ordering is (origin, msg_num), so the surviving max is the
   /// last element of the origin's range).
   void refresh_summary(const pki::UserId& origin);
-  void on_removed(const StoredBundle& stored);
+  /// Drop one held bundle and its entries in every secondary index.
+  void erase(std::map<BundleId, StoredBundle>::iterator it);
+
+  using TimeIndex = std::set<std::pair<util::SimTime, BundleId>>;
 
   std::map<BundleId, StoredBundle> bundles_;
   // Secondary index ordered by creation time: drop-head eviction pops the
   // oldest bundle in O(log n) instead of scanning the whole store.
-  std::set<std::pair<util::SimTime, BundleId>> by_creation_;
+  TimeIndex by_creation_;
+  // Expiry deadlines (creation_ts + lifetime_s) of the bundles that can
+  // expire; lifetime-0 bundles are never entered.
+  TimeIndex by_deadline_;
   std::map<pki::UserId, std::uint32_t> summary_;
   std::size_t unicast_count_ = 0;
   std::size_t capacity_;

@@ -169,7 +169,10 @@ class RoutingScheme {
 };
 
 /// Factory for the built-in schemes: "epidemic", "interest", "spray",
-/// "prophet", "direct". Returns nullptr for unknown names.
+/// "prophet", "direct", and the "blackhole" adversary. Returns nullptr for
+/// unknown names.
 std::unique_ptr<RoutingScheme> make_scheme(const std::string& name);
+/// Every name make_scheme accepts, in a fixed order (for usage messages).
+std::vector<std::string> scheme_names();
 
 }  // namespace sos::mw

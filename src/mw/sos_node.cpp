@@ -16,14 +16,36 @@
 
 namespace sos::mw {
 
+namespace {
+
+template <class Scheme>
+std::unique_ptr<RoutingScheme> make() {
+  return std::make_unique<Scheme>();
+}
+
+struct SchemeEntry {
+  const char* name;
+  std::unique_ptr<RoutingScheme> (*make)();
+};
+
+constexpr SchemeEntry kSchemes[] = {
+    {"epidemic", make<EpidemicScheme>}, {"interest", make<InterestBasedScheme>},
+    {"spray", make<SprayAndWaitScheme>}, {"prophet", make<ProphetScheme>},
+    {"direct", make<DirectDeliveryScheme>}, {"blackhole", make<BlackholeScheme>},
+};
+
+}  // namespace
+
 std::unique_ptr<RoutingScheme> make_scheme(const std::string& name) {
-  if (name == "epidemic") return std::make_unique<EpidemicScheme>();
-  if (name == "interest") return std::make_unique<InterestBasedScheme>();
-  if (name == "spray") return std::make_unique<SprayAndWaitScheme>();
-  if (name == "prophet") return std::make_unique<ProphetScheme>();
-  if (name == "direct") return std::make_unique<DirectDeliveryScheme>();
-  if (name == "blackhole") return std::make_unique<BlackholeScheme>();
+  for (const SchemeEntry& entry : kSchemes)
+    if (name == entry.name) return entry.make();
   return nullptr;
+}
+
+std::vector<std::string> scheme_names() {
+  std::vector<std::string> names;
+  for (const SchemeEntry& entry : kSchemes) names.emplace_back(entry.name);
+  return names;
 }
 
 SosNode::SosNode(sim::Scheduler& sched, sim::MpcEndpoint& endpoint, pki::DeviceCredentials creds,

@@ -1,5 +1,7 @@
 #include "sim/multipeer.hpp"
 
+#include <algorithm>
+
 #include "sim/faults.hpp"
 
 namespace sos::sim {
@@ -7,16 +9,15 @@ namespace sos::sim {
 // --- MpcEndpoint -----------------------------------------------------------
 
 void MpcEndpoint::start_advertising(DiscoveryInfo info) {
-  info_ = std::move(info);
+  info_ = std::make_shared<const DiscoveryInfo>(std::move(info));
   if (advertising_) return;
   advertising_ = true;
   // Browsers already in range discover us now.
-  for (PeerId other = 0; other < net_->node_count(); ++other) {
-    if (other == id_ || !net_->in_range(id_, other)) continue;
+  for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     if (peer.browsing_ && peer.on_peer_found) {
       net_->scheduler().schedule_in(0, [&peer, me = id_, info = info_] {
-        if (peer.on_peer_found) peer.on_peer_found(me, info);
+        if (peer.on_peer_found) peer.on_peer_found(me, *info);
       });
     }
   }
@@ -27,16 +28,15 @@ void MpcEndpoint::stop_advertising() {
 }
 
 void MpcEndpoint::update_discovery_info(DiscoveryInfo info) {
-  info_ = std::move(info);
+  info_ = std::make_shared<const DiscoveryInfo>(std::move(info));
   if (!advertising_) return;
-  for (PeerId other = 0; other < net_->node_count(); ++other) {
-    if (other == id_ || !net_->in_range(id_, other)) continue;
+  for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     // Connected peers exchange state in-session; only browsers that have
     // not connected care about the refreshed advertisement.
     if (peer.browsing_ && !peer.is_connected(id_) && peer.on_peer_found) {
       net_->scheduler().schedule_in(0, [&peer, me = id_, info = info_] {
-        if (peer.on_peer_found) peer.on_peer_found(me, info);
+        if (peer.on_peer_found) peer.on_peer_found(me, *info);
       });
     }
   }
@@ -45,12 +45,11 @@ void MpcEndpoint::update_discovery_info(DiscoveryInfo info) {
 void MpcEndpoint::start_browsing() {
   if (browsing_) return;
   browsing_ = true;
-  for (PeerId other = 0; other < net_->node_count(); ++other) {
-    if (other == id_ || !net_->in_range(id_, other)) continue;
+  for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     if (peer.advertising_ && on_peer_found) {
       net_->scheduler().schedule_in(0, [this, other, info = peer.info_] {
-        if (on_peer_found) on_peer_found(other, info);
+        if (on_peer_found) on_peer_found(other, *info);
       });
     }
   }
@@ -74,9 +73,11 @@ bool MpcEndpoint::is_connected(PeerId peer) const {
 }
 
 std::vector<PeerId> MpcEndpoint::connected_peers() const {
+  // A session needs range to open and dies when range breaks, so every
+  // connected peer is a neighbour.
   std::vector<PeerId> out;
-  for (PeerId other = 0; other < net_->node_count(); ++other)
-    if (other != id_ && is_connected(other)) out.push_back(other);
+  for (PeerId other : net_->neighbours_[id_])
+    if (is_connected(other)) out.push_back(other);
   return out;
 }
 
@@ -87,7 +88,7 @@ void MpcEndpoint::send(PeerId peer, util::Bytes frame) {
 // --- MpcNetwork ---------------------------------------------------------------
 
 MpcNetwork::MpcNetwork(Scheduler& sched, std::size_t nodes, RadioParams radio)
-    : sched_(sched), radio_(radio), endpoints_(nodes) {
+    : sched_(sched), radio_(radio), endpoints_(nodes), neighbours_(nodes) {
   for (std::size_t i = 0; i < nodes; ++i) {
     endpoints_[i].net_ = this;
     endpoints_[i].id_ = static_cast<PeerId>(i);
@@ -95,23 +96,29 @@ MpcNetwork::MpcNetwork(Scheduler& sched, std::size_t nodes, RadioParams radio)
 }
 
 void MpcNetwork::set_in_range(PeerId a, PeerId b, bool in_range) {
-  auto key = norm(a, b);
-  bool was = in_range_.count(key) > 0;
+  if (a == b) return;
+  std::vector<PeerId>& of_a = neighbours_[a];
+  std::vector<PeerId>& of_b = neighbours_[b];
+  auto at_a = std::lower_bound(of_a.begin(), of_a.end(), b);
+  bool was = at_a != of_a.end() && *at_a == b;
   if (in_range == was) return;
+  auto at_b = std::lower_bound(of_b.begin(), of_b.end(), a);
   if (in_range) {
-    in_range_.insert(key);
+    of_a.insert(at_a, b);
+    of_b.insert(at_b, a);
     // Mutual discovery if roles match.
     auto notify = [this](MpcEndpoint& browser, MpcEndpoint& advertiser) {
       if (browser.browsing_ && advertiser.advertising_ && browser.on_peer_found) {
         sched_.schedule_in(0, [&browser, id = advertiser.id_, info = advertiser.info_] {
-          if (browser.on_peer_found) browser.on_peer_found(id, info);
+          if (browser.on_peer_found) browser.on_peer_found(id, *info);
         });
       }
     };
     notify(endpoints_[a], endpoints_[b]);
     notify(endpoints_[b], endpoints_[a]);
   } else {
-    in_range_.erase(key);
+    of_a.erase(at_a);
+    of_b.erase(at_b);
     drop_session(a, b, true);
     auto lost = [this](MpcEndpoint& browser, PeerId gone) {
       if (browser.browsing_ && browser.on_peer_lost) {
@@ -126,7 +133,7 @@ void MpcNetwork::set_in_range(PeerId a, PeerId b, bool in_range) {
 }
 
 bool MpcNetwork::in_range(PeerId a, PeerId b) const {
-  return in_range_.count(norm(a, b)) > 0;
+  return std::binary_search(neighbours_[a].begin(), neighbours_[a].end(), b);
 }
 
 void MpcNetwork::do_invite(PeerId from, PeerId to) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,7 +46,7 @@ class MpcEndpoint {
   /// (models the advertiser restart MPC apps perform on state change).
   void update_discovery_info(DiscoveryInfo info);
   bool advertising() const { return advertising_; }
-  const DiscoveryInfo& discovery_info() const { return info_; }
+  const DiscoveryInfo& discovery_info() const { return *info_; }
 
   // --- browsing -----------------------------------------------------------
   void start_browsing();
@@ -78,7 +79,9 @@ class MpcEndpoint {
   PeerId id_ = 0;
   bool advertising_ = false;
   bool browsing_ = false;
-  DiscoveryInfo info_;
+  // Immutable once published: a discovery notification shares the
+  // dictionary it announces instead of copying it.
+  std::shared_ptr<const DiscoveryInfo> info_ = std::make_shared<const DiscoveryInfo>();
 };
 
 /// Owns all endpoints plus the link/session state between them.
@@ -91,7 +94,8 @@ class MpcNetwork {
   Scheduler& scheduler() { return sched_; }
   const RadioParams& radio() const { return radio_; }
 
-  /// Feed from EncounterDetector: update physical connectivity.
+  /// Feed from EncounterDetector: update physical connectivity. A node is
+  /// never in range of itself, so a == b is a no-op.
   void set_in_range(PeerId a, PeerId b, bool in_range);
   bool in_range(PeerId a, PeerId b) const;
 
@@ -148,7 +152,10 @@ class MpcNetwork {
   Scheduler& sched_;
   RadioParams radio_;
   std::vector<MpcEndpoint> endpoints_;
-  std::set<std::pair<PeerId, PeerId>> in_range_;
+  // Physical connectivity as per-node neighbour lists, each sorted
+  // ascending: walking one visits peers in PeerId order, the order the
+  // discovery notifications are scheduled in.
+  std::vector<std::vector<PeerId>> neighbours_;
   std::map<std::pair<PeerId, PeerId>, Link> links_;
   const FaultPlan* fault_plan_ = nullptr;
 

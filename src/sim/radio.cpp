@@ -1,9 +1,20 @@
 #include "sim/radio.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 namespace sos::sim {
+
+namespace {
+
+bool same_bits(const Vec2& a, const Vec2& b) {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+}  // namespace
 
 EncounterDetector::EncounterDetector(Scheduler& sched, const MobilityModel& mobility,
                                      double range_m, util::SimTime tick)
@@ -30,39 +41,63 @@ void EncounterDetector::scan() {
   const std::size_t n = mobility_.node_count();
   const util::SimTime now = sched_.now();
 
+  // Sample positions and find the movers. pos_ is sized only here, so a
+  // size mismatch marks the first pass, where every node counts as moved
+  // and the rest of this function is the full grid scan.
+  const bool first = pos_.size() != n;
   pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) pos_[i] = mobility_.position(i, now);
+  is_moved_.resize(n);
+  moved_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Vec2 p = mobility_.position(i, now);
+    const bool moved = first || !same_bits(p, pos_[i]);
+    is_moved_[i] = moved;
+    if (moved) moved_.push_back(i);
+    pos_[i] = p;
+  }
+  if (moved_.empty()) return;  // every verdict, hence the contact set, stands
 
   // Uniform grid with cell size = range: only same/neighbor cells can hold
-  // pairs within range. The grid is a sorted (cell key, node) vector reused
-  // across ticks — no per-tick hash map or bucket allocations.
+  // pairs within range. The grid is a sorted (cell key, node) vector; the
+  // movers leave it and re-enter at their new cells by one merge — no
+  // per-tick hash map or bucket allocations.
   const double cell = range_m_;
-  auto key = [cell](const Vec2& p) {
-    auto gx = static_cast<std::int32_t>(std::floor(p.x / cell));
-    auto gy = static_cast<std::int32_t>(std::floor(p.y / cell));
+  auto cell_xy = [cell](const Vec2& p) {
+    return std::pair{static_cast<std::int32_t>(std::floor(p.x / cell)),
+                     static_cast<std::int32_t>(std::floor(p.y / cell))};
+  };
+  auto key = [](std::int32_t gx, std::int32_t gy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(gx)) << 32) |
            static_cast<std::uint32_t>(gy);
   };
-  cells_.clear();
-  cells_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) cells_.emplace_back(key(pos_[i]), i);
-  std::sort(cells_.begin(), cells_.end());
+  std::erase_if(cells_, [this](const CellEntry& e) { return is_moved_[e.second] != 0; });
+  moved_cells_.clear();
+  for (std::size_t i : moved_) {
+    auto [gx, gy] = cell_xy(pos_[i]);
+    moved_cells_.emplace_back(key(gx, gy), i);
+  }
+  std::sort(moved_cells_.begin(), moved_cells_.end());
+  merged_cells_.clear();
+  std::merge(cells_.begin(), cells_.end(), moved_cells_.begin(), moved_cells_.end(),
+             std::back_inserter(merged_cells_));
+  cells_.swap(merged_cells_);
 
+  // Verdicts between two unmoved nodes carry over; every pair touching a
+  // mover is re-tested, a mover pair once (from its lower index).
   current_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    auto gx = static_cast<std::int32_t>(std::floor(pos_[i].x / cell));
-    auto gy = static_cast<std::int32_t>(std::floor(pos_[i].y / cell));
+  for (const auto& p : contacts_)
+    if (!is_moved_[p.first] && !is_moved_[p.second]) current_.push_back(p);
+  for (std::size_t i : moved_) {
+    auto [gx, gy] = cell_xy(pos_[i]);
     for (int dx = -1; dx <= 1; ++dx)
       for (int dy = -1; dy <= 1; ++dy) {
-        std::uint64_t k =
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(gx + dx)) << 32) |
-            static_cast<std::uint32_t>(gy + dy);
-        auto it = std::lower_bound(cells_.begin(), cells_.end(),
-                                   std::pair<std::uint64_t, std::size_t>{k, 0});
+        std::uint64_t k = key(gx + dx, gy + dy);
+        auto it = std::lower_bound(cells_.begin(), cells_.end(), CellEntry{k, 0});
         for (; it != cells_.end() && it->first == k; ++it) {
           std::size_t j = it->second;
-          if (j <= i) continue;
-          if (distance(pos_[i], pos_[j]) <= range_m_) current_.emplace_back(i, j);
+          if (j == i || (is_moved_[j] && j < i)) continue;
+          auto [a, b] = std::minmax(i, j);
+          if (distance(pos_[a], pos_[b]) <= range_m_) current_.emplace_back(a, b);
         }
       }
   }

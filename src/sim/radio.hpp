@@ -1,7 +1,9 @@
 // Radio model and encounter detection. Encounters (pairs entering/leaving
 // radio range) drive MultipeerSim connectivity. Detection samples node
 // positions on a fixed tick with a uniform grid for the pair search, so
-// density-sweep benches with hundreds of nodes stay fast.
+// density-sweep benches with hundreds of nodes stay fast, and re-tests only
+// the pairs touching a node that moved since the previous tick, so a
+// sleeping fleet costs one position lookup per node and tick.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +42,10 @@ class EncounterDetector {
   std::uint64_t total_contacts_seen() const { return total_contacts_; }
 
   /// Run one detection pass at the current sim time (also used by tests).
+  /// A node is "moved" when its position differs bitwise from the previous
+  /// pass (every node is, on the first). Pairs of unmoved nodes keep their
+  /// previous verdict — same positions, same test — and every pair touching
+  /// a moved node is re-tested, so the result equals a full all-pairs scan.
   void scan();
 
  private:
@@ -60,10 +66,19 @@ class EncounterDetector {
   std::vector<ContactPair> contacts_;  // sorted; a < b within each pair
   std::uint64_t total_contacts_ = 0;
 
+  using CellEntry = std::pair<std::uint64_t, std::size_t>;  // (cell key, node)
+
+  // State carried between passes: the previous pass's positions and the
+  // grid they occupy (every node's cell, sorted by key).
+  std::vector<Vec2> pos_;
+  std::vector<CellEntry> cells_;
+
   // Scratch buffers reused across ticks so a scan allocates nothing in
   // steady state (the detector runs every tick for the whole simulation).
-  std::vector<Vec2> pos_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> cells_;  // sorted by cell key
+  std::vector<char> is_moved_;
+  std::vector<std::size_t> moved_;  // ascending
+  std::vector<CellEntry> moved_cells_;
+  std::vector<CellEntry> merged_cells_;
   std::vector<ContactPair> current_;
   std::vector<ContactPair> started_;
   std::vector<ContactPair> ended_;

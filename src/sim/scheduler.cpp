@@ -1,19 +1,22 @@
 #include "sim/scheduler.hpp"
 
-#include <cassert>
+#include <algorithm>
 
 namespace sos::sim {
 
 EventId Scheduler::schedule_at(util::SimTime t, EventFn fn) {
   if (t < now_) t = now_;  // never schedule into the past
-  EventId id = next_id_++;
-  // kInvalidEventId must stay unmintable or every `event_ != kInvalidEventId`
-  // armed-check in the middleware silently breaks (reachable only after a
-  // 2^64 id wraparound, i.e. never in practice — hence an assert, not a throw).
-  assert(id != kInvalidEventId && "EventId counter wrapped onto the sentinel");
-  queue_.push(Event{t, id, std::move(fn)});
-  queued_.insert(id);
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  heap_.push_back(Event{t, next_seq_++, slot, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
 }
 
 EventId Scheduler::schedule_in(util::SimTime dt, EventFn fn) {
@@ -21,17 +24,41 @@ EventId Scheduler::schedule_in(util::SimTime dt, EventFn fn) {
 }
 
 void Scheduler::cancel(EventId id) {
-  // Only remember cancellations for events still in the queue; a stale id
-  // (already fired or already cancelled) must not accumulate forever.
-  if (queued_.count(id) > 0) cancelled_.insert(id);
+  // A stale id (its event fired or was cancelled, so the slot's generation
+  // moved on or the flag is already set) and kInvalidEventId (generation 0,
+  // never issued) fall through without touching any state.
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size()) return;
+  Slot& s = slots_[slot];
+  if (s.generation != generation || s.cancelled) return;
+  s.cancelled = true;
+  ++cancelled_;
+}
+
+bool Scheduler::pop_head(Event& out) {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  out = std::move(heap_.back());
+  heap_.pop_back();
+  Slot& s = slots_[out.slot];
+  const bool cancelled = s.cancelled;
+  if (cancelled) {
+    --cancelled_;
+    out.fn = nullptr;  // release the discarded callable's captures now
+  }
+  // Retire the handle before the event runs, so an event cancelling its
+  // own id is a no-op. Generation 0 is skipped on wraparound: it would
+  // mint kInvalidEventId for slot 0.
+  s.cancelled = false;
+  if (++s.generation == 0) s.generation = 1;
+  free_slots_.push_back(out.slot);
+  return cancelled;
 }
 
 bool Scheduler::step() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    queued_.erase(ev.id);
-    if (cancelled_.erase(ev.id) > 0) continue;
+  Event ev;
+  while (!heap_.empty()) {
+    if (pop_head(ev)) continue;
     now_ = ev.at;
     ev.fn();
     return true;
@@ -40,17 +67,16 @@ bool Scheduler::step() {
 }
 
 void Scheduler::run_until(util::SimTime t) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
+  Event discarded;
+  while (!heap_.empty()) {
     // Discard cancelled heads here rather than via step(): step() skips
     // cancelled events internally and would otherwise run the next LIVE
     // event even when it lies beyond t.
-    if (cancelled_.erase(top.id) > 0) {
-      queued_.erase(top.id);
-      queue_.pop();
+    if (slots_[heap_.front().slot].cancelled) {
+      pop_head(discarded);
       continue;
     }
-    if (top.at > t) break;
+    if (heap_.front().at > t) break;
     step();
   }
   if (now_ < t) now_ = t;

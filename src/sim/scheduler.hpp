@@ -1,8 +1,11 @@
 // Discrete-event scheduler: the virtual clock every simulated component
 // (mobility stepper, radio links, middleware timers) hangs off. Events at
-// equal timestamps run in schedule order (FIFO by EventId), which keeps
-// runs deterministic — the invariant every sweep- and replay-determinism
-// guarantee in this repo rests on.
+// equal timestamps run in schedule order (FIFO by a per-scheduler sequence
+// number), which keeps runs deterministic — the invariant every sweep- and
+// replay-determinism guarantee in this repo rests on. The queue is a
+// vector heap whose events pop by move, so a callable (say, a frame
+// delivery holding its payload) is never copied; no hashed container is
+// involved, so no hash order can leak into a trace.
 //
 // A run no longer implies a single scheduler for its whole lifetime: the
 // strand replay engine (sim/subepisode.hpp, deploy/replay.cpp) runs each
@@ -14,21 +17,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/time.hpp"
 
 namespace sos::sim {
 
+/// Opaque handle naming one scheduled event: (slot generation << 32) | slot.
+/// Slots are recycled once their event pops, and the generation bump makes
+/// every handle minted for an earlier occupant stale, so cancel() of a fired
+/// or cancelled event is a no-op in O(1).
 using EventId = std::uint64_t;
 using EventFn = std::function<void()>;
 
-/// Sentinel for "no event scheduled". The scheduler mints ids starting at 1
-/// (schedule_* asserts the invariant), so 0 can never name a live event and
-/// cancel(kInvalidEventId) is always a harmless no-op. Fields holding a
-/// maybe-armed event id initialize to this, never to a bare 0.
+/// Sentinel for "no event scheduled". Slot generations start at 1 and skip
+/// 0 when they wrap, so no handle is ever 0 and cancel(kInvalidEventId) is
+/// always a harmless no-op. Fields holding a maybe-armed event id
+/// initialize to this, never to a bare 0.
 inline constexpr EventId kInvalidEventId = 0;
 
 class Scheduler {
@@ -43,9 +48,9 @@ class Scheduler {
   EventId schedule_at(util::SimTime t, EventFn fn);
   /// Schedule `fn` dt seconds from now.
   EventId schedule_in(util::SimTime dt, EventFn fn);
-  /// Cancel a pending event. Cancelling an id that already fired (or was
-  /// already cancelled) is a no-op and leaves no bookkeeping behind, so
-  /// long-running sims can cancel freely without growing state.
+  /// Cancel a pending event in O(1). Cancelling an id that already fired
+  /// (or was already cancelled) is a no-op and leaves no bookkeeping
+  /// behind, so long-running sims can cancel freely without growing state.
   void cancel(EventId id);
 
   /// Run the next event; false when the queue is empty.
@@ -55,32 +60,40 @@ class Scheduler {
   /// Drain the queue completely.
   void run_all();
 
-  std::size_t pending_events() const { return queued_.size(); }
+  std::size_t pending_events() const { return heap_.size(); }
   /// Cancelled-but-not-yet-popped events (bounded by pending_events()).
-  std::size_t cancelled_backlog() const { return cancelled_.size(); }
+  std::size_t cancelled_backlog() const { return cancelled_; }
 
  private:
   struct Event {
-    util::SimTime at;
-    EventId id;
+    util::SimTime at = 0.0;
+    std::uint64_t seq = 0;  // schedule order: FIFO among equal timestamps
+    std::uint32_t slot = 0;
     EventFn fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among equal timestamps
+      return a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::uint32_t generation = 1;
+    bool cancelled = false;
+  };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // sos-lint audit (unordered-iteration): both sets are membership-only
-  // (contains/insert/erase); event order comes solely from the
-  // (time, id)-ordered priority queue above, so hash order never leaks
-  // into the trace.
-  std::unordered_set<EventId> queued_;     // ids currently in the queue
-  std::unordered_set<EventId> cancelled_;  // subset of queued_
+  /// Pop the head event by move, recycling its slot; returns whether it
+  /// was cancelled (the caller then discards it).
+  bool pop_head(Event& out);
+
+  std::vector<Event> heap_;  // std heap under Later: front() is the next event
+  // One slot per queued event, recycled through free_slots_: bookkeeping
+  // is bounded by the peak queue length, not by the ids ever minted.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t cancelled_ = 0;
   util::SimTime now_ = 0.0;
-  EventId next_id_ = kInvalidEventId + 1;  // id 0 is reserved as the sentinel
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace sos::sim

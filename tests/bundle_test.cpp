@@ -3,9 +3,12 @@
 // eviction, and the two protocol queries (summary / newer_than).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "bundle/bundle.hpp"
 #include "bundle/store.hpp"
 #include "crypto/drbg.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 namespace sb = sos::bundle;
@@ -221,4 +224,129 @@ TEST(Store, AllIteratesEverything) {
   auto all = store.all();
   EXPECT_EQ(all.size(), 5u);
   for (const auto* s : all) EXPECT_DOUBLE_EQ(s->received_at, 7.0);
+}
+
+// --- store vs a brute-force model -------------------------------------------
+// Randomized insert/remove/evict/expire/clear/checkpoint sequences with mixed
+// lifetimes (0 included) must leave the store indistinguishable from a plain
+// map that scans everything: contents, summary(), unicast_count(), the
+// lifetime counters and every expire() return value.
+
+namespace {
+
+struct StoreModel {
+  std::size_t capacity = 0;
+  std::map<sb::BundleId, sb::Bundle> held;
+  std::uint64_t evicted = 0;
+  std::uint64_t duplicates = 0;
+
+  bool insert(const sb::Bundle& b) {
+    if (!held.emplace(b.id(), b).second) {
+      ++duplicates;
+      return false;
+    }
+    while (held.size() > capacity) {
+      // Drop-head: the oldest creation time, ties broken by id.
+      auto oldest = held.begin();
+      for (auto it = held.begin(); it != held.end(); ++it)
+        if (it->second.creation_ts < oldest->second.creation_ts) oldest = it;
+      held.erase(oldest);
+      ++evicted;
+    }
+    return true;
+  }
+
+  std::size_t expire(double now) {
+    return std::erase_if(held, [now](const auto& kv) { return kv.second.expired(now); });
+  }
+};
+
+void expect_store_matches(const sb::BundleStore& store, const StoreModel& model) {
+  ASSERT_EQ(store.size(), model.held.size());
+  auto all = store.all();
+  std::map<sp::UserId, std::uint32_t> summary;
+  std::size_t unicast = 0;
+  std::size_t k = 0;
+  for (const auto& [id, b] : model.held) {
+    EXPECT_EQ(all[k]->bundle.id(), id);
+    EXPECT_EQ(all[k]->bundle.encode(), b.encode());
+    ++k;
+    auto& max = summary[id.origin];
+    if (id.msg_num > max) max = id.msg_num;
+    if (b.is_unicast()) ++unicast;
+  }
+  EXPECT_EQ(store.summary(), summary);
+  EXPECT_EQ(store.unicast_count(), unicast);
+  EXPECT_EQ(store.evicted_count(), model.evicted);
+  EXPECT_EQ(store.duplicate_count(), model.duplicates);
+}
+
+}  // namespace
+
+TEST(Store, RandomizedOpsMatchBruteForceModel) {
+  const char* authors[] = {"ann", "bob", "cy", "dee"};
+  const std::uint32_t lifetimes[] = {0, 0, 5, 40, 200};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    su::Rng rng(seed);
+    const std::size_t capacity = 6 + rng.below(10);
+    sb::BundleStore store(capacity);
+    StoreModel model;
+    model.capacity = capacity;
+    double now = 0.0;
+    for (int step = 0; step < 600; ++step) {
+      now += static_cast<double>(rng.below(4));
+      const std::uint64_t op = rng.below(100);
+      if (op < 50) {
+        sb::Bundle b;
+        b.origin = sp::user_id_from_name(authors[rng.below(4)]);
+        b.msg_num = 1 + static_cast<std::uint32_t>(rng.below(12));
+        // Coarse creation times: ties in both the creation and the
+        // deadline order.
+        b.creation_ts = now - 10.0 * static_cast<double>(rng.below(5));
+        b.lifetime_s = lifetimes[rng.below(5)];
+        if (rng.below(4) == 0) b.dest = sp::user_id_from_name("dest");
+        b.hop_count = static_cast<std::uint8_t>(rng.below(3));
+        b.payload = su::to_bytes("p" + std::to_string(step));
+        EXPECT_EQ(store.insert(b, now), model.insert(b));
+      } else if (op < 65) {
+        sb::BundleId id{sp::user_id_from_name(authors[rng.below(4)]),
+                        1 + static_cast<std::uint32_t>(rng.below(12))};
+        store.remove(id);
+        model.held.erase(id);
+      } else if (op < 88) {
+        EXPECT_EQ(store.expire(now), model.expire(now)) << "seed " << seed << " step " << step;
+      } else if (op < 90) {
+        store.clear();
+        model.held.clear();
+      } else {
+        // A checkpoint round trip into a fresh store must rebuild every
+        // index, the deadline index included.
+        su::Writer w;
+        store.save_state(w);
+        sb::BundleStore restored(capacity);
+        su::Reader r(w.data());
+        ASSERT_TRUE(restored.load_state(r));
+        store = std::move(restored);
+      }
+      expect_store_matches(store, model);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(Store, LoadStateRejectsRepeatedBundle) {
+  // A save_state payload whose one bundle appears twice.
+  su::Writer twice;
+  twice.varint(2);
+  for (int i = 0; i < 2; ++i) {
+    twice.bytes(make_bundle("alice", 1, 100.0).encode());
+    twice.f64(0.0);
+    twice.u8(0);
+  }
+  twice.u64(0);
+  twice.u64(0);
+  sb::BundleStore restored;
+  su::Reader r(twice.data());
+  EXPECT_FALSE(restored.load_state(r));
+  EXPECT_EQ(restored.size(), 0u);
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "sim/mobility.hpp"
@@ -108,6 +109,150 @@ TEST(Scheduler, EventsScheduledDuringRunUntilSameWindowExecute) {
   });
   sched.run_until(2.0);
   EXPECT_TRUE(inner);
+}
+
+TEST(Scheduler, FifoTiesSurviveCancelsAndSlotReuse) {
+  // Slots freed by fired or cancelled events are reused, but ties still run
+  // in schedule order, never in slot order.
+  ss::Scheduler sched;
+  std::vector<int> order;
+  std::vector<ss::EventId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(sched.schedule_at(1.0, [&order, i] { order.push_back(i); }));
+  sched.cancel(ids[1]);
+  sched.cancel(ids[4]);
+  sched.schedule_at(0.5, [&] {
+    // Runs first and refills the queue at the tied timestamp.
+    for (int i = 6; i < 9; ++i) sched.schedule_at(1.0, [&order, i] { order.push_back(i); });
+  });
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5, 6, 7, 8}));
+}
+
+TEST(Scheduler, CancelFromInsideARunningEvent) {
+  ss::Scheduler sched;
+  int later_fired = 0;
+  ss::EventId later = sched.schedule_at(2.0, [&] { ++later_fired; });
+  ss::EventId self = ss::kInvalidEventId;
+  self = sched.schedule_at(1.0, [&] {
+    sched.cancel(later);
+    EXPECT_EQ(sched.cancelled_backlog(), 1u);
+    sched.cancel(self);  // already popped: a no-op
+    EXPECT_EQ(sched.cancelled_backlog(), 1u);
+  });
+  sched.run_all();
+  EXPECT_EQ(later_fired, 0);
+  EXPECT_EQ(sched.cancelled_backlog(), 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(Scheduler, CancelOfAReusedSlotsOldIdIsStale) {
+  ss::Scheduler sched;
+  ss::EventId old_id = sched.schedule_at(1.0, [] {});
+  sched.run_all();
+  bool fired = false;
+  ss::EventId new_id = sched.schedule_at(2.0, [&] { fired = true; });  // same slot
+  EXPECT_NE(new_id, old_id);
+  EXPECT_NE(new_id, ss::kInvalidEventId);
+  sched.cancel(old_id);
+  EXPECT_EQ(sched.cancelled_backlog(), 0u);
+  sched.run_all();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Scheduler, CallableIsMovedNeverCopied) {
+  // A frame delivery captures its payload; the queue must move it from
+  // schedule to execution, whichever entry point pops it.
+  struct CopyCounter {
+    int* copies;
+    explicit CopyCounter(int* c) : copies(c) {}
+    CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+    CopyCounter(CopyCounter&&) noexcept = default;
+  };
+  int copies = 0;
+  int ran = 0;
+  ss::Scheduler sched;
+  for (int i = 0; i < 50; ++i) {
+    sched.schedule_at(static_cast<double>((i * 7) % 13),
+                      [c = CopyCounter(&copies), &ran] { ++ran; });
+  }
+  ss::EventId dropped = sched.schedule_at(3.0, [c = CopyCounter(&copies)] {});
+  sched.cancel(dropped);
+  sched.step();
+  sched.run_until(6.0);
+  sched.run_all();
+  EXPECT_EQ(ran, 50);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Scheduler, RandomizedScheduleAndCancelMatchesReferenceOrder) {
+  // Against a brute-force model — events kept in schedule order, the next
+  // one the earliest live (time, order) — over random schedule, cancel,
+  // stale-cancel and run_until calls, including events that schedule and
+  // cancel from inside their own body. The backlog stays bounded by the
+  // queue throughout.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    su::Rng rng(seed);
+    ss::Scheduler sched;
+    struct Ref {
+      double at;
+      bool live;
+      ss::EventId id;
+    };
+    std::vector<Ref> ref;  // index = schedule order
+    std::vector<std::size_t> fired;
+    std::vector<ss::EventId> all_ids;
+    std::function<void(double)> add = [&](double t) {
+      std::size_t k = ref.size();
+      double at = std::max(t, sched.now());
+      ref.push_back({at, true, ss::kInvalidEventId});
+      ref[k].id = sched.schedule_at(t, [&, k] {
+        EXPECT_TRUE(ref[k].live) << "a cancelled event ran";
+        fired.push_back(k);
+        ref[k].live = false;
+        if (rng.below(4) == 0) add(sched.now() + static_cast<double>(rng.below(3)));
+        if (rng.below(4) == 0) {
+          std::size_t victim = rng.below(ref.size());
+          sched.cancel(ref[victim].id);
+          ref[victim].live = false;
+        }
+      });
+      all_ids.push_back(ref[k].id);
+    };
+    for (int round = 0; round < 300; ++round) {
+      const std::uint64_t op = rng.below(10);
+      if (op < 5) {
+        add(sched.now() + static_cast<double>(rng.below(20)));
+      } else if (op < 7 && !ref.empty()) {
+        std::size_t victim = rng.below(ref.size());
+        sched.cancel(ref[victim].id);  // live, fired or already cancelled
+        ref[victim].live = false;
+      } else {
+        double horizon = sched.now() + static_cast<double>(rng.below(10));
+        // Everything run is due, in (time, schedule order); every live
+        // event left is past the horizon.
+        fired.clear();
+        sched.run_until(horizon);
+        for (std::size_t k : fired) EXPECT_LE(ref[k].at, horizon);
+        for (std::size_t i = 1; i < fired.size(); ++i) {
+          const Ref& a = ref[fired[i - 1]];
+          const Ref& b = ref[fired[i]];
+          EXPECT_TRUE(a.at < b.at || (a.at == b.at && fired[i - 1] < fired[i]))
+              << "seed " << seed << " round " << round;
+        }
+        for (std::size_t k = 0; k < ref.size(); ++k) {
+          if (ref[k].live) {
+            EXPECT_GT(ref[k].at, horizon) << "live event left behind";
+          }
+        }
+      }
+      EXPECT_LE(sched.cancelled_backlog(), sched.pending_events());
+    }
+    sched.run_all();
+    EXPECT_EQ(sched.cancelled_backlog(), 0u);
+    EXPECT_EQ(sched.pending_events(), 0u);
+    for (ss::EventId id : all_ids) sched.cancel(id);  // every id is now stale
+    EXPECT_EQ(sched.cancelled_backlog(), 0u);
+  }
 }
 
 // --- Trajectory / mobility ---------------------------------------------------
@@ -442,6 +587,108 @@ TEST(EncounterDetector, NoSelfOrDuplicatePairs) {
   det.start(200);
   sched.run_all();
   EXPECT_EQ(starts, 45);  // C(10,2), each exactly once
+}
+
+namespace {
+
+struct ScanCoverage {
+  int none_moved = 0;
+  int one_moved = 0;
+  int all_moved = 0;
+};
+
+/// Scan `m` every `tick` seconds up to `horizon` and hold the incremental
+/// detector to a brute-force all-pairs scan on every tick: the contact set,
+/// and the start/end events as that set's diff. Returns how many ticks had
+/// no mover, exactly one, and every node moving (the first tick counts as
+/// all moved).
+ScanCoverage expect_scan_matches_brute_force(const ss::MobilityModel& m, double range,
+                                             double tick, double horizon) {
+  const std::size_t n = m.node_count();
+  ss::Scheduler sched;
+  ss::EncounterDetector det(sched, m, range, tick);
+  std::set<std::pair<std::size_t, std::size_t>> live;
+  det.on_contact_start = [&](std::size_t a, std::size_t b) {
+    EXPECT_TRUE(live.insert({a, b}).second) << "duplicate start " << a << "," << b;
+  };
+  det.on_contact_end = [&](std::size_t a, std::size_t b) {
+    EXPECT_EQ(live.erase({a, b}), 1u) << "end without start " << a << "," << b;
+  };
+  ScanCoverage cov;
+  std::vector<ss::Vec2> prev;
+  for (double t = 0; t <= horizon; t += tick) {
+    sched.run_until(t);
+    det.scan();
+    std::vector<ss::Vec2> pos(n);
+    for (std::size_t i = 0; i < n; ++i) pos[i] = m.position(i, t);
+    std::size_t moved = n;
+    if (!prev.empty()) {
+      moved = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        if (pos[i].x != prev[i].x || pos[i].y != prev[i].y) ++moved;
+    }
+    cov.none_moved += moved == 0;
+    cov.one_moved += moved == 1;
+    cov.all_moved += moved == n;
+    prev = pos;
+    std::set<std::pair<std::size_t, std::size_t>> brute;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        if (ss::distance(pos[i], pos[j]) <= range) brute.insert({i, j});
+    EXPECT_EQ(live, brute) << "t=" << t;
+    EXPECT_EQ(det.contact_count(), brute.size()) << "t=" << t;
+    for (const auto& [a, b] : brute) EXPECT_TRUE(det.in_contact(a, b)) << "t=" << t;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(det.total_contacts_seen(), 0u);
+  return cov;
+}
+
+}  // namespace
+
+TEST(EncounterDetector, IncrementalScanMatchesBruteForceOnScriptedMoves) {
+  // Ticks 0..40 s: the first scan (all moved), two ticks where nobody
+  // moves, one where node 1 alone walks out of range, one where all move.
+  std::vector<ss::Trajectory> trs(4);
+  trs[0].add(0, {0, 0});
+  trs[0].add(30, {0, 0});
+  trs[0].add(40, {5, 0});
+  trs[1].add(0, {50, 0});
+  trs[1].add(20, {50, 0});
+  trs[1].add(30, {200, 0});
+  trs[1].add(40, {30, 0});
+  trs[2].add(0, {0, 50});
+  trs[2].add(30, {0, 50});
+  trs[2].add(40, {0, 55});
+  trs[3].add(0, {500, 500});
+  trs[3].add(30, {500, 500});
+  trs[3].add(40, {520, 500});
+  ss::TrajectoryMobility m(std::move(trs));
+  ScanCoverage cov = expect_scan_matches_brute_force(m, 60.0, 10.0, 40.0);
+  EXPECT_EQ(cov.none_moved, 2);
+  EXPECT_EQ(cov.one_moved, 1);
+  EXPECT_EQ(cov.all_moved, 2);
+}
+
+TEST(EncounterDetector, IncrementalScanMatchesBruteForceOnDailyRoutine) {
+  su::Rng rng(31);
+  ss::DailyRoutineParams params;
+  params.area = {1500, 1500};
+  params.community_count = 2;
+  params.bridge_node_frac = 0.2;
+  auto m = ss::daily_routine(30, su::days(2), params, rng);
+  ScanCoverage cov = expect_scan_matches_brute_force(*m, 80.0, 30.0, su::days(2));
+  EXPECT_GT(cov.none_moved, 100);  // the sleeping fleet
+  EXPECT_GT(cov.one_moved, 0);
+}
+
+TEST(EncounterDetector, IncrementalScanMatchesBruteForceOnRandomWaypoint) {
+  su::Rng rng(32);
+  ss::RandomWaypointParams params;
+  params.area = {800, 800};
+  auto m = ss::random_waypoint(25, 4000, params, rng);
+  ScanCoverage cov = expect_scan_matches_brute_force(*m, 120.0, 20.0, 4000);
+  EXPECT_GT(cov.all_moved, 1);
 }
 
 // --- MultipeerSim ---------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
+#include "deploy/scenario.hpp"
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
@@ -12,6 +14,7 @@
 #include "util/rng.hpp"
 
 namespace sc = sos::crypto;
+namespace sd = sos::deploy;
 namespace sm = sos::mw;
 namespace sp = sos::pki;
 namespace ss = sos::sim;
@@ -192,4 +195,47 @@ TEST(TracePlayer, DrivesFullMiddlewareStack) {
   // Delivery must happen during the second contact window.
   EXPECT_GE(delivered_at, 500.0);
   EXPECT_LE(delivered_at, 600.0);
+}
+
+// --- recorded-world goldens -------------------------------------------------
+// SHA-256 of record_world(config)->trace.to_string() for three worlds: the
+// Gainesville reconstruction, the 48n-4c community cell and a dense 100-node
+// cell. The encounter detector, the scheduler under it and the mobility
+// generators may be rewritten for speed, but not by a single contact or
+// timestamp: every replay metric downstream hangs off these traces.
+
+namespace {
+
+std::string world_digest(const sd::ScenarioConfig& config) {
+  std::string text = sd::record_world(config)->trace.to_string();
+  return su::hex_encode(
+      sc::Sha256::hash({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
+}
+
+}  // namespace
+
+TEST(RecordedWorld, GainesvilleDigestIsPinned) {
+  EXPECT_EQ(world_digest(sd::gainesville_config("interest", 42)),
+            "ef1bf143c3505f1d18172391d32628d757effbc98fc36a497210d5a0f0f05aad");
+}
+
+TEST(RecordedWorld, CommunityCellDigestIsPinned) {
+  sd::ScenarioConfig c = sd::gainesville_config("interest");
+  c.nodes = 48;
+  c.area_w_m = 6000;
+  c.area_h_m = 6000;
+  c.days = 28.0;
+  c.communities = 4;
+  c.bridge_node_frac = 0.10;
+  c.mobility.home_min_separation_m = 150.0;
+  EXPECT_EQ(world_digest(c), "2b18d587c05e9511d5d0564477d7fa749a75a9efc79da50db02afc63c8bdb1cd");
+}
+
+TEST(RecordedWorld, DenseCellDigestIsPinned) {
+  sd::ScenarioConfig c = sd::gainesville_config("interest");
+  c.nodes = 100;
+  c.area_w_m = 2000;
+  c.area_h_m = 2000;
+  c.days = 2.0;
+  EXPECT_EQ(world_digest(c), "f7d45a8a76519f1ec388cea45102e5f385e2f49c501c3798831d2b4e8a0606d5");
 }

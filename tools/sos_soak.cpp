@@ -17,6 +17,7 @@
 #include <string>
 
 #include "deploy/scenario.hpp"
+#include "mw/routing.hpp"
 #include "soak/runner.hpp"
 
 using namespace sos;
@@ -119,6 +120,16 @@ int main(int argc, char** argv) {
       usage();
       return 1;
     }
+  }
+
+  // SosNode would quietly route an unknown scheme as "interest"; reject the
+  // name before anything is built.
+  if (!mw::make_scheme(scheme)) {
+    std::string valid;
+    for (const std::string& name : mw::scheme_names()) valid += (valid.empty() ? "" : ", ") + name;
+    std::fprintf(stderr, "sos_soak: unknown scheme '%s' (valid: %s)\n", scheme.c_str(),
+                 valid.c_str());
+    return 1;
   }
 
   if (do_resume && opts.checkpoint_dir.empty()) {
