@@ -1,6 +1,9 @@
 // Middleware microbenchmarks: the per-encounter costs — the Fig 2a signup
 // flow, the session handshake over the simulated radio, end-to-end bundle
-// verification, store queries, and wire codec round trips.
+// verification, store queries, and wire codec round trips — plus the
+// session-churn cell and the soak checkpoint round trip. Whole replay cells
+// are measured by sosbench/ (repetitions, noise bounds); the disaster pack's
+// table comes from bench_disaster_pack.
 #include <benchmark/benchmark.h>
 
 #include "bundle/store.hpp"
@@ -10,10 +13,8 @@
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
-#include "sim/subepisode.hpp"
 #include "soak/checkpoint.hpp"
 #include "util/codec.hpp"
-#include "util/rng.hpp"
 #include "util/time.hpp"
 
 using namespace sos;
@@ -235,181 +236,6 @@ static void BM_DensityCell(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DensityCell)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-static void BM_DensityCellReplay(benchmark::State& state) {
-  // Intra-cell replay of the HEAVIEST density-ablation cell (100 nodes /
-  // 4 km^2 / 3 days — ~80% of the grid's wall-clock) on the single-scheduler
-  // reference. range(0) = 0 runs without the shared verify memo (the
-  // pre-memo baseline), 1 with it. Metrics are bitwise identical across
-  // both (tests/episode_test.cpp pins this); the memo is where the >=2x
-  // comes from — each distinct bundle/cert signature pays curve math once
-  // per run instead of once per carrying node.
-  auto grid = deploy::density_ablation_grid(3.0);
-  deploy::SweepRunner runner{deploy::SweepOptions{}};
-  const std::size_t heavy = grid_cell_index(grid, "100n");  // 100n / 2x2 km
-  deploy::ScenarioConfig config = runner.cell_config(grid[heavy], heavy);
-  auto world = deploy::record_world(config);
-
-  deploy::ReplayOptions replay;
-  replay.share_verify_memo = state.range(0) == 1;
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    auto result = deploy::run_scenario(config, world.get(), replay);
-    deliveries = result.totals.deliveries;
-    benchmark::DoNotOptimize(deliveries);
-  }
-  state.counters["deliveries"] = static_cast<double>(deliveries);
-}
-BENCHMARK(BM_DensityCellReplay)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-static void BM_DensityCellSubepisode(benchmark::State& state) {
-  // The heaviest density cell again (100n / 2x2 km / 3 days), but through
-  // the contact-strand engine. The daily hotspot chains its contacts into
-  // one serial megatask, while ContactDag's per-node hull fusion frees the
-  // overnight home-pair contacts to overlap it (width > 1). range(0) =
-  // strand workers; metrics are bitwise identical to every other row.
-  auto grid = deploy::density_ablation_grid(3.0);
-  deploy::SweepRunner runner{deploy::SweepOptions{}};
-  const std::size_t heavy = grid_cell_index(grid, "100n");
-  deploy::ScenarioConfig config = runner.cell_config(grid[heavy], heavy);
-  auto world = deploy::record_world(config);
-
-  deploy::ReplayOptions replay;
-  replay.subepisode_jobs = static_cast<std::size_t>(state.range(0));
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    auto result = deploy::run_scenario(config, world.get(), replay);
-    deliveries = result.totals.deliveries;
-    benchmark::DoNotOptimize(deliveries);
-  }
-  auto dag = sim::ContactDag::partition(world->trace, config.nodes,
-                                        util::days(config.days));
-  state.counters["deliveries"] = static_cast<double>(deliveries);
-  state.counters["tasks"] = static_cast<double>(dag.contact_task_count());
-  state.counters["width"] = static_cast<double>(dag.width());
-  state.counters["parallelism"] = dag.parallelism();
-}
-BENCHMARK(BM_DensityCellSubepisode)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-static void BM_CommunityReplay(benchmark::State& state) {
-  // The community-structured density cell (48 nodes, 4 disjoint mobility
-  // communities, 10% bridge commuters — the "48n-4c" grid cell). Unlike the
-  // single-hotspot cells this trace decomposes (strand parallelism >= 2,
-  // pinned by tests/episode_test.cpp), so workers have something to run
-  // concurrently. Args {0, 0} is the single-scheduler reference; {N, 1} is
-  // the contact-strand engine with N workers. Metrics are bitwise identical
-  // across all rows; compare the /1/1 and /4/1 wall-clocks for the
-  // multi-core win (on a 1-core host they tie by construction).
-  auto grid = deploy::density_ablation_grid(3.0);
-  deploy::SweepRunner runner{deploy::SweepOptions{}};
-  const std::size_t idx = grid_cell_index(grid, "48n-4c");
-  deploy::ScenarioConfig config = runner.cell_config(grid[idx], idx);
-  auto world = deploy::record_world(config);
-
-  deploy::ReplayOptions replay;
-  if (state.range(1) == 1) replay.subepisode_jobs = static_cast<std::size_t>(state.range(0));
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    auto result = deploy::run_scenario(config, world.get(), replay);
-    deliveries = result.totals.deliveries;
-    benchmark::DoNotOptimize(deliveries);
-  }
-  auto dag = sim::ContactDag::partition(world->trace, config.nodes,
-                                        util::days(config.days));
-  state.counters["deliveries"] = static_cast<double>(deliveries);
-  state.counters["tasks"] = static_cast<double>(dag.contact_task_count());
-  state.counters["parallelism"] = dag.parallelism();
-}
-BENCHMARK(BM_CommunityReplay)
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-static void BM_DensitySweep(benchmark::State& state) {
-  // The full bench_ablation_density density grid through deploy::SweepRunner.
-  // range(0) = worker threads. range(1) is always 1 (record-once/replay-many,
-  // the sweep's only mode); it stays in the row names so they line up with
-  // earlier snapshots. tests/sweep_test.cpp asserts per-cell metrics are
-  // bitwise identical across thread counts.
-  std::vector<deploy::SweepCell> grid = deploy::density_ablation_grid(3.0);
-  deploy::SweepOptions opts;
-  opts.jobs = static_cast<std::size_t>(state.range(0));
-  deploy::SweepRunner runner(opts);
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    auto results = runner.run(grid);
-    deliveries = 0;
-    for (const auto& r : results) deliveries += r.result.totals.deliveries;
-    benchmark::DoNotOptimize(deliveries);
-  }
-  state.counters["cells"] = static_cast<double>(grid.size());
-  state.counters["deliveries"] = static_cast<double>(deliveries);
-}
-BENCHMARK(BM_DensitySweep)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-static void BM_DisasterPack(benchmark::State& state) {
-  // The disaster fault pack (deploy::disaster_pack_grid): one row per fault
-  // cell — calm, lossy, storm, churn, quake, blackhole, sigstorm, siege —
-  // each running the signed and unsigned epidemic variants over one shared
-  // recorded world. The counters are the signed-vs-unsigned table the
-  // README quotes: delivery = delivered-of-posted / deliverable (adversarial
-  // junk never counts as delivered workload), intr = transfers interrupted,
-  // rejected = forged/invalid bundle signatures refused, dropped = frames
-  // eaten by injected loss/grayholes. Metrics are bitwise deterministic at
-  // any --jobs/--subepisode-jobs count (ctest -L fault pins this); the seeds
-  // match a full-grid SweepRunner run with default options.
-  auto grid = deploy::disaster_pack_grid(2.0);
-  const std::size_t idx = static_cast<std::size_t>(state.range(0));
-  deploy::SweepCell cell = grid.at(idx);
-  cell.config.seed = util::derive_seed(42, idx);
-  deploy::SweepOptions opts;
-  opts.derive_seeds = false;
-  deploy::SweepRunner runner(opts);
-
-  std::vector<deploy::CellResult> results;
-  for (auto _ : state) {
-    results = runner.run({cell});
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetLabel(cell.label);
-  for (const auto& r : results) {
-    const std::string v = r.config.verify_signatures ? "signed" : "unsigned";
-    state.counters["delivery_" + v] = r.result.oracle.posted_delivery_ratio();
-    state.counters["intr_" + v] = static_cast<double>(r.result.totals.transfers_interrupted);
-    state.counters["rejected_" + v] =
-        static_cast<double>(r.result.totals.bundle_sig_rejected);
-    state.counters["dropped_" + v] = static_cast<double>(r.result.frames_dropped_fault);
-    state.counters["reboots"] = static_cast<double>(r.result.totals.reboots);
-  }
-}
-BENCHMARK(BM_DisasterPack)
-    ->DenseRange(0, 7)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 static void BM_CheckpointRoundtrip(benchmark::State& state) {
   // Soak checkpoint save/restore cost on the community cell (48n-4c,

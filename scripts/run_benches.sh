@@ -4,13 +4,13 @@
 #   cmake --build build --target bench-json
 # Writes BENCH_crypto.json and BENCH_middleware.json at the repo root.
 #
-# With --jobs N the scenario sweep benches (fig4a-d + ablations) run too,
-# fanned out over N worker threads each via deploy::SweepRunner:
+# With --jobs N the scenario sweep benches (fig4a-d, ablations and the
+# disaster pack) run too, fanned out over N worker threads each via
+# deploy::SweepRunner:
 #   scripts/run_benches.sh --jobs 4 build
-# Sweep metrics are bitwise identical for any N (only wall-clock changes);
-# N is also exported as SOS_SWEEP_JOBS so the bench binaries pick it up
-# when run directly. SOS_SUBEPISODE_JOBS / --subepisode-jobs additionally
-# replays each cell on the contact-strand engine.
+# Sweep metrics are bitwise identical for any N (only wall-clock changes).
+# Run a bench binary directly with --subepisode-jobs M to also replay each
+# cell on the contact-strand engine.
 #
 # With --check, no benches run: the script is the repo's full correctness
 # gate, in three stages.
@@ -21,10 +21,9 @@
 #      (-fno-sanitize-recover=undefined), then the fast `soak`-labelled
 #      tier again on its own (checkpoint/resume pins under ASan).
 #   3. TSan: a -DSOS_SANITIZE=thread build in <build-dir>-tsan runs the
-#      `sweep`-, `fault`-, `mw`-, and `soak`-labelled suites, then re-runs the
-#      randomized multi-community harness and the strand relay tests with
-#      SOS_SUBEPISODE_JOBS=4, so the contact-strand worker pool is
-#      exercised at a fixed width.
+#      `sweep`-, `fault`-, `mw`-, and `soak`-labelled suites; the sweep
+#      suite's randomized harness drives the strand worker pool at 1, 2
+#      and 4 workers.
 # Each sanitizer stage refuses to report "clean" unless the suite binaries
 # are actually instrumented (stale cache / toolchain dropping the flag):
 #   scripts/run_benches.sh --check build
@@ -105,10 +104,7 @@ if [[ $check -eq 1 ]]; then
     echo "== TSan check: ctest -L $label =="
     ctest --test-dir "$tsan_dir" -L "$label" --output-on-failure
   done
-  echo "== TSan check: randomized multi-community harness, SOS_SUBEPISODE_JOBS=4 =="
-  SOS_SUBEPISODE_JOBS=4 "$tsan_dir/episode_test" \
-    --gtest_filter='RandomizedDeterminism.*:StrandReplay.*'
-  echo "lint + ASan/UBSan full suite + TSan sweep/fault/mw suites clean"
+  echo "lint + ASan/UBSan full suite + TSan sweep/fault/mw/soak suites clean"
   exit 0
 fi
 
@@ -118,7 +114,8 @@ fi
 micro_benches=(bench_micro_crypto bench_micro_middleware)
 scenario_benches=(bench_fig4a_social_graph bench_fig4b_mobility_map
                   bench_fig4c_delay_cdf bench_fig4d_delivery_cdf
-                  bench_ablation_density bench_ablation_schemes)
+                  bench_ablation_density bench_ablation_schemes
+                  bench_disaster_pack)
 required=("${micro_benches[@]}")
 [[ -n "$jobs" ]] && required+=("${scenario_benches[@]}")
 missing=0
@@ -131,23 +128,18 @@ for bench in "${required[@]}"; do
 done
 [[ $missing -eq 0 ]] || exit 1
 
-# Five repetitions with aggregates only: BENCH_crypto.json carries the
+# Five repetitions with aggregates only: each BENCH_*.json carries the
 # median and spread of every row, not one sample on a shared machine.
-"$build_dir/bench_micro_crypto" \
-  --benchmark_out="$repo_root/BENCH_crypto.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2 \
-  --benchmark_repetitions=5 \
-  --benchmark_report_aggregates_only=true
-"$build_dir/bench_micro_middleware" \
-  --benchmark_out="$repo_root/BENCH_middleware.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
+repeat_flags=(--benchmark_min_time=0.2 --benchmark_repetitions=5
+              --benchmark_report_aggregates_only=true)
+"$build_dir/bench_micro_crypto" "${repeat_flags[@]}" \
+  --benchmark_out="$repo_root/BENCH_crypto.json" --benchmark_out_format=json
+"$build_dir/bench_micro_middleware" "${repeat_flags[@]}" \
+  --benchmark_out="$repo_root/BENCH_middleware.json" --benchmark_out_format=json
 
 echo "wrote $repo_root/BENCH_crypto.json and $repo_root/BENCH_middleware.json"
 
 if [[ -n "$jobs" ]]; then
-  export SOS_SWEEP_JOBS="$jobs"
   for bench in "${scenario_benches[@]}"; do
     echo "== $bench --jobs $jobs =="
     "$build_dir/$bench" --jobs "$jobs"

@@ -167,7 +167,8 @@ std::size_t parse_jobs(const char* text, std::size_t fallback, const char* sourc
   char* end = nullptr;
   long v = std::strtol(text, &end, 10);
   if (end == text || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "warning: ignoring non-numeric %s value '%s'\n", source, text);
+    std::fprintf(stderr, "warning: ignoring %s value '%s' (not a non-negative integer)\n",
+                 source, text);
     return fallback;
   }
   return static_cast<std::size_t>(v);
@@ -176,17 +177,11 @@ std::size_t parse_jobs(const char* text, std::size_t fallback, const char* sourc
 
 SweepOptions sweep_options_from_args(int argc, char** argv) {
   SweepOptions opts;
-  if (const char* env = std::getenv("SOS_SWEEP_JOBS")) {
-    opts.jobs = parse_jobs(env, opts.jobs, "SOS_SWEEP_JOBS");
-  }
-  if (const char* env = std::getenv("SOS_SUBEPISODE_JOBS")) {
-    opts.subepisode_jobs = parse_jobs(env, opts.subepisode_jobs, "SOS_SUBEPISODE_JOBS");
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
       if (i + 1 < argc) {
-        opts.jobs = parse_jobs(argv[++i], opts.jobs, "--jobs");
+        opts.jobs = parse_jobs(argv[++i], opts.jobs, arg);
       } else {
         std::fprintf(stderr, "warning: %s needs a value; ignoring\n", arg);
       }

@@ -119,18 +119,18 @@ class SweepRunner {
   SweepOptions opts_;
 };
 
-/// Bench-driver CLI: parses `--jobs N` (and bare `-jN`) and
-/// `--subepisode-jobs N`; falls back to the SOS_SWEEP_JOBS /
-/// SOS_SUBEPISODE_JOBS environment variables, then to serial. Every value
-/// is validated the same way: non-numeric or negative input warns and
-/// keeps the previous value — a typo must not mean "all cores".
+/// Bench-driver CLI: parses `--jobs N` / `--jobs=N` / `-j N` / `-jN` and
+/// `--subepisode-jobs N` / `--subepisode-jobs=N`; unset means serial. Every
+/// value is validated the same way: a missing, non-numeric or negative
+/// value warns and keeps the previous one — a typo must not mean "all
+/// cores". Unrecognised arguments are ignored.
 SweepOptions sweep_options_from_args(int argc, char** argv);
 
 /// The canonical density-ablation grid (§VI-B follow-up): the deployment's
 /// sparse operating point down to "typical DTN sim" densities, IB routing,
-/// ~26 posts/user/week. Shared by bench_ablation_density, the
-/// BM_DensitySweep snapshot, and fig4a's community-graph characterization
-/// so they can never drift apart.
+/// ~26 posts/user/week. Shared by bench_ablation_density, fig4a's
+/// community-graph characterization, BM_CheckpointRoundtrip and
+/// episode_test's community-cell pins so they can never drift apart.
 std::vector<SweepCell> density_ablation_grid(double days = 3.0);
 
 /// The disaster fault pack (ROADMAP item 3): one mid-density epidemic world
@@ -138,8 +138,8 @@ std::vector<SweepCell> density_ablation_grid(double days = 3.0);
 /// jitter storm with a radio-dead window, battery churn with
 /// reboot-with-store-loss, a partition-and-heal quake timeline, a
 /// blackhole/grayhole mix, and a forged-signature storm — each run as a
-/// signed and an unsigned variant. Shared by bench_disaster_pack, the
-/// BM_DisasterPack snapshot, and the fault determinism tests.
+/// signed and an unsigned variant. Shared by bench_disaster_pack (the
+/// README's disaster table) and the fault determinism tests.
 std::vector<SweepCell> disaster_pack_grid(double days = 2.0);
 
 }  // namespace sos::deploy

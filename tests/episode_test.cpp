@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -279,22 +278,6 @@ TEST(Replay, SweepRunnerStrandJobsMatchesSingleScheduler) {
 
 namespace {
 
-/// Strand worker counts to sweep per sampled world: SOS_SUBEPISODE_JOBS,
-/// when numeric, joins the set, so `run_benches.sh --check` can push the
-/// TSan run to a specific worker count without editing the test.
-std::vector<std::size_t> harness_jobs() {
-  std::vector<std::size_t> jobs{1, 2, 4};
-  if (const char* env = std::getenv("SOS_SUBEPISODE_JOBS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 &&
-        std::find(jobs.begin(), jobs.end(), static_cast<std::size_t>(v)) == jobs.end()) {
-      jobs.push_back(static_cast<std::size_t>(v));
-    }
-  }
-  return jobs;
-}
-
 /// The structural invariants every strand partition must satisfy, checked
 /// on arbitrary sampled traces: complete coverage (each contact in exactly
 /// one task), strands that hull their node's contacts, strictly disjoint
@@ -383,7 +366,7 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
   // bitwise identical to the single-scheduler reference. This is the pin
   // that lets the community mobility subsystem ride the parallel engine
   // without a determinism leap of faith.
-  const std::vector<std::size_t> strand_jobs = harness_jobs();
+  const std::vector<std::size_t> strand_jobs = {1, 2, 4};
   const char* schemes[] = {"interest", "epidemic", "prophet"};
   const int kWorlds = 50;
   std::size_t total_contacts = 0, total_posts = 0, total_deliveries = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +179,73 @@ TEST(Sweep, CellResultsReportStrandParallelism) {
   // Variants of one cell share the recorded world, hence the same partition.
   EXPECT_DOUBLE_EQ(results[0].subepisode_parallelism, results[1].subepisode_parallelism);
   EXPECT_EQ(results[0].subepisode_width, results[1].subepisode_width);
+}
+
+// --- sweep_options_from_args: the scenario benches' command line -----------
+
+namespace {
+/// Parses `args` as a bench driver's command line (argv[0] prepended).
+sd::SweepOptions parse_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  return sd::sweep_options_from_args(static_cast<int>(args.size()), argv.data());
+}
+}  // namespace
+
+TEST(SweepCli, EveryJobsSpellingParses) {
+  EXPECT_EQ(parse_cli({}).jobs, 1u);
+  EXPECT_EQ(parse_cli({}).subepisode_jobs, 0u);
+  EXPECT_EQ(parse_cli({"--jobs", "3"}).jobs, 3u);
+  EXPECT_EQ(parse_cli({"--jobs=2"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"-j", "4"}).jobs, 4u);
+  EXPECT_EQ(parse_cli({"-j3"}).jobs, 3u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs", "2"}).subepisode_jobs, 2u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs=4"}).subepisode_jobs, 4u);
+  // Both knobs on one line: unknown arguments are skipped, the last value
+  // wins, and nothing else in SweepOptions moves.
+  auto both = parse_cli({"--jobs", "2", "--verbose", "--subepisode-jobs=3", "-j4"});
+  EXPECT_EQ(both.jobs, 4u);
+  EXPECT_EQ(both.subepisode_jobs, 3u);
+  EXPECT_EQ(both.base_seed, sd::SweepOptions{}.base_seed);
+  EXPECT_EQ(both.derive_seeds, sd::SweepOptions{}.derive_seeds);
+  EXPECT_EQ(both.cell_verify_memo, sd::SweepOptions{}.cell_verify_memo);
+}
+
+TEST(SweepCli, MissingOrInvalidValueKeepsThePreviousOne) {
+  // A missing value warns and is ignored.
+  EXPECT_EQ(parse_cli({"--jobs"}).jobs, 1u);
+  EXPECT_EQ(parse_cli({"--jobs", "2", "--jobs"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"-j"}).jobs, 1u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs=2", "--subepisode-jobs"}).subepisode_jobs, 2u);
+  // Non-numeric, partly numeric, empty and negative values never become
+  // 0 (= every core): each keeps whatever the earlier arguments set.
+  EXPECT_EQ(parse_cli({"--jobs", "3", "--jobs", "four"}).jobs, 3u);
+  EXPECT_EQ(parse_cli({"--jobs", "2", "--jobs", "3x"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"--jobs=2", "--jobs="}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"--jobs=2", "--jobs=-1"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"-j", "3", "-j", "-2"}).jobs, 3u);
+  EXPECT_EQ(parse_cli({"-j2", "-jx"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"--jobs", "-4"}).jobs, 1u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs", "2", "--subepisode-jobs", "two"}).subepisode_jobs,
+            2u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs=-3"}).subepisode_jobs, 0u);
+}
+
+TEST(SweepCli, EnvironmentVariablesAreNotRead) {
+  // The job counts come from the command line only; the environment
+  // variables earlier versions read must no longer change the result.
+  ASSERT_EQ(::setenv("SOS_SWEEP_JOBS", "3", 1), 0);
+  ASSERT_EQ(::setenv("SOS_SUBEPISODE_JOBS", "2", 1), 0);
+  const sd::SweepOptions defaults = parse_cli({});
+  const sd::SweepOptions flagged = parse_cli({"--jobs", "4"});
+  ::unsetenv("SOS_SWEEP_JOBS");
+  ::unsetenv("SOS_SUBEPISODE_JOBS");
+  EXPECT_EQ(defaults.jobs, 1u);
+  EXPECT_EQ(defaults.subepisode_jobs, 0u);
+  EXPECT_EQ(flagged.jobs, 4u);
+  EXPECT_EQ(flagged.subepisode_jobs, 0u);
 }
 
 // --- WorkerBudget: the token pool behind nested parallelism ----------------

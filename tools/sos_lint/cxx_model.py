@@ -1,6 +1,6 @@
 """Token-level C++ frontend for sos-lint.
 
-This is the reference frontend: a comment/string-aware tokenizer plus a
+A dependency-free frontend: a comment/string-aware tokenizer plus a
 lightweight semantic model (function definitions, name-based call edges,
 unordered-container declarations and iteration sites, allow-annotations).
 It deliberately over-approximates — a name-based call graph has edges a
@@ -8,12 +8,6 @@ real compiler would prune — because every rule it feeds accepts an inline
 ``// sos-lint: allow(<rule>) <justification>`` annotation for the false
 positives, while a missed true positive would silently void the repo's
 determinism guarantee.
-
-An AST-exact frontend backed by libclang lives in ``clang_frontend.py``
-and is used automatically when the ``clang.cindex`` bindings are
-importable; this module is the fallback (and the one exercised by the
-fixture suite, so rule behaviour is pinned regardless of which frontend a
-given machine has).
 """
 
 from __future__ import annotations
@@ -108,11 +102,6 @@ class FileModel:
     pointer_key_decls: list[tuple[int, str]]
     # Destructor definitions seen in this file: class name -> body text.
     dtor_bodies: dict[str, str]
-    # Token-layer function facts, preserved verbatim even when the clang
-    # frontend replaces `functions` with AST-derived ones: the seam rule's
-    # reference sets come from here so its verdicts cannot shift with the
-    # frontend (PARSE_INCOMPLETE ASTs can drop reference expressions).
-    token_functions: list[Function] = field(default_factory=list)
     # (call line, callee name, lock declaration line) for every call made
     # while a lock_guard/unique_lock/scoped_lock/MutexLock declared in the
     # same block is in scope. Over-approximates (a manual unlock() does not
@@ -579,6 +568,5 @@ def build_model(path: str, text: str) -> FileModel:
         unordered_names=unordered_names,
         pointer_key_decls=pointer_keys,
         dtor_bodies=dtors,
-        token_functions=functions,
         lock_scope_calls=_collect_lock_scope_calls(tokens),
     )

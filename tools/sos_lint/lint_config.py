@@ -1,17 +1,15 @@
 """sos-lint configuration.
 
-Defaults here describe THIS repo (scan paths, emission roots, crypto
-paths, secret-name patterns); ``sos_lint.toml`` next to this file is
-merged over them so the catalog can be tuned without touching code.
-Paths are repo-relative with forward slashes and are matched by
-substring, so a directory prefix covers everything under it.
+The defaults here are THIS repo's policy (scan paths, emission roots,
+crypto paths, secret-name patterns); a rule is tuned by editing them in
+review. ``--selftest`` overrides fields in code for the fixtures. Paths
+are repo-relative with forward slashes and are matched by substring, so
+a directory prefix covers everything under it.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -19,7 +17,6 @@ class LintConfig:
     # What to scan.
     scan_paths: list[str] = field(default_factory=lambda: ["src"])
     extensions: list[str] = field(default_factory=lambda: [".cpp", ".hpp"])
-    disabled_rules: list[str] = field(default_factory=list)
 
     # unordered-iteration: files whose functions are emission roots (their
     # entire forward call closure must not iterate unordered containers),
@@ -100,24 +97,3 @@ class LintConfig:
         "on_",                                    # middleware callbacks
     ])
 
-
-def load_config(root: Path, override: Path | None = None) -> LintConfig:
-    cfg = LintConfig()
-    toml_path = override or Path(__file__).resolve().parent / "sos_lint.toml"
-    if toml_path.exists():
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # pragma: no cover — python < 3.11
-            print(f"sos-lint: warning: tomllib unavailable, "
-                  f"ignoring {toml_path}", file=sys.stderr)
-            return cfg
-        data = tomllib.loads(toml_path.read_text())
-        valid = {f.name for f in fields(LintConfig)}
-        for key, value in data.items():
-            name = key.replace("-", "_")
-            if name not in valid:
-                print(f"sos-lint: warning: unknown config key '{key}' in "
-                      f"{toml_path}", file=sys.stderr)
-                continue
-            setattr(cfg, name, value)
-    return cfg

@@ -300,14 +300,12 @@ def rule_zeroize_secret(models: list[FileModel], cfg) -> list[Finding]:
 def rule_seam_completeness(models: list[FileModel], cfg) -> list[Finding]:
     """Every trailing-underscore member of a seam class must appear in the
     detach/attach closure: the detach()/attach() bodies plus, transitively,
-    same-class methods they call. Facts come from the token layer
-    (FileModel.token_functions), so verdicts are frontend-independent; the
-    clang frontend can only add references on top, never remove them."""
+    same-class methods they call."""
     # (class, method) -> definitions, across all scanned files — the seam
     # bodies usually live in the .cpp while the members live in the .hpp.
     by_class_method: dict[tuple[str, str], list] = {}
     for m in models:
-        for fn in m.token_functions:
+        for fn in m.functions:
             parts = fn.qual.split("::")
             if len(parts) >= 2:
                 by_class_method.setdefault((parts[-2], parts[-1]), []).append(fn)
@@ -399,7 +397,5 @@ def run_rules(models: list[FileModel], cfg) -> list[Finding]:
     for m in models:
         findings.extend(check_annotations(m))
     for rule in ALL_RULES:
-        if rule in cfg.disabled_rules:
-            continue
         findings.extend(RULE_FNS[rule](models, cfg))
     return sorted(findings, key=lambda f: (f.file, f.line, f.rule))

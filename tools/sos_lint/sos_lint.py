@@ -7,14 +7,12 @@ was only ever enforced dynamically (determinism pins under TSan). This
 tool enforces the *static* half: no nondeterministic iteration or ambient
 entropy on emission-reachable paths, and constant-time / zeroizing
 discipline for secret material. Rule catalog: rules.py. Config:
-lint_config.py + sos_lint.toml.
+lint_config.py (its defaults are the repo's policy).
 
 Usage:
   sos_lint.py --root <repo>                 # lint src/ (CMake `lint` target)
   sos_lint.py --root <repo> --selftest      # run tests/lint_fixtures
   sos_lint.py --root <repo> path1.cpp ...   # lint specific files
-  sos_lint.py --frontend {auto,token,clang} # AST frontend selection
-  sos_lint.py --cache-file <f>              # incremental: skip unchanged trees
   sos_lint.py --format sarif --output <f>   # SARIF 2.1.0 for CI upload
 
 Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/internal.
@@ -23,121 +21,23 @@ Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/internal.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import clang_frontend  # noqa: E402
 from cxx_model import FileModel, build_model  # noqa: E402
-from lint_config import LintConfig, load_config  # noqa: E402
+from lint_config import LintConfig  # noqa: E402
 from rules import ALL_RULES, Finding, run_rules  # noqa: E402
 
 
-def _load_models(root: Path, paths: list[Path],
-                 frontend: str) -> tuple[list[FileModel], dict]:
-    """Build models; the stats dict reports which frontend actually ran
-    ({'frontend': 'clang'|'token', 'ast': files parsed via AST, 'total': n})
-    so CI can assert the AST frontend was live, not silently degraded."""
-    use_clang = False
-    if frontend == "clang":
-        if not clang_frontend.available():
-            print("sos-lint: error: --frontend clang requested but the "
-                  "clang.cindex Python bindings are not importable.\n"
-                  "  This container gates (not installs) the dependency; "
-                  "on Debian/Ubuntu: apt install python3-clang libclang1.\n"
-                  "  Falling back is NOT done for an explicit request — "
-                  "use --frontend token or auto.", file=sys.stderr)
-            raise SystemExit(2)
-        use_clang = True
-    elif frontend == "auto":
-        use_clang = clang_frontend.available()
-
+def _load_models(root: Path, paths: list[Path]) -> list[FileModel]:
     models = []
-    ast_ok = 0
-    include_dirs = [str(root / "src")]
     for p in paths:
         rel = p.relative_to(root).as_posix() if p.is_absolute() else p.as_posix()
-        text = p.read_text(encoding="utf-8", errors="replace")
-        if use_clang:
-            try:
-                models.append(clang_frontend.build_model_clang(rel, text, include_dirs))
-                ast_ok += 1
-                continue
-            except Exception as e:  # degrade, never crash the gate
-                print(f"sos-lint: warning: clang frontend failed on {rel} "
-                      f"({e}); using token frontend", file=sys.stderr)
-        models.append(build_model(rel, text))
-    stats = {
-        "frontend": "clang" if use_clang else "token",
-        "ast": ast_ok,
-        "total": len(models),
-    }
-    return models, stats
-
-
-# --------------------------------------------------------------------------
-# incremental cache
-# --------------------------------------------------------------------------
-
-def _tool_version_hash() -> str:
-    """Hash of the lint tool's own sources: any rule/model/config-schema
-    change invalidates every cached verdict."""
-    h = hashlib.sha256()
-    tool_dir = Path(__file__).resolve().parent
-    for f in sorted(tool_dir.glob("*.py")) + sorted(tool_dir.glob("*.toml")):
-        h.update(f.name.encode())
-        h.update(f.read_bytes())
-    return h.hexdigest()
-
-
-def _config_hash(cfg: LintConfig) -> str:
-    from dataclasses import asdict
-    return hashlib.sha256(
-        json.dumps(asdict(cfg), sort_keys=True).encode()
-    ).hexdigest()
-
-
-def _file_hashes(root: Path, files: list[Path]) -> dict[str, str]:
-    out = {}
-    for p in files:
-        rel = p.relative_to(root).as_posix() if p.is_absolute() else p.as_posix()
-        out[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
-
-
-def _cache_lookup(cache_file: Path, key: dict) -> list[Finding] | None:
-    """Stored findings iff the WHOLE tree matches. Findings are stored per
-    file, but validity is all-or-nothing: several rules are cross-file
-    (emission reachability, seam hpp/cpp closure, dtor lookup), so reusing
-    one file's verdicts while another changed would be unsound."""
-    try:
-        data = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
-        return None
-    if any(data.get(k) != key[k] for k in ("tool", "config", "frontend", "files")):
-        return None
-    findings = []
-    for rel, entries in data.get("findings", {}).items():
-        for line, rule, message in entries:
-            findings.append(Finding(rel, line, rule, message))
-    return sorted(findings, key=lambda f: (f.file, f.line, f.rule))
-
-
-def _cache_store(cache_file: Path, key: dict, findings: list[Finding]) -> None:
-    per_file: dict[str, list] = {}
-    for f in findings:
-        per_file.setdefault(f.file, []).append([f.line, f.rule, f.message])
-    data = dict(key)
-    data["findings"] = per_file
-    try:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(json.dumps(data, indent=1, sort_keys=True))
-    except OSError as e:  # cache is an accelerator, never a gate
-        print(f"sos-lint: warning: could not write cache {cache_file}: {e}",
-              file=sys.stderr)
+        models.append(build_model(rel, p.read_text(encoding="utf-8", errors="replace")))
+    return models
 
 
 # --------------------------------------------------------------------------
@@ -264,34 +164,10 @@ def _emit(findings: list[Finding], fmt: str, output: Path | None,
     return 1 if findings else 0
 
 
-def lint(root: Path, cfg: LintConfig, files: list[Path], frontend: str,
-         cache_file: Path | None = None, fmt: str = "text",
+def lint(root: Path, cfg: LintConfig, files: list[Path], fmt: str = "text",
          output: Path | None = None) -> int:
-    cache_key = None
-    if cache_file is not None:
-        # Validity is whole-tree: tool sources + config + frontend + every
-        # scanned file's content hash. Per-file reuse would be unsound for
-        # the cross-file rules; a full-tree hit costs only the hashing pass.
-        cache_key = {
-            "tool": _tool_version_hash(),
-            "config": _config_hash(cfg),
-            "frontend": frontend,
-            "files": _file_hashes(root, files),
-        }
-        cached = _cache_lookup(cache_file, cache_key)
-        if cached is not None:
-            summary = (f"sos-lint: cache hit ({len(cache_key['files'])} files "
-                       f"unchanged); {len(cached)} finding(s)")
-            return _emit(cached, fmt, output, summary)
-
-    models, stats = _load_models(root, files, frontend)
+    models = _load_models(root, files)
     findings = run_rules(models, cfg)
-    # CI asserts on this line: a lint job that requested the AST frontend
-    # must see frontend=clang with every file parsed, not a silent fallback.
-    print(f"sos-lint: frontend={stats['frontend']} "
-          f"ast={stats['ast']}/{stats['total']}")
-    if cache_key is not None:
-        _cache_store(cache_file, cache_key, findings)
     if findings:
         summary = (f"sos-lint: {len(findings)} finding(s) across "
                    f"{len({f.file for f in findings})} file(s)")
@@ -301,7 +177,7 @@ def lint(root: Path, cfg: LintConfig, files: list[Path], frontend: str,
     return _emit(findings, fmt, output, summary)
 
 
-def selftest(root: Path, frontend: str) -> int:
+def selftest(root: Path) -> int:
     """Run the rule fixtures: tests/lint_fixtures/<rule>_trigger.cpp must
     produce >=1 finding of exactly <rule>; <rule>_clean.cpp must produce
     none at all. A rule that stops firing therefore fails ctest -L lint."""
@@ -339,7 +215,7 @@ def selftest(root: Path, frontend: str) -> int:
             failures.append(f"{path.name}: unknown rule '{rule}'")
             continue
         covered.add(rule)
-        models, _stats = _load_models(root, [path], frontend)
+        models = _load_models(root, [path])
         findings = run_rules(models, cfg)
         if expect_hit:
             mine = [f for f in findings if f.rule == rule]
@@ -390,19 +266,8 @@ def main(argv: list[str]) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path.cwd(),
                     help="repository root (default: cwd)")
-    ap.add_argument("--config", type=Path, default=None,
-                    help="TOML config overriding sos_lint.toml")
-    ap.add_argument("--frontend", choices=["auto", "token", "clang"],
-                    default="auto",
-                    help="C++ frontend: libclang AST when available (auto), "
-                         "token scanner (token), or require libclang (clang)")
     ap.add_argument("--selftest", action="store_true",
                     help="run the rule fixtures in tests/lint_fixtures")
-    ap.add_argument("--cache-file", type=Path, default=None,
-                    help="incremental cache: reuse findings when the whole "
-                         "tree (plus tool + config) is unchanged")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="ignore --cache-file (escape hatch)")
     ap.add_argument("--format", choices=["text", "sarif"], default="text",
                     help="finding output format (sarif = SARIF 2.1.0)")
     ap.add_argument("--output", type=Path, default=None,
@@ -413,18 +278,14 @@ def main(argv: list[str]) -> int:
 
     root = args.root.resolve()
     if args.selftest:
-        # Pin fixture behaviour to the frontend every machine has.
-        frontend = args.frontend if args.frontend != "auto" else "token"
-        return selftest(root, frontend)
+        return selftest(root)
 
-    cfg = load_config(root, args.config)
+    cfg = LintConfig()
     files = [p.resolve() for p in args.files] if args.files else _scan_paths(root, cfg)
     if not files:
         print("sos-lint: nothing to scan", file=sys.stderr)
         return 2
-    cache_file = None if args.no_cache else args.cache_file
-    return lint(root, cfg, files, args.frontend, cache_file=cache_file,
-                fmt=args.format, output=args.output)
+    return lint(root, cfg, files, fmt=args.format, output=args.output)
 
 
 if __name__ == "__main__":
