@@ -68,47 +68,39 @@ std::vector<Post> LocalDb::take_pending_posts() {
   return out;
 }
 
+namespace {
+constexpr std::string_view kSnapshotTag = "alleyoop-db-v1";
+constexpr std::uint64_t kMaxRecords = 10'000'000;
+}  // namespace
+
 util::Bytes LocalDb::serialize() const {
   util::Writer w;
-  w.str("alleyoop-db-v1");
+  w.str(kSnapshotTag);
   w.varint(posts_.size());
-  for (const auto& [key, post] : posts_) w.bytes(post.encode());
+  for (const auto& [key, post] : posts_) util::put(w, util::framed(post));
   w.varint(actions_.size());
-  for (const auto& a : actions_) w.bytes(a.encode());
-  w.varint(pending_posts_.size());
-  for (const auto& [author, num] : pending_posts_) {
-    w.raw(author.view());
-    w.u32(num);
-  }
+  for (const auto& a : actions_) util::put(w, util::framed(a));
+  util::put(w, pending_posts_);
   return w.take();
 }
 
 std::optional<LocalDb> LocalDb::deserialize(util::ByteView data) {
   util::Reader r(data);
-  if (r.str() != "alleyoop-db-v1") return std::nullopt;
+  if (r.str() != kSnapshotTag) return std::nullopt;
   LocalDb db;
-  std::uint64_t n = r.varint();
-  if (n > 10'000'000) return std::nullopt;
+  std::uint64_t n = r.count(kMaxRecords);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    auto post = Post::decode(r.bytes());
-    if (!post) return std::nullopt;
-    db.put_post(*post);
+    Post post;
+    util::get(r, util::framed(post));
+    if (r.ok()) db.put_post(post);
   }
-  std::uint64_t m = r.varint();
-  if (m > 10'000'000) return std::nullopt;
+  std::uint64_t m = r.count(kMaxRecords);
   for (std::uint64_t i = 0; i < m && r.ok(); ++i) {
-    auto action = SocialAction::decode(r.bytes());
-    if (!action) return std::nullopt;
-    db.put_action(*action);
+    SocialAction action;
+    util::get(r, util::framed(action));
+    if (r.ok()) db.put_action(action);
   }
-  std::uint64_t p = r.varint();
-  if (p > 10'000'000) return std::nullopt;
-  for (std::uint64_t i = 0; i < p && r.ok(); ++i) {
-    pki::UserId author;
-    author.bytes = r.raw_array<pki::kUserIdSize>();
-    std::uint32_t num = r.u32();
-    db.pending_posts_.insert({author, num});
-  }
+  util::get(r, util::bounded(db.pending_posts_, kMaxRecords));
   if (!r.done()) return std::nullopt;
   return db;
 }

@@ -11,6 +11,7 @@
 
 #include "pki/identity.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/time.hpp"
 
 namespace sos::alleyoop {
@@ -22,8 +23,13 @@ struct Post {
   util::SimTime created_at = 0;
   std::string text;
 
-  util::Bytes encode() const;
-  static std::optional<Post> decode(util::ByteView data);
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.author, s.author_name, s.msg_num, s.created_at, s.text);
+  }
+
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<Post> decode(util::ByteView data) { return util::decode<Post>(data); }
 };
 
 enum class ActionKind : std::uint8_t { Follow = 0, Unfollow = 1 };
@@ -34,8 +40,15 @@ struct SocialAction {
   pki::UserId target;
   util::SimTime at = 0;
 
-  util::Bytes encode() const;
-  static std::optional<SocialAction> decode(util::ByteView data);
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::enum_u8(s.kind, ActionKind::Unfollow), s.actor, s.target, s.at);
+  }
+
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<SocialAction> decode(util::ByteView data) {
+    return util::decode<SocialAction>(data);
+  }
 };
 
 }  // namespace sos::alleyoop

@@ -14,6 +14,7 @@
 #include "pki/certificate.hpp"
 #include "pki/identity.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/time.hpp"
 
 namespace sos::bundle {
@@ -29,6 +30,11 @@ struct BundleId {
   std::uint32_t msg_num = 0;
 
   auto operator<=>(const BundleId&) const = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.origin, s.msg_num);
+  }
 };
 
 struct Bundle {
@@ -44,9 +50,17 @@ struct Bundle {
 
   BundleId id() const { return {origin, msg_num}; }
 
-  /// Immutable fields covered by the origin signature. hop_count is
-  /// per-copy relay metadata and deliberately excluded.
-  util::Bytes signing_bytes() const;
+  /// Wire layout. The origin signature covers every field but hop_count,
+  /// which is per-copy relay metadata, and the signature itself.
+  static constexpr std::string_view kSigningDomain = "sos-bundle-v1";
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.origin, s.msg_num, s.creation_ts, s.lifetime_s,
+      util::enum_u8(s.content, ContentType::ControlAction), s.dest,
+      util::unsigned_field(s.hop_count), s.payload, util::unsigned_field(s.signature));
+  }
+
+  util::Bytes signing_bytes() const { return util::signing_bytes(*this); }
 
   void sign(const crypto::Ed25519Keypair& origin_keys);
   bool verify(const crypto::EdPublicKey& origin_key) const;
@@ -56,8 +70,8 @@ struct Bundle {
   }
   bool is_unicast() const { return !dest.is_zero(); }
 
-  util::Bytes encode() const;
-  static std::optional<Bundle> decode(util::ByteView data);
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<Bundle> decode(util::ByteView data) { return util::decode<Bundle>(data); }
 };
 
 }  // namespace sos::bundle

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/codec.hpp"
-
 namespace sos::bundle {
 
 namespace {
@@ -115,44 +113,36 @@ void BundleStore::remove(const BundleId& id) {
 
 void BundleStore::save_state(util::Writer& w) const {
   w.varint(bundles_.size());
-  for (const auto& [id, stored] : bundles_) {
-    // encode() covers hop_count, but hops_on_arrival is receive-time
-    // metadata the wire format never carries — saved explicitly.
-    w.bytes(stored.bundle.encode());
-    w.f64(stored.received_at);
-    w.u8(stored.hops_on_arrival);
-  }
-  w.u64(evicted_);
-  w.u64(duplicates_);
+  for (const auto& [id, stored] : bundles_) util::put(w, stored);
+  util::put(w, evicted_, duplicates_);
 }
 
 bool BundleStore::load_state(util::Reader& r) {
-  std::uint64_t n = r.varint();
+  std::uint64_t n = r.count();
   std::map<BundleId, StoredBundle> bundles;
   TimeIndex by_creation;
   TimeIndex by_deadline;
   std::map<pki::UserId, std::uint32_t> summary;
   std::size_t unicast = 0;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    util::Bytes enc = r.bytes();
-    double received_at = r.f64();
-    std::uint8_t hops = r.u8();
+    StoredBundle stored;
+    util::get(r, stored);
     if (!r.ok()) return false;
-    auto b = Bundle::decode(enc);
-    if (!b) return false;
-    BundleId id = b->id();
+    const Bundle& b = stored.bundle;
+    BundleId id = b.id();
     // A repeated id cannot come from save_state (bundles_ is keyed by id),
     // and would leave index entries naming no held bundle.
     if (bundles.count(id) > 0) return false;
-    if (b->is_unicast()) ++unicast;
-    by_creation.emplace(b->creation_ts, id);
-    if (auto deadline = expiry_deadline(*b)) by_deadline.emplace(*deadline, id);
+    if (b.is_unicast()) ++unicast;
+    by_creation.emplace(b.creation_ts, id);
+    if (auto deadline = expiry_deadline(b)) by_deadline.emplace(*deadline, id);
     auto& held = summary[id.origin];
     if (id.msg_num > held) held = id.msg_num;
-    bundles.emplace(id, StoredBundle{std::move(*b), received_at, hops});
+    bundles.emplace(id, std::move(stored));
   }
-  std::uint64_t evicted = r.u64();
-  std::uint64_t duplicates = r.u64();
+  std::uint64_t evicted = 0;
+  std::uint64_t duplicates = 0;
+  util::get(r, evicted, duplicates);
   if (!r.ok()) return false;
   bundles_ = std::move(bundles);
   by_creation_ = std::move(by_creation);

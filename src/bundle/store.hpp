@@ -13,17 +13,19 @@
 
 #include "bundle/bundle.hpp"
 
-namespace sos::util {
-class Writer;
-class Reader;
-}  // namespace sos::util
-
 namespace sos::bundle {
 
 struct StoredBundle {
   Bundle bundle;
   util::SimTime received_at = 0;
   std::uint8_t hops_on_arrival = 0;
+
+  /// Checkpoint layout. The bundle's encoding covers hop_count, but
+  /// hops_on_arrival is receive-time metadata the wire never carries.
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::framed(s.bundle), s.received_at, s.hops_on_arrival);
+  }
 };
 
 class BundleStore {

@@ -27,17 +27,14 @@ util::Bytes Drbg::generate(std::size_t len) {
 }
 
 void Drbg::save_state(util::Writer& w) const {
-  w.raw(util::ByteView(key_, 32));
-  w.u64(counter_);
+  util::put(w, *this);
 }
 
 bool Drbg::load_state(util::Reader& r) {
-  auto key = r.raw_array<32>();
-  std::uint64_t counter = r.u64();
+  Drbg next = *this;
+  util::get(r, next);
   if (!r.ok()) return false;
-  std::memcpy(key_, key.data(), 32);
-  counter_ = counter;
-  util::secure_wipe(key.data(), key.size());
+  *this = next;
   return true;
 }
 

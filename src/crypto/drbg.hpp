@@ -42,6 +42,12 @@ class Drbg {
   void save_state(util::Writer& w) const;
   bool load_state(util::Reader& r);
 
+  /// Checkpoint layout.
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.key_, s.counter_);
+  }
+
  private:
   std::uint8_t key_[32];
   std::uint64_t counter_ = 0;

@@ -22,6 +22,11 @@ struct PostRecord {
   pki::UserId author;
   util::SimTime created = 0;
   sim::Vec2 location;  // where the author stood when posting (Fig 4b blue)
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.id, s.author, s.created, s.location.x, s.location.y);
+  }
 };
 
 struct DeliveryRecord {
@@ -30,6 +35,11 @@ struct DeliveryRecord {
   util::SimTime at = 0;
   std::uint8_t hops = 0;
   sim::Vec2 location;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.id, s.subscriber, s.at, s.hops, s.location.x, s.location.y);
+  }
 };
 
 struct CarryRecord {
@@ -37,6 +47,11 @@ struct CarryRecord {
   pki::UserId carrier;
   util::SimTime at = 0;
   sim::Vec2 location;  // where the message was passed (Fig 4b red)
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.id, s.carrier, s.at, s.location.x, s.location.y);
+  }
 };
 
 class MetricsOracle {

@@ -489,42 +489,12 @@ void ReplaySession::save_state(util::Writer& w) const {
   const Impl& im = *impl_;
   w.f64(im.now);
   w.varint(im.fleet.nodes.size());
-  for (const auto& node : im.fleet.nodes) {
-    util::Writer sub;
-    node->save_state(sub);
-    w.bytes(sub.take());
-  }
+  for (const auto& node : im.fleet.nodes)
+    w.framed([&](util::Writer& sub) { node->save_state(sub); });
   for (std::size_t c : im.timeline_cursor) w.varint(c);
   for (util::SimTime t : im.resume_at) w.f64(t);
   const MetricsOracle& oracle = im.result.oracle;
-  w.varint(oracle.posts().size());
-  for (const PostRecord& r : oracle.posts()) {
-    w.raw(r.id.origin.view());
-    w.u32(r.id.msg_num);
-    w.raw(r.author.view());
-    w.f64(r.created);
-    w.f64(r.location.x);
-    w.f64(r.location.y);
-  }
-  w.varint(oracle.deliveries().size());
-  for (const DeliveryRecord& r : oracle.deliveries()) {
-    w.raw(r.id.origin.view());
-    w.u32(r.id.msg_num);
-    w.raw(r.subscriber.view());
-    w.f64(r.at);
-    w.u8(r.hops);
-    w.f64(r.location.x);
-    w.f64(r.location.y);
-  }
-  w.varint(oracle.carries().size());
-  for (const CarryRecord& r : oracle.carries()) {
-    w.raw(r.id.origin.view());
-    w.u32(r.id.msg_num);
-    w.raw(r.carrier.view());
-    w.f64(r.at);
-    w.f64(r.location.x);
-    w.f64(r.location.y);
-  }
+  util::put(w, oracle.posts(), oracle.deliveries(), oracle.carries());
   for_each_net_counter([&](const char*, std::uint64_t v) { w.u64(v); }, im.result);
 }
 
@@ -536,8 +506,9 @@ bool ReplaySession::load_state(util::Reader& r) {
   if (!r.ok() || nodes != im.fleet.nodes.size()) return false;
   // Range checks are written so NaN fails them: a NaN compares false.
   if (!(now >= 0 && now <= im.horizon)) return false;
-  std::vector<util::Bytes> blobs(im.fleet.nodes.size());
-  for (auto& blob : blobs) blob = r.bytes();
+  std::vector<util::Reader> node_states;
+  node_states.reserve(im.fleet.nodes.size());
+  for (std::size_t i = 0; i < im.fleet.nodes.size(); ++i) node_states.push_back(r.framed());
   std::vector<std::size_t> cursor(im.config.nodes);
   for (std::size_t i = 0; i < cursor.size(); ++i) {
     std::uint64_t v = r.varint();
@@ -549,49 +520,15 @@ bool ReplaySession::load_state(util::Reader& r) {
     t = r.f64();
     if (!(t >= 0 && t <= now)) return false;  // a node cannot resume past the cut
   }
-  std::uint64_t posts = r.varint();
-  if (!r.ok()) return false;
   std::vector<PostRecord> post_recs;
-  for (std::uint64_t i = 0; i < posts && r.ok(); ++i) {
-    PostRecord rec;
-    rec.id.origin.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.id.msg_num = r.u32();
-    rec.author.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.created = r.f64();
-    rec.location.x = r.f64();
-    rec.location.y = r.f64();
-    post_recs.push_back(rec);
-  }
-  std::uint64_t deliveries = r.varint();
   std::vector<DeliveryRecord> delivery_recs;
-  for (std::uint64_t i = 0; i < deliveries && r.ok(); ++i) {
-    DeliveryRecord rec;
-    rec.id.origin.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.id.msg_num = r.u32();
-    rec.subscriber.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.at = r.f64();
-    rec.hops = r.u8();
-    rec.location.x = r.f64();
-    rec.location.y = r.f64();
-    delivery_recs.push_back(rec);
-  }
-  std::uint64_t carries = r.varint();
   std::vector<CarryRecord> carry_recs;
-  for (std::uint64_t i = 0; i < carries && r.ok(); ++i) {
-    CarryRecord rec;
-    rec.id.origin.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.id.msg_num = r.u32();
-    rec.carrier.bytes = r.raw_array<pki::kUserIdSize>();
-    rec.at = r.f64();
-    rec.location.x = r.f64();
-    rec.location.y = r.f64();
-    carry_recs.push_back(rec);
-  }
+  util::get(r, post_recs, delivery_recs, carry_recs);
   TaskOut net;
   for_each_net_counter([&](const char*, std::uint64_t& v) { v = r.u64(); }, net);
-  if (!r.ok()) return false;
+  if (!r.done()) return false;
   for (std::size_t i = 0; i < im.fleet.nodes.size(); ++i) {
-    util::Reader sub{util::ByteView(blobs[i])};
+    util::Reader& sub = node_states[i];
     if (!im.fleet.nodes[i]->load_state(sub) || !sub.done()) return false;
   }
   im.timeline_cursor = std::move(cursor);

@@ -124,8 +124,8 @@ class ReplaySession {
   void save_state(util::Writer& w) const;
   /// Mirror of save_state; call on a freshly constructed session for the
   /// same config/world before any advance_to. Returns false on malformed
-  /// input (the session must then be discarded): truncation, a node count
-  /// mismatch, a sim time that is non-finite or outside [0, horizon], a
+  /// input (the session must then be discarded): truncation, trailing
+  /// bytes, a node count mismatch, a sim time that is non-finite or outside [0, horizon], a
   /// resume point outside [0, sim time], or a timeline cursor past its
   /// timeline's end. Those checks all run before any node state is touched.
   bool load_state(util::Reader& r);

@@ -15,36 +15,41 @@ void Table::set_row(std::size_t index, std::vector<std::string> cells) {
   rows_[index] = std::move(cells);
 }
 
-void Table::print() const {
+std::string Table::render() const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
   for (const auto& row : rows_)
     for (std::size_t c = 0; c < row.size() && c < widths.size(); ++c)
       widths[c] = std::max(widths[c], row[c].size());
 
-  auto print_row = [&](const std::vector<std::string>& row) {
-    std::printf("| ");
+  // Each column is its width plus one space either side, between borders.
+  std::string out;
+  auto row_line = [&](const std::vector<std::string>& row) {
+    out += "|";
     for (std::size_t c = 0; c < widths.size(); ++c) {
-      const std::string& cell = c < row.size() ? row[c] : "";
-      std::printf("%-*s | ", static_cast<int>(widths[c]), cell.c_str());
+      std::string cell = c < row.size() ? row[c] : "";
+      cell.resize(widths[c], ' ');
+      out += " " + cell + " |";
     }
-    std::printf("\n");
+    out += "\n";
   };
-  auto print_sep = [&] {
-    std::printf("+");
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-      for (std::size_t i = 0; i < widths[c] + 3; ++i) std::printf("-");
-      std::printf("+");
-    }
-    std::printf("\n");
+  auto sep_line = [&] {
+    out += "+";
+    for (std::size_t w : widths) out += std::string(w + 2, '-') + "+";
+    out += "\n";
   };
 
-  print_sep();
-  print_row(headers_);
-  print_sep();
+  sep_line();
+  row_line(headers_);
+  sep_line();
   for (const auto& row : rows_)
-    if (!row.empty()) print_row(row);
-  print_sep();
+    if (!row.empty()) row_line(row);
+  sep_line();
+  return out;
+}
+
+void Table::print() const {
+  std::fputs(render().c_str(), stdout);
 }
 
 std::string fmt(double v, int decimals) {

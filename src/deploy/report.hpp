@@ -16,6 +16,8 @@ class Table {
   /// workers finish out of order but the printed grid must not. Grows the
   /// table as needed; rows never set are skipped when printing.
   void set_row(std::size_t index, std::vector<std::string> cells);
+  /// The bordered grid, one line per row, every line the same width.
+  std::string render() const;
   void print() const;
 
  private:

@@ -5,6 +5,7 @@
 #include "sim/subepisode.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -177,23 +178,27 @@ std::size_t parse_jobs(const char* text, std::size_t fallback, const char* sourc
 
 SweepOptions sweep_options_from_args(int argc, char** argv) {
   SweepOptions opts;
+  // The argument after a flag is its value unless it is itself a flag
+  // (`--jobs --subepisode-jobs 2` must not swallow `--subepisode-jobs`).
+  // Negative numbers are values, and parse_jobs rejects them.
+  auto value_after = [&](int& i) -> const char* {
+    const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (next == nullptr ||
+        (next[0] == '-' && next[1] != '\0' && !std::isdigit(static_cast<unsigned char>(next[1])))) {
+      std::fprintf(stderr, "warning: %s needs a value; ignoring\n", argv[i]);
+      return nullptr;
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      if (i + 1 < argc) {
-        opts.jobs = parse_jobs(argv[++i], opts.jobs, arg);
-      } else {
-        std::fprintf(stderr, "warning: %s needs a value; ignoring\n", arg);
-      }
+      if (const char* v = value_after(i)) opts.jobs = parse_jobs(v, opts.jobs, arg);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       opts.jobs = parse_jobs(arg + 7, opts.jobs, "--jobs");
     } else if (std::strcmp(arg, "--subepisode-jobs") == 0) {
-      if (i + 1 < argc) {
-        opts.subepisode_jobs =
-            parse_jobs(argv[++i], opts.subepisode_jobs, "--subepisode-jobs");
-      } else {
-        std::fprintf(stderr, "warning: %s needs a value; ignoring\n", arg);
-      }
+      if (const char* v = value_after(i))
+        opts.subepisode_jobs = parse_jobs(v, opts.subepisode_jobs, arg);
     } else if (std::strncmp(arg, "--subepisode-jobs=", 18) == 0) {
       opts.subepisode_jobs = parse_jobs(arg + 18, opts.subepisode_jobs, "--subepisode-jobs");
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {

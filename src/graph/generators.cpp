@@ -2,37 +2,6 @@
 
 namespace sos::graph {
 
-Digraph erdos_renyi(std::size_t n, double p, util::Rng& rng) {
-  Digraph g(n);
-  for (NodeId i = 0; i < n; ++i)
-    for (NodeId j = 0; j < n; ++j)
-      if (i != j && rng.chance(p)) g.add_edge(i, j);
-  return g;
-}
-
-Digraph watts_strogatz(std::size_t n, std::size_t k, double beta, util::Rng& rng) {
-  Digraph g(n);
-  if (n < 3) return g;
-  // Ring lattice: connect each node to k nearest neighbors on each side.
-  for (NodeId i = 0; i < n; ++i) {
-    for (std::size_t d = 1; d <= k; ++d) {
-      NodeId j = static_cast<NodeId>((i + d) % n);
-      // Rewire with probability beta.
-      if (rng.chance(beta)) {
-        NodeId target;
-        int guard = 0;
-        do {
-          target = static_cast<NodeId>(rng.below(n));
-        } while ((target == i || g.has_edge(i, target)) && ++guard < 64);
-        if (target != i && !g.has_edge(i, target)) j = target;
-      }
-      g.add_edge(i, j);
-      g.add_edge(j, i);
-    }
-  }
-  return g;
-}
-
 Digraph complete(std::size_t n) {
   Digraph g(n);
   for (NodeId i = 0; i < n; ++i)

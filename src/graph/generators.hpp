@@ -1,19 +1,11 @@
-// Graph generators: standard random models for the density ablations plus
-// the reconstructed AlleyOop deployment graph of Fig 4a.
+// Graph generators: small fixed shapes, the sampled campus community the
+// scenarios use, and the reconstructed AlleyOop deployment graph of Fig 4a.
 #pragma once
 
 #include "graph/digraph.hpp"
 #include "util/rng.hpp"
 
 namespace sos::graph {
-
-/// G(n, p): each ordered pair gets an arc independently with probability p.
-Digraph erdos_renyi(std::size_t n, double p, util::Rng& rng);
-
-/// Symmetric Watts-Strogatz small world: ring lattice with k neighbors per
-/// side, each edge rewired with probability beta. Returned as a symmetric
-/// digraph (both arcs present).
-Digraph watts_strogatz(std::size_t n, std::size_t k, double beta, util::Rng& rng);
 
 /// Fully connected symmetric graph.
 Digraph complete(std::size_t n);

@@ -470,84 +470,60 @@ void AdHocManager::save_state(util::Writer& w) const {
   // every session) has already ended.
   assert(sched_ == nullptr && sessions_.empty());
   session_rng_.save_state(w);
-  w.u8(started_ ? 1 : 0);
-  w.varint(advert_info_.size());
-  for (const auto& [key, value] : advert_info_) {
-    w.str(key);
-    w.str(value);
-  }
+  util::put(w, started_, advert_info_);
   // LRU lists serialize front (most recent) to back so the restored
-  // eviction order is bit-identical.
+  // eviction order is bit-identical; each entry is its key, then its value.
   w.varint(verify_lru_.size());
   for (const bundle::BundleId& id : verify_lru_) {
-    w.raw(id.origin.view());
-    w.u32(id.msg_num);
     auto it = verify_cache_.find(id);
     assert(it != verify_cache_.end());
-    w.raw(util::ByteView(it->second.digest.data(), it->second.digest.size()));
+    util::put(w, *it);
   }
   w.varint(resume_lru_.size());
   for (const Fingerprint& fp : resume_lru_) {
     auto it = resume_cache_.find(fp);
     assert(it != resume_cache_.end());
-    w.raw(util::ByteView(fp.data(), fp.size()));
-    w.raw(util::ByteView(it->second.secret.data(), it->second.secret.size()));
-    w.bytes(it->second.cert.encode());
-    w.f64(it->second.established_at);
+    util::put(w, *it);
   }
-  w.varint(resume_hint_.size());
-  for (const auto& [peer, fp] : resume_hint_) {
-    w.u32(peer);
-    w.raw(util::ByteView(fp.data(), fp.size()));
-  }
+  util::put(w, resume_hint_);
 }
 
 bool AdHocManager::load_state(util::Reader& r) {
   assert(sched_ == nullptr && sessions_.empty());
   crypto::Drbg rng = session_rng_;
   if (!rng.load_state(r)) return false;
-  std::uint8_t started = r.u8();
-  std::uint64_t adverts = r.varint();
+  bool started = false;
   sim::DiscoveryInfo advert_info;
-  for (std::uint64_t i = 0; i < adverts && r.ok(); ++i) {
-    std::string key = r.str();
-    advert_info[key] = r.str();
-  }
-  std::uint64_t verify_n = r.varint();
+  util::get(r, started, advert_info);
+  std::uint64_t verify_n = r.count();
   std::map<bundle::BundleId, VerifyCacheEntry> verify_cache;
   std::list<bundle::BundleId> verify_lru;
   for (std::uint64_t i = 0; i < verify_n && r.ok(); ++i) {
-    bundle::BundleId id;
-    id.origin.bytes = r.raw_array<pki::kUserIdSize>();
-    id.msg_num = r.u32();
-    VerifyDigest digest = r.raw_array<32>();
-    verify_lru.push_back(id);
-    verify_cache[id] = VerifyCacheEntry{digest, std::prev(verify_lru.end())};
+    std::pair<bundle::BundleId, VerifyCacheEntry> entry;
+    util::get(r, entry);
+    // A repeated key cannot come from save_state, and would leave an LRU
+    // node no cache entry backs (the next save would read past the map).
+    if (!r.ok() || verify_cache.count(entry.first) > 0) return false;
+    verify_lru.push_back(entry.first);
+    entry.second.lru_it = std::prev(verify_lru.end());
+    verify_cache.emplace(entry.first, entry.second);
   }
-  std::uint64_t resume_n = r.varint();
+  std::uint64_t resume_n = r.count();
   std::map<Fingerprint, ResumeEntry> resume_cache;
   std::list<Fingerprint> resume_lru;
   for (std::uint64_t i = 0; i < resume_n && r.ok(); ++i) {
-    Fingerprint fp = r.raw_array<32>();
-    ResumeEntry entry;
-    entry.secret = r.raw_array<32>();
-    auto cert = pki::Certificate::decode(r.bytes());
-    entry.established_at = r.f64();
-    if (!r.ok() || !cert) return false;
-    entry.cert = std::move(*cert);
-    resume_lru.push_back(fp);
-    entry.lru_it = std::prev(resume_lru.end());
-    resume_cache.emplace(fp, std::move(entry));
+    std::pair<Fingerprint, ResumeEntry> entry;
+    util::get(r, entry);
+    if (!r.ok() || resume_cache.count(entry.first) > 0) return false;
+    resume_lru.push_back(entry.first);
+    entry.second.lru_it = std::prev(resume_lru.end());
+    resume_cache.emplace(entry.first, std::move(entry.second));
   }
-  std::uint64_t hints = r.varint();
   std::map<sim::PeerId, Fingerprint> resume_hint;
-  for (std::uint64_t i = 0; i < hints && r.ok(); ++i) {
-    sim::PeerId peer = r.u32();
-    resume_hint[peer] = r.raw_array<32>();
-  }
+  util::get(r, resume_hint);
   if (!r.ok()) return false;
   session_rng_ = std::move(rng);
-  started_ = started != 0;
+  started_ = started;
   advert_info_ = std::move(advert_info);
   verify_cache_ = std::move(verify_cache);
   verify_lru_ = std::move(verify_lru);

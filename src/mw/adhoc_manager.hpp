@@ -209,12 +209,23 @@ class AdHocManager {
     pki::Certificate cert;                  // peer cert from the full handshake
     util::SimTime established_at = 0;       // time of that full handshake
     std::list<Fingerprint>::iterator lru_it;
+
+    /// Checkpoint layout (the LRU position is the entry's place in the list).
+    template <class S, class F>
+    static void fields(S& s, F&& f) {
+      f(s.secret, util::framed(s.cert), s.established_at);
+    }
   };
 
   using VerifyDigest = std::array<std::uint8_t, 32>;
   struct VerifyCacheEntry {
     VerifyDigest digest;
     std::list<bundle::BundleId>::iterator lru_it;
+
+    template <class S, class F>
+    static void fields(S& s, F&& f) {
+      f(s.digest);
+    }
   };
 
   /// Shared policy gate for both verification paths: certificate policy

@@ -124,14 +124,10 @@ void MessageManager::save_state(util::Writer& w) const {
   // bookkeeping and nothing waiting for batch verification (on_session_down
   // drains the queue entries owned by each dying session).
   assert(session_users_.empty() && sent_this_session_.empty() && verify_queue_.empty());
-  {
-    util::Writer sub;
-    store_.save_state(sub);
-    w.bytes(sub.take());
-  }
+  w.framed([&](util::Writer& sub) { store_.save_state(sub); });
   // Keys are re-derived from each certificate's subject id on load.
   w.varint(cert_cache_.size());
-  for (const auto& [uid, cert] : cert_cache_) w.bytes(cert.encode());
+  for (const auto& [uid, cert] : cert_cache_) util::put(w, util::framed(cert));
   w.u8(verify_flush_scheduled_ ? 1 : 0);
   w.f64(verify_flush_at_);
 }
@@ -140,18 +136,17 @@ bool MessageManager::load_state(util::Reader& r) {
   assert(!adhoc_.attached());
   bundle::BundleStore store(store_.capacity());
   {
-    util::Bytes blob = r.bytes();
-    if (!r.ok()) return false;
-    util::Reader sub{util::ByteView(blob)};
-    if (!store.load_state(sub) || !sub.done()) return false;
+    util::Reader sub = r.framed();
+    if (!r.ok() || !store.load_state(sub) || !sub.done()) return false;
   }
-  std::uint64_t n = r.varint();
+  std::uint64_t n = r.count();
   std::map<pki::UserId, pki::Certificate> certs;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    auto cert = pki::Certificate::decode(r.bytes());
-    if (!cert) return false;
-    pki::UserId uid = cert->subject_id;
-    certs.emplace(uid, std::move(*cert));
+    pki::Certificate cert;
+    util::get(r, util::framed(cert));
+    if (!r.ok()) return false;
+    pki::UserId uid = cert.subject_id;
+    certs.emplace(uid, std::move(cert));
   }
   bool flush_scheduled = r.u8() != 0;
   double flush_at = r.f64();

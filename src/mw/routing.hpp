@@ -18,11 +18,6 @@
 #include "mw/wire.hpp"
 #include "util/time.hpp"
 
-namespace sos::util {
-class Writer;
-class Reader;
-}  // namespace sos::util
-
 namespace sos::mw {
 
 /// Read-only view of the local node handed to every scheme call.

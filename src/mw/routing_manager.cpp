@@ -101,36 +101,20 @@ void RoutingManager::attach(sim::Scheduler& sched) {
 void RoutingManager::save_state(util::Writer& w) const {
   // Quiescent-cut contract: detached (no live timers) and no secure peers.
   assert(sched_ == nullptr && peers_.empty());
-  w.varint(subscriptions_.size());
-  for (const auto& uid : subscriptions_) w.raw(uid.view());
-  w.u8(push_pending_ ? 1 : 0);
-  w.f64(push_at_);
-  w.f64(next_maintenance_at_);
-  {
-    util::Writer sub;
-    scheme_->save_state(sub);
-    w.bytes(sub.take());
-  }
+  util::put(w, subscriptions_, push_pending_, push_at_, next_maintenance_at_);
+  w.framed([&](util::Writer& sub) { scheme_->save_state(sub); });
 }
 
 bool RoutingManager::load_state(util::Reader& r) {
   assert(sched_ == nullptr);
-  std::uint64_t n = r.varint();
   std::set<pki::UserId> subs;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    pki::UserId uid;
-    uid.bytes = r.raw_array<pki::kUserIdSize>();
-    subs.insert(uid);
-  }
-  bool push_pending = r.u8() != 0;
-  double push_at = r.f64();
-  double next_maintenance_at = r.f64();
-  util::Bytes scheme_blob = r.bytes();
+  bool push_pending = false;
+  double push_at = 0;
+  double next_maintenance_at = 0;
+  util::get(r, subs, push_pending, push_at, next_maintenance_at);
+  util::Reader scheme_state = r.framed();
   if (!r.ok()) return false;
-  {
-    util::Reader sub{util::ByteView(scheme_blob)};
-    if (!scheme_->load_state(sub) || !sub.done()) return false;
-  }
+  if (!scheme_->load_state(scheme_state) || !scheme_state.done()) return false;
   subscriptions_ = std::move(subs);
   push_pending_ = push_pending;
   push_event_ = sim::kInvalidEventId;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/codec.hpp"
-
 namespace sos::mw {
 
 void ProphetScheme::age(util::SimTime now) {
@@ -31,16 +29,8 @@ void ProphetScheme::on_encounter(const RoutingContext& ctx, const pki::UserId& p
 }
 
 void ProphetScheme::on_peer_blob(const pki::UserId& peer, util::ByteView blob) {
-  util::Reader r(blob);
-  std::uint64_t n = r.varint();
-  if (n > 100000) return;
-  std::map<pki::UserId, double> table;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    pki::UserId uid;
-    uid.bytes = r.raw_array<pki::kUserIdSize>();
-    table[uid] = r.f64();
-  }
-  if (!r.ok()) return;
+  Table table;
+  if (!util::decode_into(blob, util::bounded(table, kMaxBlobEntries))) return;
   // Transitive update: P(a,c) = max(P_old, P(a,b) * P(b,c) * beta).
   // Candidates below the floor never enter the table — the old code's
   // `pred_[dest]` default-constructed a permanent 0.0 entry for every
@@ -59,60 +49,18 @@ void ProphetScheme::on_peer_blob(const pki::UserId& peer, util::ByteView blob) {
 
 util::Bytes ProphetScheme::summary_blob(const RoutingContext& ctx) {
   age(ctx.now());
-  util::Writer w;
-  w.varint(pred_.size());
-  for (const auto& [uid, p] : pred_) {
-    w.raw(uid.view());
-    w.f64(p);
-  }
-  return w.take();
+  return util::encode(pred_);
 }
 
 void ProphetScheme::save_state(util::Writer& w) const {
-  w.f64(last_age_);
-  w.varint(pred_.size());
-  for (const auto& [uid, p] : pred_) {
-    w.raw(uid.view());
-    w.f64(p);
-  }
-  w.varint(peer_tables_.size());
-  for (const auto& [peer, table] : peer_tables_) {
-    w.raw(peer.view());
-    w.varint(table.size());
-    for (const auto& [uid, p] : table) {
-      w.raw(uid.view());
-      w.f64(p);
-    }
-  }
+  util::put(w, *this);
 }
 
 bool ProphetScheme::load_state(util::Reader& r) {
-  double last_age = r.f64();
-  std::uint64_t n = r.varint();
-  std::map<pki::UserId, double> pred;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    pki::UserId uid;
-    uid.bytes = r.raw_array<pki::kUserIdSize>();
-    pred[uid] = r.f64();
-  }
-  std::uint64_t peers = r.varint();
-  std::map<pki::UserId, std::map<pki::UserId, double>> tables;
-  for (std::uint64_t i = 0; i < peers && r.ok(); ++i) {
-    pki::UserId peer;
-    peer.bytes = r.raw_array<pki::kUserIdSize>();
-    std::uint64_t k = r.varint();
-    std::map<pki::UserId, double> table;
-    for (std::uint64_t j = 0; j < k && r.ok(); ++j) {
-      pki::UserId uid;
-      uid.bytes = r.raw_array<pki::kUserIdSize>();
-      table[uid] = r.f64();
-    }
-    tables[peer] = std::move(table);
-  }
+  ProphetScheme next(params_);
+  util::get(r, next);
   if (!r.ok()) return false;
-  last_age_ = last_age;
-  pred_ = std::move(pred);
-  peer_tables_ = std::move(tables);
+  *this = std::move(next);
   return true;
 }
 

@@ -53,13 +53,23 @@ class ProphetScheme : public RoutingScheme {
   /// Live table size (soak metrics: bounded by the pruning floor).
   std::size_t table_size() const { return pred_.size(); }
 
+  /// Checkpoint layout; the configuration is rebuilt, not saved.
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.last_age_, s.pred_, s.peer_tables_);
+  }
+
  private:
+  /// Predictability per destination; the summary blob is one of these.
+  using Table = std::map<pki::UserId, double>;
+  static constexpr std::uint64_t kMaxBlobEntries = 100'000;
+
   void age(util::SimTime now);
   double peer_predictability(const pki::UserId& peer, const pki::UserId& dest) const;
 
   ProphetParams params_;
-  std::map<pki::UserId, double> pred_;
-  std::map<pki::UserId, std::map<pki::UserId, double>> peer_tables_;
+  Table pred_;
+  std::map<pki::UserId, Table> peer_tables_;
   util::SimTime last_age_ = 0;
 };
 

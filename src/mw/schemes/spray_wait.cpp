@@ -1,7 +1,5 @@
 #include "mw/schemes/spray_wait.hpp"
 
-#include "util/codec.hpp"
-
 namespace sos::mw {
 
 std::map<pki::UserId, std::uint32_t> SprayAndWaitScheme::advertisement(
@@ -52,23 +50,13 @@ bool SprayAndWaitScheme::should_carry(const RoutingContext&, const bundle::Bundl
 util::Bytes SprayAndWaitScheme::summary_blob(const RoutingContext& ctx) {
   // Ship our subscription list so senders can recognize us as a
   // destination (delivery copies are budget-free).
-  util::Writer w;
-  w.varint(ctx.subscriptions().size());
-  for (const auto& uid : ctx.subscriptions()) w.raw(uid.view());
-  return w.take();
+  return util::encode(ctx.subscriptions());
 }
 
 void SprayAndWaitScheme::on_peer_blob(const pki::UserId& peer, util::ByteView blob) {
-  util::Reader r(blob);
-  std::uint64_t n = r.varint();
-  if (n > 100000) return;
   std::set<pki::UserId> subs;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    pki::UserId uid;
-    uid.bytes = r.raw_array<pki::kUserIdSize>();
-    subs.insert(uid);
-  }
-  if (r.ok()) peer_subscriptions_[peer] = std::move(subs);
+  if (util::decode_into(blob, util::bounded(subs, kMaxBlobEntries)))
+    peer_subscriptions_[peer] = std::move(subs);
 }
 
 std::uint32_t SprayAndWaitScheme::copies_to_send(const RoutingContext&, const bundle::Bundle& b,
@@ -97,46 +85,14 @@ void SprayAndWaitScheme::on_published(const bundle::BundleId& id) {
 }
 
 void SprayAndWaitScheme::save_state(util::Writer& w) const {
-  w.varint(copies_.size());
-  for (const auto& [id, n] : copies_) {
-    w.raw(id.origin.view());
-    w.u32(id.msg_num);
-    w.u32(n);
-  }
-  w.varint(peer_subscriptions_.size());
-  for (const auto& [peer, subs] : peer_subscriptions_) {
-    w.raw(peer.view());
-    w.varint(subs.size());
-    for (const auto& uid : subs) w.raw(uid.view());
-  }
+  util::put(w, *this);
 }
 
 bool SprayAndWaitScheme::load_state(util::Reader& r) {
-  std::uint64_t n = r.varint();
-  std::map<bundle::BundleId, std::uint32_t> copies;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    bundle::BundleId id;
-    id.origin.bytes = r.raw_array<pki::kUserIdSize>();
-    id.msg_num = r.u32();
-    copies[id] = r.u32();
-  }
-  std::uint64_t peers = r.varint();
-  std::map<pki::UserId, std::set<pki::UserId>> peer_subs;
-  for (std::uint64_t i = 0; i < peers && r.ok(); ++i) {
-    pki::UserId peer;
-    peer.bytes = r.raw_array<pki::kUserIdSize>();
-    std::uint64_t k = r.varint();
-    std::set<pki::UserId> subs;
-    for (std::uint64_t j = 0; j < k && r.ok(); ++j) {
-      pki::UserId uid;
-      uid.bytes = r.raw_array<pki::kUserIdSize>();
-      subs.insert(uid);
-    }
-    peer_subs[peer] = std::move(subs);
-  }
+  SprayAndWaitScheme next(initial_copies_);
+  util::get(r, next);
   if (!r.ok()) return false;
-  copies_ = std::move(copies);
-  peer_subscriptions_ = std::move(peer_subs);
+  *this = std::move(next);
   return true;
 }
 

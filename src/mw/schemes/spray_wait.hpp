@@ -43,7 +43,15 @@ class SprayAndWaitScheme : public RoutingScheme {
 
   std::uint32_t copies_left(const bundle::BundleId& id) const;
 
+  /// Checkpoint layout; the initial copy count is rebuilt, not saved.
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.copies_, s.peer_subscriptions_);
+  }
+
  private:
+  static constexpr std::uint64_t kMaxBlobEntries = 100'000;
+
   bool peer_is_subscriber(const pki::UserId& peer, const pki::UserId& publisher) const;
 
   std::uint32_t initial_copies_;

@@ -107,21 +107,9 @@ void SosNode::save_state(util::Writer& w) const {
   assert(!attached());
   w.u32(next_msg_num_);
   for_each_stat([&](const char*, std::uint64_t v) { w.u64(v); }, stats_);
-  {
-    util::Writer sub;
-    adhoc_->save_state(sub);
-    w.bytes(sub.take());
-  }
-  {
-    util::Writer sub;
-    msgs_->save_state(sub);
-    w.bytes(sub.take());
-  }
-  {
-    util::Writer sub;
-    routing_->save_state(sub);
-    w.bytes(sub.take());
-  }
+  w.framed([&](util::Writer& sub) { adhoc_->save_state(sub); });
+  w.framed([&](util::Writer& sub) { msgs_->save_state(sub); });
+  w.framed([&](util::Writer& sub) { routing_->save_state(sub); });
 }
 
 bool SosNode::load_state(util::Reader& r) {
@@ -129,22 +117,13 @@ bool SosNode::load_state(util::Reader& r) {
   std::uint32_t next_msg_num = r.u32();
   NodeStats stats;
   for_each_stat([&](const char*, std::uint64_t& v) { v = r.u64(); }, stats);
-  util::Bytes adhoc_blob = r.bytes();
-  util::Bytes msgs_blob = r.bytes();
-  util::Bytes routing_blob = r.bytes();
+  util::Reader adhoc_state = r.framed();
+  util::Reader msgs_state = r.framed();
+  util::Reader routing_state = r.framed();
   if (!r.ok()) return false;
-  {
-    util::Reader sub{util::ByteView(adhoc_blob)};
-    if (!adhoc_->load_state(sub) || !sub.done()) return false;
-  }
-  {
-    util::Reader sub{util::ByteView(msgs_blob)};
-    if (!msgs_->load_state(sub) || !sub.done()) return false;
-  }
-  {
-    util::Reader sub{util::ByteView(routing_blob)};
-    if (!routing_->load_state(sub) || !sub.done()) return false;
-  }
+  if (!adhoc_->load_state(adhoc_state) || !adhoc_state.done()) return false;
+  if (!msgs_->load_state(msgs_state) || !msgs_state.done()) return false;
+  if (!routing_->load_state(routing_state) || !routing_state.done()) return false;
   next_msg_num_ = next_msg_num;
   stats_ = stats;
   return true;

@@ -15,6 +15,7 @@
 #include "crypto/x25519.hpp"
 #include "pki/certificate.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace sos::mw {
 
@@ -27,15 +28,27 @@ enum class FrameType : std::uint8_t {
                    // contacts skip the cert exchange + X25519)
 };
 
+/// Most entries a Summary or Request list may carry.
+inline constexpr std::uint64_t kMaxFrameEntries = 1'000'000;
+
 /// First frame on a new session, both directions.
 struct HelloFrame {
   util::Bytes certificate;           // encoded pki::Certificate
   crypto::X25519Key ephemeral_pub{}; // fresh per-session X25519 public key
   crypto::EdSignature binding_sig{}; // cert key's signature over the eph key
 
-  util::Bytes signing_bytes() const;
-  util::Bytes encode() const;
-  static std::optional<HelloFrame> decode(util::ByteView data);
+  /// The binding signature covers only the ephemeral key.
+  static constexpr std::string_view kSigningDomain = "sos-hello-v1";
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::unsigned_field(s.certificate), s.ephemeral_pub, util::unsigned_field(s.binding_sig));
+  }
+
+  util::Bytes signing_bytes() const { return util::signing_bytes(*this); }
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<HelloFrame> decode(util::ByteView data) {
+    return util::decode<HelloFrame>(data);
+  }
 };
 
 /// Session resumption (FrameType::Resume), sent instead of Hello when the
@@ -50,10 +63,18 @@ struct ResumeFrame {
   std::array<std::uint8_t, 32> nonce{};        // fresh per resume attempt
   std::array<std::uint8_t, 32> proof{};        // HMAC-SHA256(secret, signing_bytes())
 
-  /// Bytes covered by the HMAC proof (domain tag + fingerprint + nonce).
-  util::Bytes signing_bytes() const;
-  util::Bytes encode() const;
-  static std::optional<ResumeFrame> decode(util::ByteView data);
+  /// The HMAC proof covers the fingerprint and the nonce.
+  static constexpr std::string_view kSigningDomain = "sos-resume-v1";
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.fingerprint, s.nonce, util::unsigned_field(s.proof));
+  }
+
+  util::Bytes signing_bytes() const { return util::signing_bytes(*this); }
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<ResumeFrame> decode(util::ByteView data) {
+    return util::decode<ResumeFrame>(data);
+  }
 };
 
 /// In-session store summary. `entries` is the same UserID->MessageNumber
@@ -66,12 +87,25 @@ struct SummaryFrame {
   struct UnicastEntry {
     bundle::BundleId id;
     pki::UserId dest;
+
+    template <class S, class F>
+    static void fields(S& s, F&& f) {
+      f(s.id, s.dest);
+    }
   };
   std::vector<UnicastEntry> unicast;
   util::Bytes scheme_blob;
 
-  util::Bytes encode() const;
-  static std::optional<SummaryFrame> decode(util::ByteView data);
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::bounded(s.entries, kMaxFrameEntries), util::bounded(s.unicast, kMaxFrameEntries),
+      s.scheme_blob);
+  }
+
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<SummaryFrame> decode(util::ByteView data) {
+    return util::decode<SummaryFrame>(data);
+  }
 };
 
 /// What the requesting side wants: per-publisher "everything newer than N"
@@ -81,8 +115,16 @@ struct RequestFrame {
   std::vector<bundle::BundleId> by_id;
 
   bool empty() const { return by_publisher.empty() && by_id.empty(); }
-  util::Bytes encode() const;
-  static std::optional<RequestFrame> decode(util::ByteView data);
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::bounded(s.by_publisher, kMaxFrameEntries), util::bounded(s.by_id, kMaxFrameEntries));
+  }
+
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<RequestFrame> decode(util::ByteView data) {
+    return util::decode<RequestFrame>(data);
+  }
 };
 
 /// One bundle in flight, accompanied by the origin's certificate so the
@@ -93,8 +135,15 @@ struct BundleDataFrame {
   util::Bytes origin_cert;  // encoded pki::Certificate of the publisher
   std::uint32_t spray_copies = 0;  // Spray-and-Wait copy budget (0 = n/a)
 
-  util::Bytes encode() const;
-  static std::optional<BundleDataFrame> decode(util::ByteView data);
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.bundle, s.origin_cert, s.spray_copies);
+  }
+
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<BundleDataFrame> decode(util::ByteView data) {
+    return util::decode<BundleDataFrame>(data);
+  }
 };
 
 }  // namespace sos::mw

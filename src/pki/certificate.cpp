@@ -1,84 +1,6 @@
 #include "pki/certificate.hpp"
 
-#include "util/codec.hpp"
-
 namespace sos::pki {
-
-util::Bytes Certificate::signing_bytes() const {
-  util::Writer w;
-  w.str("sos-cert-v1");
-  w.u64(serial);
-  w.raw(subject_id.view());
-  w.str(subject_name);
-  w.raw(util::ByteView(subject_key.data(), subject_key.size()));
-  w.raw(util::ByteView(subject_enc_key.data(), subject_enc_key.size()));
-  w.str(issuer_name);
-  w.f64(not_before);
-  w.f64(not_after);
-  return w.take();
-}
-
-util::Bytes Certificate::encode() const {
-  util::Writer w;
-  w.u64(serial);
-  w.raw(subject_id.view());
-  w.str(subject_name);
-  w.raw(util::ByteView(subject_key.data(), subject_key.size()));
-  w.raw(util::ByteView(subject_enc_key.data(), subject_enc_key.size()));
-  w.str(issuer_name);
-  w.f64(not_before);
-  w.f64(not_after);
-  w.raw(util::ByteView(signature.data(), signature.size()));
-  return w.take();
-}
-
-std::optional<Certificate> Certificate::decode(util::ByteView data) {
-  util::Reader r(data);
-  Certificate c;
-  c.serial = r.u64();
-  c.subject_id.bytes = r.raw_array<kUserIdSize>();
-  c.subject_name = r.str();
-  c.subject_key = r.raw_array<crypto::kEdPublicKeySize>();
-  c.subject_enc_key = r.raw_array<crypto::kX25519KeySize>();
-  c.issuer_name = r.str();
-  c.not_before = r.f64();
-  c.not_after = r.f64();
-  c.signature = r.raw_array<crypto::kEdSignatureSize>();
-  if (!r.done()) return std::nullopt;
-  return c;
-}
-
-util::Bytes CertificateRequest::signing_bytes() const {
-  util::Writer w;
-  w.str("sos-csr-v1");
-  w.raw(subject_id.view());
-  w.str(subject_name);
-  w.raw(util::ByteView(subject_key.data(), subject_key.size()));
-  w.raw(util::ByteView(subject_enc_key.data(), subject_enc_key.size()));
-  return w.take();
-}
-
-util::Bytes CertificateRequest::encode() const {
-  util::Writer w;
-  w.raw(subject_id.view());
-  w.str(subject_name);
-  w.raw(util::ByteView(subject_key.data(), subject_key.size()));
-  w.raw(util::ByteView(subject_enc_key.data(), subject_enc_key.size()));
-  w.raw(util::ByteView(pop_signature.data(), pop_signature.size()));
-  return w.take();
-}
-
-std::optional<CertificateRequest> CertificateRequest::decode(util::ByteView data) {
-  util::Reader r(data);
-  CertificateRequest c;
-  c.subject_id.bytes = r.raw_array<kUserIdSize>();
-  c.subject_name = r.str();
-  c.subject_key = r.raw_array<crypto::kEdPublicKeySize>();
-  c.subject_enc_key = r.raw_array<crypto::kX25519KeySize>();
-  c.pop_signature = r.raw_array<crypto::kEdSignatureSize>();
-  if (!r.done()) return std::nullopt;
-  return c;
-}
 
 CertificateRequest CertificateRequest::create(const UserId& id, const std::string& name,
                                               const crypto::Ed25519Keypair& keypair,

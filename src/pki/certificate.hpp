@@ -11,6 +11,7 @@
 #include "crypto/x25519.hpp"
 #include "pki/identity.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 #include "util/time.hpp"
 
 namespace sos::pki {
@@ -26,11 +27,19 @@ struct Certificate {
   util::SimTime not_after = 0;
   crypto::EdSignature signature{};   // issuer's signature over signing_bytes()
 
-  /// Canonical byte string covered by the issuer signature.
-  util::Bytes signing_bytes() const;
+  /// Wire layout; the issuer signature covers every other field.
+  static constexpr std::string_view kSigningDomain = "sos-cert-v1";
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.serial, s.subject_id, s.subject_name, s.subject_key, s.subject_enc_key, s.issuer_name,
+      s.not_before, s.not_after, util::unsigned_field(s.signature));
+  }
 
-  util::Bytes encode() const;
-  static std::optional<Certificate> decode(util::ByteView data);
+  util::Bytes signing_bytes() const { return util::signing_bytes(*this); }
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<Certificate> decode(util::ByteView data) {
+    return util::decode<Certificate>(data);
+  }
 
   bool valid_at(util::SimTime now) const { return now >= not_before && now <= not_after; }
 };
@@ -45,9 +54,18 @@ struct CertificateRequest {
   /// Proof-of-possession: self-signature over the request fields.
   crypto::EdSignature pop_signature{};
 
-  util::Bytes signing_bytes() const;
-  util::Bytes encode() const;
-  static std::optional<CertificateRequest> decode(util::ByteView data);
+  static constexpr std::string_view kSigningDomain = "sos-csr-v1";
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.subject_id, s.subject_name, s.subject_key, s.subject_enc_key,
+      util::unsigned_field(s.pop_signature));
+  }
+
+  util::Bytes signing_bytes() const { return util::signing_bytes(*this); }
+  util::Bytes encode() const { return util::encode(*this); }
+  static std::optional<CertificateRequest> decode(util::ByteView data) {
+    return util::decode<CertificateRequest>(data);
+  }
 
   static CertificateRequest create(const UserId& id, const std::string& name,
                                    const crypto::Ed25519Keypair& keypair,

@@ -25,6 +25,11 @@ struct UserId {
 
   util::ByteView view() const { return util::ByteView(bytes.data(), bytes.size()); }
   bool is_zero() const;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.bytes);
+  }
 };
 
 /// Deterministically derive a user id from an account name (first 10 bytes

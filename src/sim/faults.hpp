@@ -37,6 +37,11 @@ namespace sos::sim {
 struct FaultWindow {
   util::SimTime start = 0;
   util::SimTime end = 0;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.start, s.end);
+  }
 };
 
 /// Degraded-link profile applied to every link of the scenario.
@@ -64,6 +69,12 @@ struct LinkFaultProfile {
     return loss_p > 0 || loss_p_reverse > 0 || jitter_max_s > 0 ||
            (!jitter_spikes.empty() && jitter_spike_max_s > 0) || !disconnects.empty();
   }
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.loss_p, s.loss_p_reverse, s.jitter_max_s, s.jitter_spikes, s.jitter_spike_max_s,
+      s.disconnects);
+  }
 };
 
 /// One battery-death / reboot cycle: the node is dark in [down_at, up_at)
@@ -77,6 +88,11 @@ struct NodeChurnEvent {
   /// The session-resumption cache is also lost (flash wiped, not just a
   /// crash): the next contact must pay a full handshake.
   bool lose_resume_cache = false;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.node, s.down_at, s.up_at, s.lose_store, s.lose_resume_cache);
+  }
 };
 
 /// Scripted partition-and-heal: for the window, nodes in different groups
@@ -85,6 +101,11 @@ struct NodeChurnEvent {
 struct PartitionWindow {
   FaultWindow window;
   std::size_t groups = 2;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.window, s.groups);
+  }
 };
 
 enum class AdversaryRole : std::uint8_t {
@@ -117,6 +138,12 @@ struct AdversaryMix {
     return flooder_frac + blackhole_frac + grayhole_frac + forger_frac;
   }
   bool active() const { return fraction_sum() > 0; }
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.flooder_frac, s.blackhole_frac, s.grayhole_frac, s.forger_frac, s.grayhole_forward_p,
+      s.flood_posts_per_hour);
+  }
 };
 
 /// Declarative fault plan — a first-class scenario/sweep dimension
@@ -144,6 +171,11 @@ struct FaultPlanConfig {
   /// inverted, overlapping churn cycles on one node, partition group counts
   /// < 2, churn events naming nonexistent nodes.
   std::vector<std::string> validate(double horizon_s, std::size_t nodes) const;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.link, s.churn, s.partitions, s.adversaries);
+  }
 };
 
 /// Verdict for one frame entering a link.

@@ -82,52 +82,6 @@ std::unique_ptr<TrajectoryMobility> random_waypoint(std::size_t nodes, util::Sim
   return std::make_unique<TrajectoryMobility>(std::move(trajectories));
 }
 
-std::unique_ptr<TrajectoryMobility> levy_walk(std::size_t nodes, util::SimTime horizon,
-                                              const LevyWalkParams& params, util::Rng& rng) {
-  std::vector<Trajectory> trajectories(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    Trajectory& tr = trajectories[i];
-    util::SimTime t = 0;
-    Vec2 pos = random_point(params.area, rng);
-    tr.add(t, pos);
-    double skip = kMinAdvanceS;
-    while (t < horizon) {
-      // Inverse-CDF sample of a bounded Pareto flight length.
-      double u = rng.uniform();
-      double a = params.alpha;
-      double lmin = std::pow(params.min_flight_m, 1.0 - a);
-      double lmax = std::pow(params.max_flight_m, 1.0 - a);
-      double len = std::pow(lmin + u * (lmax - lmin), 1.0 / (1.0 - a));
-      double angle = rng.uniform(0, 2.0 * M_PI);
-      Vec2 target = {pos.x + len * std::cos(angle), pos.y + len * std::sin(angle)};
-      // Reflect at the boundary.
-      target.x = std::fabs(target.x);
-      target.y = std::fabs(target.y);
-      if (target.x > params.area.width_m) target.x = 2 * params.area.width_m - target.x;
-      if (target.y > params.area.height_m) target.y = 2 * params.area.height_m - target.y;
-      target.x = std::clamp(target.x, 0.0, params.area.width_m);
-      target.y = std::clamp(target.y, 0.0, params.area.height_m);
-      double speed = std::max(params.speed_mps, kMinSpeedMps);
-      double travel = distance(pos, target) / speed;
-      double pause = rng.uniform(0, params.max_pause_s);
-      if (travel + pause < kMinAdvanceS) {  // degenerate leg: skip it, keep moving
-        t += skip;
-        skip = std::min(skip * 2, horizon);
-        continue;
-      }
-      skip = kMinAdvanceS;
-      t += travel;
-      tr.add(t, target);
-      pos = target;
-      if (pause > 0) {
-        t += pause;
-        tr.add(t, pos);
-      }
-    }
-  }
-  return std::make_unique<TrajectoryMobility>(std::move(trajectories));
-}
-
 std::unique_ptr<TrajectoryMobility> daily_routine(std::size_t nodes, util::SimTime horizon,
                                                   const DailyRoutineParams& params,
                                                   util::Rng& rng) {

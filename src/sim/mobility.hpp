@@ -76,20 +76,6 @@ std::unique_ptr<TrajectoryMobility> random_waypoint(std::size_t nodes, util::Sim
                                                     const RandomWaypointParams& params,
                                                     util::Rng& rng);
 
-struct LevyWalkParams {
-  AreaSpec area;
-  double alpha = 1.6;          // power-law exponent for flight lengths
-  double min_flight_m = 10.0;
-  double max_flight_m = 3000.0;
-  double speed_mps = 1.5;
-  double max_pause_s = 900.0;
-};
-
-/// Lévy walk: heavy-tailed flight lengths, uniform directions, reflected at
-/// the area boundary.
-std::unique_ptr<TrajectoryMobility> levy_walk(std::size_t nodes, util::SimTime horizon,
-                                              const LevyWalkParams& params, util::Rng& rng);
-
 struct DailyRoutineParams {
   AreaSpec area;
   std::size_t hotspot_count = 5;      // shared gathering places (campus etc.)

@@ -21,6 +21,11 @@ struct RadioParams {
   double bandwidth_bps = 2e6 * 8;   // ~2 MB/s peer-to-peer WiFi
   double latency_s = 0.02;
   double setup_time_s = 1.5;        // MPC invite/handshake wall time
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.range_m, s.bandwidth_bps, s.latency_s, s.setup_time_s);
+  }
 };
 
 /// Watches a mobility model and reports contact start/end between pairs.

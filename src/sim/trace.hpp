@@ -27,6 +27,11 @@ struct ContactInterval {
   util::SimTime end = 0;  // end >= start
   std::uint32_t a = 0;
   std::uint32_t b = 0;    // a < b after normalization
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.start, s.end, s.a, s.b);
+  }
 };
 
 class ContactTrace {

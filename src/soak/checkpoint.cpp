@@ -51,16 +51,12 @@ std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
   w.f64(config.bridge_node_frac);
   w.f64(config.resume_lifetime_s);
   w.f64(config.verify_batch_window_s);
-  w.u8(config.verify_batch_adaptive ? 1 : 0);
-  w.u8(config.verify_signatures ? 1 : 0);
+  util::put(w, config.verify_batch_adaptive, config.verify_signatures);
   w.varint(config.store_capacity);
-  w.varint(world.trace.size());
-  for (const sim::ContactInterval& c : world.trace.contacts()) {
-    w.f64(c.start);
-    w.f64(c.end);
-    w.u32(c.a);
-    w.u32(c.b);
-  }
+  util::put(w, config.radio, config.faults, config.post_window_start_h,
+            config.post_window_end_h, config.social.has_value());
+  if (config.social) util::put(w, config.social->node_count(), config.social->edges());
+  util::put(w, world.trace.contacts());
   return crypto::Sha256::hash(util::ByteView(w.data()));
 }
 
@@ -68,10 +64,7 @@ util::Bytes encode_checkpoint(const Checkpoint& c) {
   util::Writer w;
   w.raw(util::ByteView(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
   w.u32(kCheckpointVersion);
-  w.raw(util::ByteView(c.world_digest));
-  w.u64(c.segment);
-  w.f64(c.sim_time);
-  w.bytes(util::ByteView(c.payload));
+  util::put(w, c);
   crypto::Sha256::Digest hash = crypto::Sha256::hash(util::ByteView(w.data()));
   w.raw(util::ByteView(hash));
   return w.take();
@@ -125,10 +118,7 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
     return std::nullopt;
   }
   Checkpoint c;
-  c.world_digest = r.raw_array<32>();
-  c.segment = r.u64();
-  c.sim_time = r.f64();
-  c.payload = r.bytes();
+  util::get(r, c);
   if (!r.ok()) {
     set_error(error, "malformed checkpoint body");
     return std::nullopt;

@@ -38,11 +38,19 @@ struct Checkpoint {
   double sim_time = 0;        // the cut, in sim seconds
   std::array<std::uint8_t, 32> world_digest{};
   util::Bytes payload;        // ReplaySession::save_state blob
+
+  /// Layout after the magic and version (see the table above).
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.world_digest, s.segment, s.sim_time, s.payload);
+  }
 };
 
 /// Identity digest of the (config, world) pair a checkpoint belongs to:
-/// the world-shaping config fields plus every recorded contact. Resuming
-/// against a different scenario is rejected by comparing this.
+/// the config fields a resumed run depends on (scale, seed, scheme,
+/// workload, middleware knobs, radio link, fault plan, posting window,
+/// social-graph override) plus every recorded contact. Resuming against a
+/// different scenario is rejected by comparing this.
 std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
                                           const deploy::ScenarioWorld& world);
 

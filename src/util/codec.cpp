@@ -104,24 +104,51 @@ std::uint64_t Reader::varint() {
   return v;
 }
 
-Bytes Reader::bytes() {
+std::uint64_t Reader::count(std::uint64_t max) {
+  std::uint64_t n = varint();
+  if (n > max || n > remaining()) {
+    ok_ = false;
+    return 0;
+  }
+  return n;
+}
+
+ByteView Reader::prefixed() {
   std::uint64_t n = varint();
   if (!ok_ || n > remaining()) {
     ok_ = false;
     return {};
   }
-  return raw(static_cast<std::size_t>(n));
+  const std::uint8_t* p = take(static_cast<std::size_t>(n));
+  return ByteView(p, static_cast<std::size_t>(n));
+}
+
+Bytes Reader::bytes() {
+  ByteView b = prefixed();
+  return Bytes(b.begin(), b.end());
 }
 
 std::string Reader::str() {
-  Bytes b = bytes();
+  ByteView b = prefixed();
   return std::string(b.begin(), b.end());
+}
+
+Reader Reader::framed() {
+  ByteView b = prefixed();
+  Reader sub(b);
+  sub.ok_ = ok_;
+  return sub;
 }
 
 Bytes Reader::raw(std::size_t n) {
   const std::uint8_t* p = take(n);
   if (!p) return {};
   return Bytes(p, p + n);
+}
+
+void Reader::fixed(std::span<std::uint8_t> out) {
+  const std::uint8_t* p = take(out.size());
+  if (p != nullptr) std::memcpy(out.data(), p, out.size());
 }
 
 }  // namespace sos::util

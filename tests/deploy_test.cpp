@@ -4,6 +4,9 @@
 // on a shortened Gainesville run).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "deploy/oracle.hpp"
 #include "deploy/report.hpp"
 #include "deploy/scenario.hpp"
@@ -91,6 +94,32 @@ TEST(Report, FormatHelpers) {
   ASSERT_EQ(row.size(), 3u);
   EXPECT_EQ(row[1], "1.0");
   EXPECT_EQ(row[2], "2.0");
+}
+
+TEST(Report, TableLinesShareOneShape) {
+  sd::Table t({"metric", "paper", "measured"});
+  t.add_row({"delivery ratio", "0.81", "0.474"});
+  t.add_row({"x"});  // a short row is padded to every column
+  t.set_row(4, {"1-hop share", "0.826", "0.60"});  // rows 2-3 unset: skipped
+  std::string text = t.render();
+  std::vector<std::string> lines;
+  for (std::size_t start = 0, nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1)
+    lines.push_back(text.substr(start, nl - start));
+  ASSERT_EQ(lines.size(), 7u);  // 3 separators, the header, 3 rows
+  // Separators put '+' exactly where rows put '|', and nowhere else.
+  auto borders = [](const std::string& line) {
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < line.size(); ++i)
+      if (line[i] == '+' || line[i] == '|') at.push_back(i);
+    return at;
+  };
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.size(), lines[0].size()) << line;
+    EXPECT_EQ(borders(line), borders(lines[0])) << line;
+  }
+  EXPECT_EQ(lines[0], "+----------------+-------+----------+");
+  EXPECT_EQ(lines[3], "| delivery ratio | 0.81  | 0.474    |");
 }
 
 // --- scenario end-to-end --------------------------------------------------

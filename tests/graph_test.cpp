@@ -203,32 +203,6 @@ TEST(Baker2017, EveryUserIsWithinTwoHopsOfEveryOther) {
 
 // --- Generators ------------------------------------------------------------
 
-TEST(Generators, ErdosRenyiDensityConcentrates) {
-  sos::util::Rng rng(11);
-  auto g = sg::erdos_renyi(60, 0.3, rng);
-  EXPECT_NEAR(g.density(), 0.3, 0.05);
-}
-
-TEST(Generators, ErdosRenyiExtremes) {
-  sos::util::Rng rng(11);
-  EXPECT_EQ(sg::erdos_renyi(10, 0.0, rng).edge_count(), 0u);
-  EXPECT_EQ(sg::erdos_renyi(10, 1.0, rng).edge_count(), 90u);
-}
-
-TEST(Generators, WattsStrogatzIsSymmetricAndConnected) {
-  sos::util::Rng rng(5);
-  auto g = sg::watts_strogatz(30, 2, 0.1, rng);
-  EXPECT_TRUE(g.is_symmetric());
-  EXPECT_TRUE(sg::is_connected(g));
-}
-
-TEST(Generators, WattsStrogatzZeroBetaIsRingLattice) {
-  sos::util::Rng rng(5);
-  auto g = sg::watts_strogatz(12, 2, 0.0, rng);
-  // Every node connects to 2 on each side: degree 4.
-  for (sg::NodeId v = 0; v < 12; ++v) EXPECT_EQ(g.out_degree(v), 4u) << v;
-}
-
 TEST(Generators, SocialCommunityRespectsProbabilities) {
   sos::util::Rng rng(17);
   auto g = sg::social_community(40, 1.0, 0.0, rng);

@@ -5,6 +5,8 @@
 // security gates (tampered bundles, revoked certs, eavesdroppers).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
+#include "util/codec.hpp"
 
 namespace sb = sos::bundle;
 namespace sc = sos::crypto;
@@ -803,6 +806,134 @@ TEST(MwSeam, MidSessionDetachResumesOnNewShard) {
   }
   EXPECT_EQ(alice.stats().ecdh_ops, ecdh_alice);  // zero X25519 on the resume
   EXPECT_EQ(bob.stats().ecdh_ops, ecdh_bob);
+}
+
+TEST(MwSeam, ManagerStatesRejectEveryPrefixAndATrailingByte) {
+  // Node 1 carries spray state, a verify cache, a resumption entry, cached
+  // certificates and a stored bundle. Each manager's checkpoint state must
+  // load exactly: every strict prefix and one appended byte are refused.
+  // Loads parse fully before committing, so node 2 serves as the target
+  // for every probe.
+  Testbed bed(3, "spray", [] {
+    sm::SosConfig c;
+    c.resume_lifetime_s = 1e9;
+    return c;
+  }());
+  bed.node(1).follow(bed.uid(0));
+  bed.node(0).publish(su::to_bytes("carried"));
+  bed.meet(0, 1);
+  bed.part(0, 1);
+  for (std::size_t i = 0; i < 3; ++i) bed.node(i).detach();
+  ASSERT_EQ(bed.node(1).adhoc().resume_cache_size(), 1u);
+  ASSERT_EQ(bed.node(1).store().size(), 1u);
+
+  auto sweep = [](const char* what, const su::Bytes& valid, auto&& load) {
+    auto accepts = [&](su::ByteView b) {
+      su::Reader r(b);
+      return load(r) && r.done();
+    };
+    for (std::size_t n = 0; n < valid.size(); ++n)
+      EXPECT_FALSE(accepts(su::ByteView(valid.data(), n))) << what << ": prefix of " << n;
+    su::Bytes longer = valid;
+    longer.push_back(0);
+    EXPECT_FALSE(accepts(longer)) << what << ": one byte appended";
+    EXPECT_TRUE(accepts(valid)) << what;
+  };
+  auto saved = [](const auto& manager) {
+    su::Writer w;
+    manager.save_state(w);
+    return w.take();
+  };
+  sm::SosNode& src = bed.node(1);
+  sm::SosNode& dst = bed.node(2);
+  sweep("adhoc", saved(src.adhoc()), [&](su::Reader& r) { return dst.adhoc().load_state(r); });
+  sweep("messages", saved(src.messages()),
+        [&](su::Reader& r) { return dst.messages().load_state(r); });
+  sweep("routing", saved(src.routing()),
+        [&](su::Reader& r) { return dst.routing().load_state(r); });
+  sweep("node", saved(src), [&](su::Reader& r) { return dst.load_state(r); });
+}
+
+namespace {
+// The AdHocManager checkpoint layout, mirrored so a test can corrupt it.
+struct VerifyRecord {
+  sb::BundleId id;
+  std::array<std::uint8_t, 32> digest{};
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.id, s.digest);
+  }
+};
+struct ResumeRecord {
+  std::array<std::uint8_t, 32> fingerprint{};
+  std::array<std::uint8_t, 32> secret{};
+  sp::Certificate cert;
+  double established_at = 0;
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(s.fingerprint, s.secret, su::framed(s.cert), s.established_at);
+  }
+};
+struct AdHocState {
+  su::Bytes drbg;
+  bool started = false;
+  std::map<std::string, std::string> adverts;
+  std::vector<VerifyRecord> verify;
+  std::vector<ResumeRecord> resume;
+  std::map<std::uint32_t, std::array<std::uint8_t, 32>> hints;
+
+  static AdHocState parse(const su::Bytes& blob) {
+    AdHocState s;
+    su::Reader r{su::ByteView(blob)};
+    s.drbg = r.raw(40);  // key + counter
+    su::get(r, s.started, s.adverts, s.verify, s.resume, s.hints);
+    EXPECT_TRUE(r.done());
+    return s;
+  }
+  su::Bytes encode() const {
+    su::Writer w;
+    w.raw(drbg);
+    su::put(w, started, adverts, verify, resume, hints);
+    return w.take();
+  }
+};
+}  // namespace
+
+TEST(MwSeam, AdHocStateWithARepeatedCacheKeyIsRejected) {
+  // save_state writes each verify-cache id and resume fingerprint once; a
+  // state naming one twice would leave an LRU node that no cache entry
+  // backs, and the next save would read past the map.
+  Testbed bed(3, "interest", [] {
+    sm::SosConfig c;
+    c.resume_lifetime_s = 1e9;
+    return c;
+  }());
+  bed.node(1).follow(bed.uid(0));
+  bed.node(0).publish(su::to_bytes("cached"));
+  bed.meet(0, 1);
+  bed.part(0, 1);
+  for (std::size_t i = 0; i < 3; ++i) bed.node(i).detach();
+  su::Writer w;
+  bed.node(1).adhoc().save_state(w);
+  const su::Bytes blob = w.take();
+  const AdHocState good = AdHocState::parse(blob);
+  ASSERT_EQ(good.encode(), blob);
+  ASSERT_EQ(good.verify.size(), 1u);
+  ASSERT_EQ(good.resume.size(), 1u);
+
+  AdHocState twice_verified = good;
+  twice_verified.verify.push_back(good.verify[0]);
+  AdHocState twice_resumed = good;
+  twice_resumed.resume.push_back(good.resume[0]);
+  for (const AdHocState* bad : {&twice_verified, &twice_resumed}) {
+    su::Bytes bad_blob = bad->encode();
+    su::Reader r{su::ByteView(bad_blob)};
+    EXPECT_FALSE(bed.node(2).adhoc().load_state(r));
+    EXPECT_EQ(bed.node(2).adhoc().resume_cache_size(), 0u);  // nothing attached
+  }
+  su::Reader r{su::ByteView(blob)};
+  EXPECT_TRUE(bed.node(2).adhoc().load_state(r));
+  EXPECT_EQ(bed.node(2).adhoc().resume_cache_size(), 1u);
 }
 
 TEST(MwSeam, PendingAdaptiveVerifyFlushDeadlineSurvivesMigration) {

@@ -284,18 +284,12 @@ TEST(Trajectory, DwellSegmentsHold) {
 }
 
 namespace {
-struct ModelCase {
-  const char* name;
-  int which;  // 0 rwp, 1 levy, 2 daily
-};
-
+// 0: random waypoint, 1: daily routine.
 std::unique_ptr<ss::TrajectoryMobility> make_model(int which, std::size_t nodes,
                                                    double horizon, su::Rng& rng) {
   switch (which) {
     case 0:
       return ss::random_waypoint(nodes, horizon, {}, rng);
-    case 1:
-      return ss::levy_walk(nodes, horizon, {}, rng);
     default:
       return ss::daily_routine(nodes, horizon, {}, rng);
   }
@@ -319,7 +313,7 @@ TEST_P(MobilityBounds, PositionsStayInArea) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, MobilityBounds, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(Models, MobilityBounds, ::testing::Values(0, 1));
 
 // Degenerate-parameter regressions: a zero speed draw used to produce an
 // infinite travel time, and a zero-distance leg with zero pause (e.g. a 0x0
@@ -355,21 +349,6 @@ TEST(RandomWaypoint, ZeroAreaZeroPauseDoesNotHang) {
   }
 }
 
-TEST(LevyWalk, ZeroSpeedZeroPauseDoesNotHang) {
-  su::Rng rng(5);
-  ss::LevyWalkParams params;
-  params.speed_mps = 0.0;
-  params.max_pause_s = 0.0;
-  auto m = ss::levy_walk(2, 2000.0, params, rng);
-  for (std::size_t node = 0; node < 2; ++node) {
-    const auto& tr = m->trajectory(node);
-    EXPECT_TRUE(std::isfinite(tr.end_time()));
-    auto p = m->position(node, 1000.0);
-    EXPECT_TRUE(std::isfinite(p.x));
-    EXPECT_TRUE(std::isfinite(p.y));
-  }
-}
-
 class MobilityDeterminism : public ::testing::TestWithParam<int> {};
 
 TEST_P(MobilityDeterminism, SameSeedSamePositions) {
@@ -386,7 +365,7 @@ TEST_P(MobilityDeterminism, SameSeedSamePositions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, MobilityDeterminism, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(Models, MobilityDeterminism, ::testing::Values(0, 1));
 
 TEST(DailyRoutine, NodesSleepAtHomeOvernight) {
   su::Rng rng(3);

@@ -284,6 +284,21 @@ TEST(CheckpointCodec, WorldDigestDistinguishesWorlds) {
   sd::ScenarioConfig scheme_flip = config;
   scheme_flip.scheme = "epidemic";
   EXPECT_NE(base, sk::world_digest(scheme_flip, *world));
+  // Fields that change a resumed run without changing the contact trace.
+  std::vector<std::pair<const char*, std::function<void(sd::ScenarioConfig&)>>> changes = {
+      {"faults", [](sd::ScenarioConfig& c) { c.faults.adversaries.grayhole_frac = 0.2; }},
+      {"bandwidth", [](sd::ScenarioConfig& c) { c.radio.bandwidth_bps /= 2; }},
+      {"latency", [](sd::ScenarioConfig& c) { c.radio.latency_s += 0.01; }},
+      {"setup time", [](sd::ScenarioConfig& c) { c.radio.setup_time_s += 0.5; }},
+      {"post window start", [](sd::ScenarioConfig& c) { c.post_window_start_h = 17.0; }},
+      {"post window end", [](sd::ScenarioConfig& c) { c.post_window_end_h = 22.0; }},
+      {"social", [](sd::ScenarioConfig& c) { c.social = sd::scenario_social_graph(c); }},
+  };
+  for (const auto& [name, change] : changes) {
+    sd::ScenarioConfig changed = config;
+    change(changed);
+    EXPECT_NE(base, sk::world_digest(changed, *world)) << name;
+  }
 }
 
 // --- checkpoint/resume determinism pins -------------------------------------
@@ -442,6 +457,35 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
   EXPECT_TRUE(ok_target.load_state(gr));
 }
 
+TEST(SoakResume, PayloadPrefixesAndTrailingByteRejected) {
+  sd::ScenarioConfig config = small_config("interest", su::derive_seed(77, 26), 2.0);
+  auto world = sd::record_world(config);
+  sd::ReplaySession donor(config, *world, {});
+  std::vector<su::SimTime> cuts = donor.quiescent_cuts(60.0);
+  ASSERT_FALSE(cuts.empty());
+  donor.advance_to(cuts.back());
+  su::Writer w;
+  donor.save_state(w);
+  su::Bytes blob = w.take();
+  // Truncation and trailing bytes are caught before any node state is
+  // touched, so one target serves every probe. Prefixes are sampled: the
+  // payload is large, and each record type is swept exhaustively in
+  // layout_test.
+  sd::ReplaySession target(config, *world, {});
+  std::size_t stride = std::max<std::size_t>(1, blob.size() / 256);
+  for (std::size_t n = 0; n < blob.size(); n += (n + 64 < blob.size() ? stride : 1)) {
+    su::Reader r{su::ByteView(blob.data(), n)};
+    ASSERT_FALSE(target.load_state(r)) << "prefix of " << n;
+  }
+  su::Bytes longer = blob;
+  longer.push_back(0);
+  su::Reader lr{su::ByteView(longer)};
+  EXPECT_FALSE(target.load_state(lr));
+  EXPECT_EQ(target.sim_time(), 0.0);
+  su::Reader gr{su::ByteView(blob)};
+  EXPECT_TRUE(target.load_state(gr));
+}
+
 // --- soak runner ------------------------------------------------------------
 
 TEST(SoakRunner, RunsToHorizonWithSnapshotsCheckpointsAndJsonl) {
@@ -511,6 +555,23 @@ TEST(SoakRunner, ResumeRejectsForeignWorldCheckpoint) {
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.stop_reason.rfind("resume-rejected", 0), 0u) << result.stop_reason;
   EXPECT_TRUE(result.snapshots.empty());
+}
+
+TEST(SoakRunner, ResumeRejectsCheckpointFromAnotherFaultPlan) {
+  sk::SoakOptions opts;
+  opts.config = small_config("interest", su::derive_seed(88, 3));
+  auto world = sd::record_world(opts.config);
+  sd::ScenarioConfig faulted = opts.config;
+  faulted.faults.link.loss_p = 0.3;
+  sk::Checkpoint ckpt;
+  ckpt.world_digest = sk::world_digest(faulted, *world);
+  sd::ReplaySession session(faulted, *world, {});
+  su::Writer w;
+  session.save_state(w);
+  ckpt.payload = w.take();
+  sk::SoakResult result = sk::Runner(opts).resume(*world, ckpt);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.stop_reason.rfind("resume-rejected", 0), 0u) << result.stop_reason;
 }
 
 TEST(SoakRunner, MetricPredicateHaltsBeforeHorizon) {

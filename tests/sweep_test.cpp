@@ -219,6 +219,14 @@ TEST(SweepCli, MissingOrInvalidValueKeepsThePreviousOne) {
   EXPECT_EQ(parse_cli({"--jobs", "2", "--jobs"}).jobs, 2u);
   EXPECT_EQ(parse_cli({"-j"}).jobs, 1u);
   EXPECT_EQ(parse_cli({"--subepisode-jobs=2", "--subepisode-jobs"}).subepisode_jobs, 2u);
+  // A flag is never taken as the value of the flag before it.
+  auto next_flag = parse_cli({"--jobs", "--subepisode-jobs", "2"});
+  EXPECT_EQ(next_flag.jobs, 1u);
+  EXPECT_EQ(next_flag.subepisode_jobs, 2u);
+  auto short_then_long = parse_cli({"--jobs", "3", "-j", "--subepisode-jobs=4"});
+  EXPECT_EQ(short_then_long.jobs, 3u);
+  EXPECT_EQ(short_then_long.subepisode_jobs, 4u);
+  EXPECT_EQ(parse_cli({"--subepisode-jobs", "-j2"}).jobs, 2u);
   // Non-numeric, partly numeric, empty and negative values never become
   // 0 (= every core): each keeps whatever the earlier arguments set.
   EXPECT_EQ(parse_cli({"--jobs", "3", "--jobs", "four"}).jobs, 3u);
