@@ -57,7 +57,7 @@ struct Bundle {
   static void fields(S& s, F&& f) {
     f(s.origin, s.msg_num, s.creation_ts, s.lifetime_s,
       util::enum_u8(s.content, ContentType::ControlAction), s.dest,
-      util::unsigned_field(s.hop_count), s.payload, util::unsigned_field(s.signature));
+      util::per_copy(s.hop_count), s.payload, util::unsigned_field(s.signature));
   }
 
   util::Bytes signing_bytes() const { return util::signing_bytes(*this); }

@@ -111,13 +111,16 @@ void BundleStore::remove(const BundleId& id) {
   if (it != bundles_.end()) erase(it);
 }
 
-void BundleStore::save_state(util::Writer& w) const {
+void BundleStore::save_state(util::Writer& w, RecordTable& records) const {
   w.varint(bundles_.size());
-  for (const auto& [id, stored] : bundles_) util::put(w, stored);
+  for (const auto& [id, stored] : bundles_) {
+    records.put(w, stored.bundle);
+    util::put(w, stored.bundle.hop_count, stored.received_at, stored.hops_on_arrival);
+  }
   util::put(w, evicted_, duplicates_);
 }
 
-bool BundleStore::load_state(util::Reader& r) {
+bool BundleStore::load_state(util::Reader& r, const RecordTable& records) {
   std::uint64_t n = r.count();
   std::map<BundleId, StoredBundle> bundles;
   TimeIndex by_creation;
@@ -125,9 +128,13 @@ bool BundleStore::load_state(util::Reader& r) {
   std::map<pki::UserId, std::uint32_t> summary;
   std::size_t unicast = 0;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    const Bundle* body = records.bundle(r);
+    std::uint8_t hop_count = 0;
     StoredBundle stored;
-    util::get(r, stored);
+    util::get(r, hop_count, stored.received_at, stored.hops_on_arrival);
     if (!r.ok()) return false;
+    stored.bundle = *body;
+    stored.bundle.hop_count = hop_count;
     const Bundle& b = stored.bundle;
     BundleId id = b.id();
     // A repeated id cannot come from save_state (bundles_ is keyed by id),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bundle/bundle.hpp"
+#include "bundle/records.hpp"
 
 namespace sos::bundle {
 
@@ -19,13 +20,6 @@ struct StoredBundle {
   Bundle bundle;
   util::SimTime received_at = 0;
   std::uint8_t hops_on_arrival = 0;
-
-  /// Checkpoint layout. The bundle's encoding covers hop_count, but
-  /// hops_on_arrival is receive-time metadata the wire never carries.
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(util::framed(s.bundle), s.received_at, s.hops_on_arrival);
-  }
 };
 
 class BundleStore {
@@ -78,11 +72,13 @@ class BundleStore {
   }
 
   /// Checkpoint contents + lifetime counters (capacity is configuration and
-  /// stays with the owner). load_state rebuilds every secondary index from
-  /// the serialized bundles; on malformed input it returns false leaving
-  /// the store untouched.
-  void save_state(util::Writer& w) const;
-  bool load_state(util::Reader& r);
+  /// stays with the owner). Each held copy is its bundle body's index in
+  /// the payload's record table, then its hop count, receive time and
+  /// hops on arrival. load_state rebuilds every secondary index from the
+  /// restored bundles; on malformed input it returns false leaving the
+  /// store untouched.
+  void save_state(util::Writer& w, RecordTable& records) const;
+  bool load_state(util::Reader& r, const RecordTable& records);
 
  private:
   void evict_if_needed();

@@ -487,21 +487,36 @@ ScenarioResult ReplaySession::finish() {
 
 void ReplaySession::save_state(util::Writer& w) const {
   const Impl& im = *impl_;
+  // Everything after the fleet is sized up front, so `w` is reserved once
+  // for the whole payload and the oracle records are written in place.
+  auto write_tail = [&im](auto& out) {
+    for (std::size_t c : im.timeline_cursor) out.varint(c);
+    for (util::SimTime t : im.resume_at) out.f64(t);
+    const MetricsOracle& oracle = im.result.oracle;
+    util::put(out, oracle.posts(), oracle.deliveries(), oracle.carries());
+    for_each_net_counter([&](const char*, std::uint64_t v) { out.u64(v); }, im.result);
+  };
+  util::Sizer tail;
+  write_tail(tail);
   w.f64(im.now);
-  w.varint(im.fleet.nodes.size());
-  for (const auto& node : im.fleet.nodes)
-    w.framed([&](util::Writer& sub) { node->save_state(sub); });
-  for (std::size_t c : im.timeline_cursor) w.varint(c);
-  for (util::SimTime t : im.resume_at) w.f64(t);
-  const MetricsOracle& oracle = im.result.oracle;
-  util::put(w, oracle.posts(), oracle.deliveries(), oracle.carries());
-  for_each_net_counter([&](const char*, std::uint64_t v) { w.u64(v); }, im.result);
+  bundle::RecordTable::save(
+      w,
+      [&im](util::Writer& out, bundle::RecordTable& records) {
+        out.varint(im.fleet.nodes.size());
+        for (const auto& node : im.fleet.nodes)
+          out.framed([&](util::Writer& sub) { node->save_state(sub, records); });
+      },
+      tail.size());
+  write_tail(w);
 }
 
 bool ReplaySession::load_state(util::Reader& r) {
   Impl& im = *impl_;
   assert(im.now == 0);  // resume into a freshly constructed session only
   double now = r.f64();
+  // The record table comes first: every node state below refers into it.
+  bundle::RecordTable records;
+  if (!records.load(r)) return false;
   std::uint64_t nodes = r.varint();
   if (!r.ok() || nodes != im.fleet.nodes.size()) return false;
   // Range checks are written so NaN fails them: a NaN compares false.
@@ -529,7 +544,7 @@ bool ReplaySession::load_state(util::Reader& r) {
   if (!r.done()) return false;
   for (std::size_t i = 0; i < im.fleet.nodes.size(); ++i) {
     util::Reader& sub = node_states[i];
-    if (!im.fleet.nodes[i]->load_state(sub) || !sub.done()) return false;
+    if (!im.fleet.nodes[i]->load_state(sub, records) || !sub.done()) return false;
   }
   im.timeline_cursor = std::move(cursor);
   im.resume_at = std::move(resume);

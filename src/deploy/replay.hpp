@@ -116,18 +116,24 @@ class ReplaySession {
   /// Final result; call once after advance_to(horizon()).
   ScenarioResult finish();
 
-  /// Serialize the full session state at the current cut: sim time, every
-  /// node's middleware state (the detach/attach inventory), timeline
-  /// cursors, per-node resume points, and the merged partial metrics. The
-  /// setup-time state (fleet identities, social graph, timelines) is not
-  /// written — a resuming session reconstructs it from the same config.
+  /// Serialize the full session state at the current cut: sim time, the
+  /// record table (each unique bundle body, certificate and verify verdict
+  /// the fleet holds, written once — see bundle/records.hpp), every node's
+  /// middleware state (the detach/attach inventory, referring into the
+  /// table), timeline cursors, per-node resume points, and the merged
+  /// partial metrics. The setup-time state (fleet identities, social graph,
+  /// timelines) is not written — a resuming session reconstructs it from
+  /// the same config. `w` is reserved once, to the payload's exact size,
+  /// before the table is written.
   void save_state(util::Writer& w) const;
   /// Mirror of save_state; call on a freshly constructed session for the
   /// same config/world before any advance_to. Returns false on malformed
   /// input (the session must then be discarded): truncation, trailing
-  /// bytes, a node count mismatch, a sim time that is non-finite or outside [0, horizon], a
-  /// resume point outside [0, sim time], or a timeline cursor past its
-  /// timeline's end. Those checks all run before any node state is touched.
+  /// bytes, a malformed record table or one that repeats an entry, a node
+  /// count mismatch, a sim time that is non-finite or outside [0, horizon],
+  /// a resume point outside [0, sim time], or a timeline cursor past its
+  /// timeline's end. Those checks all run before any node state is touched;
+  /// a table index out of range fails the node that reads it.
   bool load_state(util::Reader& r);
 
  private:

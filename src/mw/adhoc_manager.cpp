@@ -464,7 +464,7 @@ void AdHocManager::forget_resume_secret(const std::array<std::uint8_t, 32>& fing
   if (it != resume_cache_.end()) resume_cache_erase(it);
 }
 
-void AdHocManager::save_state(util::Writer& w) const {
+void AdHocManager::save_state(util::Writer& w, bundle::RecordTable& records) const {
   // Sessions are transport-bound and cannot cross a checkpoint; the soak
   // runner only checkpoints at quiescent cuts where every contact (and thus
   // every session) has already ended.
@@ -472,23 +472,26 @@ void AdHocManager::save_state(util::Writer& w) const {
   session_rng_.save_state(w);
   util::put(w, started_, advert_info_);
   // LRU lists serialize front (most recent) to back so the restored
-  // eviction order is bit-identical; each entry is its key, then its value.
+  // eviction order is bit-identical.
   w.varint(verify_lru_.size());
   for (const bundle::BundleId& id : verify_lru_) {
     auto it = verify_cache_.find(id);
     assert(it != verify_cache_.end());
-    util::put(w, *it);
+    records.put(w, bundle::Verdict{id, it->second.digest});
   }
   w.varint(resume_lru_.size());
   for (const Fingerprint& fp : resume_lru_) {
     auto it = resume_cache_.find(fp);
     assert(it != resume_cache_.end());
-    util::put(w, *it);
+    const ResumeEntry& entry = it->second;
+    util::put(w, fp, entry.secret);
+    records.put(w, entry.cert);
+    util::put(w, entry.established_at);
   }
   util::put(w, resume_hint_);
 }
 
-bool AdHocManager::load_state(util::Reader& r) {
+bool AdHocManager::load_state(util::Reader& r, const bundle::RecordTable& records) {
   assert(sched_ == nullptr && sessions_.empty());
   crypto::Drbg rng = session_rng_;
   if (!rng.load_state(r)) return false;
@@ -499,25 +502,27 @@ bool AdHocManager::load_state(util::Reader& r) {
   std::map<bundle::BundleId, VerifyCacheEntry> verify_cache;
   std::list<bundle::BundleId> verify_lru;
   for (std::uint64_t i = 0; i < verify_n && r.ok(); ++i) {
-    std::pair<bundle::BundleId, VerifyCacheEntry> entry;
-    util::get(r, entry);
+    const bundle::Verdict* v = records.verdict(r);
     // A repeated key cannot come from save_state, and would leave an LRU
     // node no cache entry backs (the next save would read past the map).
-    if (!r.ok() || verify_cache.count(entry.first) > 0) return false;
-    verify_lru.push_back(entry.first);
-    entry.second.lru_it = std::prev(verify_lru.end());
-    verify_cache.emplace(entry.first, entry.second);
+    if (!r.ok() || verify_cache.count(v->id) > 0) return false;
+    verify_lru.push_back(v->id);
+    verify_cache.emplace(v->id, VerifyCacheEntry{v->digest, std::prev(verify_lru.end())});
   }
   std::uint64_t resume_n = r.count();
   std::map<Fingerprint, ResumeEntry> resume_cache;
   std::list<Fingerprint> resume_lru;
   for (std::uint64_t i = 0; i < resume_n && r.ok(); ++i) {
-    std::pair<Fingerprint, ResumeEntry> entry;
-    util::get(r, entry);
-    if (!r.ok() || resume_cache.count(entry.first) > 0) return false;
-    resume_lru.push_back(entry.first);
-    entry.second.lru_it = std::prev(resume_lru.end());
-    resume_cache.emplace(entry.first, std::move(entry.second));
+    Fingerprint fp{};
+    ResumeEntry entry;
+    util::get(r, fp, entry.secret);
+    const pki::Certificate* cert = records.cert(r);
+    util::get(r, entry.established_at);
+    if (!r.ok() || resume_cache.count(fp) > 0) return false;
+    entry.cert = *cert;
+    resume_lru.push_back(fp);
+    entry.lru_it = std::prev(resume_lru.end());
+    resume_cache.emplace(fp, std::move(entry));
   }
   std::map<sim::PeerId, Fingerprint> resume_hint;
   util::get(r, resume_hint);

@@ -33,6 +33,7 @@
 #include <optional>
 
 #include "bundle/bundle.hpp"
+#include "bundle/records.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/verify_memo.hpp"
 #include "mw/stats.hpp"
@@ -142,14 +143,15 @@ class AdHocManager {
 
   /// Checkpoint the transport-independent soft state: session RNG stream,
   /// started flag, advertisement dictionary, verify + resume caches (LRU
-  /// order preserved exactly), and transport resume hints. Call only while
-  /// detached at a quiescent point (no sessions — SosNode::save_state
+  /// order preserved exactly; verdicts and peer certificates are indices
+  /// into the payload's record table), and transport resume hints. Call
+  /// only while detached at a quiescent point (no sessions — SosNode::save_state
   /// asserts this). Configuration (lifetimes, capacities, memo pointers)
   /// is not serialized; the owner re-applies it before load_state.
-  void save_state(util::Writer& w) const;
+  void save_state(util::Writer& w, bundle::RecordTable& records) const;
   /// Restore state written by save_state (parse fully, then commit; false
   /// on malformed input with the manager untouched). Call while detached.
-  bool load_state(util::Reader& r);
+  bool load_state(util::Reader& r, const bundle::RecordTable& records);
 
   // --- callbacks up to the message manager -------------------------------
   /// Peer advertisement seen while browsing (parsed dictionary).
@@ -209,23 +211,12 @@ class AdHocManager {
     pki::Certificate cert;                  // peer cert from the full handshake
     util::SimTime established_at = 0;       // time of that full handshake
     std::list<Fingerprint>::iterator lru_it;
-
-    /// Checkpoint layout (the LRU position is the entry's place in the list).
-    template <class S, class F>
-    static void fields(S& s, F&& f) {
-      f(s.secret, util::framed(s.cert), s.established_at);
-    }
   };
 
   using VerifyDigest = std::array<std::uint8_t, 32>;
   struct VerifyCacheEntry {
     VerifyDigest digest;
     std::list<bundle::BundleId>::iterator lru_it;
-
-    template <class S, class F>
-    static void fields(S& s, F&& f) {
-      f(s.digest);
-    }
   };
 
   /// Shared policy gate for both verification paths: certificate policy

@@ -119,34 +119,32 @@ void MessageManager::attach() {
   }
 }
 
-void MessageManager::save_state(util::Writer& w) const {
+void MessageManager::save_state(util::Writer& w, bundle::RecordTable& records) const {
   // Quiescent-cut contract: no live sessions means no per-session transfer
   // bookkeeping and nothing waiting for batch verification (on_session_down
   // drains the queue entries owned by each dying session).
   assert(session_users_.empty() && sent_this_session_.empty() && verify_queue_.empty());
-  w.framed([&](util::Writer& sub) { store_.save_state(sub); });
+  w.framed([&](util::Writer& sub) { store_.save_state(sub, records); });
   // Keys are re-derived from each certificate's subject id on load.
   w.varint(cert_cache_.size());
-  for (const auto& [uid, cert] : cert_cache_) util::put(w, util::framed(cert));
+  for (const auto& [uid, cert] : cert_cache_) records.put(w, cert);
   w.u8(verify_flush_scheduled_ ? 1 : 0);
   w.f64(verify_flush_at_);
 }
 
-bool MessageManager::load_state(util::Reader& r) {
+bool MessageManager::load_state(util::Reader& r, const bundle::RecordTable& records) {
   assert(!adhoc_.attached());
   bundle::BundleStore store(store_.capacity());
   {
     util::Reader sub = r.framed();
-    if (!r.ok() || !store.load_state(sub) || !sub.done()) return false;
+    if (!r.ok() || !store.load_state(sub, records) || !sub.done()) return false;
   }
   std::uint64_t n = r.count();
   std::map<pki::UserId, pki::Certificate> certs;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    pki::Certificate cert;
-    util::get(r, util::framed(cert));
+    const pki::Certificate* cert = records.cert(r);
     if (!r.ok()) return false;
-    pki::UserId uid = cert.subject_id;
-    certs.emplace(uid, std::move(cert));
+    certs.emplace(cert->subject_id, *cert);
   }
   bool flush_scheduled = r.u8() != 0;
   double flush_at = r.f64();

@@ -93,15 +93,16 @@ class MessageManager {
 
   // --- checkpointing (soak harness) ----------------------------------------
   /// Serialize store contents, certificate cache and the pending-flush
-  /// deadline. Only callable at a quiescent cut (no live sessions: the
+  /// deadline; bundles and certificates are indices into the payload's
+  /// record table. Only callable at a quiescent cut (no live sessions: the
   /// session bookkeeping and verify queue must already be empty — a session
   /// drop drains both). Config knobs (batch window/adaptive/max queue) stay
   /// with the owner.
-  void save_state(util::Writer& w) const;
+  void save_state(util::Writer& w, bundle::RecordTable& records) const;
   /// Mirror of save_state; call while detached, before attach() re-arms the
   /// restored flush deadline. Returns false on malformed input leaving the
   /// manager untouched.
-  bool load_state(util::Reader& r);
+  bool load_state(util::Reader& r, const bundle::RecordTable& records);
 
  private:
   void handle_frame(sim::PeerId peer, FrameType type, util::Bytes payload);

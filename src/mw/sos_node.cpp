@@ -103,16 +103,16 @@ bool SosNode::attached() const {
   return sched_ != nullptr;
 }
 
-void SosNode::save_state(util::Writer& w) const {
+void SosNode::save_state(util::Writer& w, bundle::RecordTable& records) const {
   assert(!attached());
   w.u32(next_msg_num_);
   for_each_stat([&](const char*, std::uint64_t v) { w.u64(v); }, stats_);
-  w.framed([&](util::Writer& sub) { adhoc_->save_state(sub); });
-  w.framed([&](util::Writer& sub) { msgs_->save_state(sub); });
+  w.framed([&](util::Writer& sub) { adhoc_->save_state(sub, records); });
+  w.framed([&](util::Writer& sub) { msgs_->save_state(sub, records); });
   w.framed([&](util::Writer& sub) { routing_->save_state(sub); });
 }
 
-bool SosNode::load_state(util::Reader& r) {
+bool SosNode::load_state(util::Reader& r, const bundle::RecordTable& records) {
   assert(!attached());
   std::uint32_t next_msg_num = r.u32();
   NodeStats stats;
@@ -121,8 +121,8 @@ bool SosNode::load_state(util::Reader& r) {
   util::Reader msgs_state = r.framed();
   util::Reader routing_state = r.framed();
   if (!r.ok()) return false;
-  if (!adhoc_->load_state(adhoc_state) || !adhoc_state.done()) return false;
-  if (!msgs_->load_state(msgs_state) || !msgs_state.done()) return false;
+  if (!adhoc_->load_state(adhoc_state, records) || !adhoc_state.done()) return false;
+  if (!msgs_->load_state(msgs_state, records) || !msgs_state.done()) return false;
   if (!routing_->load_state(routing_state) || !routing_state.done()) return false;
   next_msg_num_ = next_msg_num;
   stats_ = stats;

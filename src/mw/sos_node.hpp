@@ -76,14 +76,16 @@ class SosNode {
   /// Serialize exactly the durable state the detach()/attach() seam already
   /// enumerates — bundle store, resumption cache, verify/advert caches,
   /// routing tables, stats, pending absolute timer deadlines — plus the
-  /// publish counter. Only callable while detached at a quiescent cut (no
-  /// live sessions). Identity and SosConfig are not serialized: a restoring
-  /// node is constructed from the same scenario inputs first.
-  void save_state(util::Writer& w) const;
+  /// publish counter. Bundles, certificates and verify verdicts are
+  /// indices into the payload's record table. Only callable while detached
+  /// at a quiescent cut (no live sessions). Identity and SosConfig are not
+  /// serialized: a restoring node is constructed from the same scenario
+  /// inputs first.
+  void save_state(util::Writer& w, bundle::RecordTable& records) const;
   /// Mirror of save_state; call while detached, then attach() re-arms every
   /// restored deadline. Returns false on malformed input; the node may have
   /// partially restored manager state in that case and must be discarded.
-  bool load_state(util::Reader& r);
+  bool load_state(util::Reader& r, const bundle::RecordTable& records);
 
   /// Power cycle (fault-injection churn). Everything in RAM is lost:
   /// sessions, handshake state, verify queue/caches, certificate cache,

@@ -1,7 +1,10 @@
 #include "sim/mobility.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 namespace sos::sim {
@@ -16,17 +19,22 @@ void Trajectory::add(util::SimTime t, Vec2 p) {
   points_.emplace_back(t, p);
 }
 
-Vec2 Trajectory::at(util::SimTime t) const {
-  if (points_.empty()) return {};
-  if (t <= points_.front().first) return points_.front().second;
-  if (t >= points_.back().first) return points_.back().second;
+HeldPosition Trajectory::held_at(util::SimTime t) const {
+  constexpr util::SimTime kForever = std::numeric_limits<util::SimTime>::infinity();
+  if (points_.empty()) return {{}, kForever};
+  if (t <= points_.front().first) return {points_.front().second, points_.front().first};
+  if (t >= points_.back().first) return {points_.back().second, kForever};
   auto it = std::upper_bound(points_.begin(), points_.end(), t,
                              [](util::SimTime v, const auto& p) { return v < p.first; });
   const auto& [t1, p1] = *it;
   const auto& [t0, p0] = *(it - 1);
-  if (t1 <= t0) return p0;
+  if (t1 <= t0) return {p0, t};
   double f = (t - t0) / (t1 - t0);
-  return {p0.x + (p1.x - p0.x) * f, p0.y + (p1.y - p0.y) * f};
+  // Between two bitwise-equal anchors every time in [t0, t1) evaluates the
+  // same expression with a +0 step, so the result repeats exactly.
+  const bool constant = std::bit_cast<std::uint64_t>(p0.x) == std::bit_cast<std::uint64_t>(p1.x) &&
+                        std::bit_cast<std::uint64_t>(p0.y) == std::bit_cast<std::uint64_t>(p1.y);
+  return {{p0.x + (p1.x - p0.x) * f, p0.y + (p1.y - p0.y) * f}, constant ? t1 : t};
 }
 
 util::SimTime Trajectory::end_time() const {

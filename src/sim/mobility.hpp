@@ -21,12 +21,22 @@ struct Vec2 {
 
 double distance(const Vec2& a, const Vec2& b);
 
+/// A position sampled at some time t, and a time it holds until: the
+/// position is the same, bit for bit, at every time in [t, until).
+struct HeldPosition {
+  Vec2 pos;
+  util::SimTime until = 0;
+};
+
 /// Piecewise-linear path: sorted (time, position) anchors.
 class Trajectory {
  public:
   void add(util::SimTime t, Vec2 p);
   /// Position at time t (clamped to the first/last anchor).
-  Vec2 at(util::SimTime t) const;
+  Vec2 at(util::SimTime t) const { return held_at(t).pos; }
+  /// at(t), held until the end of a constant segment (a node asleep or
+  /// dwelling), the first anchor, or forever after the last; otherwise t.
+  HeldPosition held_at(util::SimTime t) const;
   std::size_t anchor_count() const { return points_.size(); }
   util::SimTime end_time() const;
 
@@ -40,6 +50,10 @@ class MobilityModel {
   virtual ~MobilityModel() = default;
   virtual std::size_t node_count() const = 0;
   virtual Vec2 position(std::size_t node, util::SimTime t) const = 0;
+  /// position(node, t) and how long it holds; by default nothing past t.
+  virtual HeldPosition held_position(std::size_t node, util::SimTime t) const {
+    return {position(node, t), t};
+  }
 };
 
 /// Model built from explicit trajectories (also the base for all built-ins).
@@ -51,6 +65,9 @@ class TrajectoryMobility : public MobilityModel {
   std::size_t node_count() const override { return trajectories_.size(); }
   Vec2 position(std::size_t node, util::SimTime t) const override {
     return trajectories_[node].at(t);
+  }
+  HeldPosition held_position(std::size_t node, util::SimTime t) const override {
+    return trajectories_[node].held_at(t);
   }
   const Trajectory& trajectory(std::size_t node) const { return trajectories_[node]; }
 

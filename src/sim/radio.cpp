@@ -46,14 +46,20 @@ void EncounterDetector::scan() {
   // and the rest of this function is the full grid scan.
   const bool first = pos_.size() != n;
   pos_.resize(n);
+  held_until_.resize(n);
   is_moved_.resize(n);
   moved_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    Vec2 p = mobility_.position(i, now);
-    const bool moved = first || !same_bits(p, pos_[i]);
+    if (!first && now < held_until_[i]) {  // asleep or dwelling: no lookup
+      is_moved_[i] = false;
+      continue;
+    }
+    const HeldPosition p = mobility_.held_position(i, now);
+    held_until_[i] = p.until;
+    const bool moved = first || !same_bits(p.pos, pos_[i]);
     is_moved_[i] = moved;
     if (moved) moved_.push_back(i);
-    pos_[i] = p;
+    pos_[i] = p.pos;
   }
   if (moved_.empty()) return;  // every verdict, hence the contact set, stands
 

@@ -51,6 +51,8 @@ class EncounterDetector {
   /// pass (every node is, on the first). Pairs of unmoved nodes keep their
   /// previous verdict — same positions, same test — and every pair touching
   /// a moved node is re-tested, so the result equals a full all-pairs scan.
+  /// A node whose last sample still holds (MobilityModel::held_position) is
+  /// unmoved without a lookup.
   void scan();
 
  private:
@@ -76,6 +78,7 @@ class EncounterDetector {
   // State carried between passes: the previous pass's positions and the
   // grid they occupy (every node's cell, sorted by key).
   std::vector<Vec2> pos_;
+  std::vector<util::SimTime> held_until_;  // pos_[i] holds before this time
   std::vector<CellEntry> cells_;
 
   // Scratch buffers reused across ticks so a scan allocates nothing in

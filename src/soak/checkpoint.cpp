@@ -37,6 +37,15 @@ std::optional<std::uint64_t> parse_segment(std::string_view name) {
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return segment;
 }
+
+// Only this build's format is parsed: a newer file needs a newer tool, and
+// an older one was written for a layout this build no longer reads.
+std::optional<std::string> version_error(std::uint32_t version) {
+  if (version == kCheckpointVersion) return std::nullopt;
+  return "checkpoint format version " + std::to_string(version) + " is " +
+         (version > kCheckpointVersion ? "newer" : "older") + " than supported version " +
+         std::to_string(kCheckpointVersion);
+}
 }  // namespace
 
 std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
@@ -61,7 +70,10 @@ std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
 }
 
 util::Bytes encode_checkpoint(const Checkpoint& c) {
+  util::Sizer body;
+  util::put(body, c);
   util::Writer w;
+  w.reserve(sizeof(kMagic) + 4 + body.size() + crypto::Sha256::kDigestSize);
   w.raw(util::ByteView(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
   w.u32(kCheckpointVersion);
   util::put(w, c);
@@ -87,7 +99,7 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
   crypto::Sha256::Digest computed = crypto::Sha256::hash(body);
   if (!util::ct_equal(util::ByteView(computed), stored_hash)) {
     // Distinguish the two common operator mistakes before declaring rot:
-    // a non-checkpoint file (bad magic) and a newer tool's file (version).
+    // a non-checkpoint file (bad magic) and another tool's file (version).
     if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
       set_error(error, "not a checkpoint file (bad magic)");
       return std::nullopt;
@@ -95,10 +107,8 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
     util::Reader probe(body);
     probe.raw(sizeof(kMagic));
     std::uint32_t version = probe.u32();
-    if (probe.ok() && version > kCheckpointVersion) {
-      set_error(error, "checkpoint format version " + std::to_string(version) +
-                           " is newer than supported version " +
-                           std::to_string(kCheckpointVersion));
+    if (auto why = version_error(version); probe.ok() && why) {
+      set_error(error, *why);
       return std::nullopt;
     }
     set_error(error, "checkpoint integrity hash mismatch (truncated or corrupted file)");
@@ -111,10 +121,8 @@ std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* er
     return std::nullopt;
   }
   std::uint32_t version = r.u32();
-  if (r.ok() && version > kCheckpointVersion) {
-    set_error(error, "checkpoint format version " + std::to_string(version) +
-                         " is newer than supported version " +
-                         std::to_string(kCheckpointVersion));
+  if (auto why = version_error(version); r.ok() && why) {
+    set_error(error, *why);
     return std::nullopt;
   }
   Checkpoint c;
@@ -162,12 +170,19 @@ bool CheckpointStore::save(const Checkpoint& c, std::string* error) const {
 
 std::optional<Checkpoint> CheckpointStore::load_file(const std::string& path,
                                                      std::string* error) const {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.good()) {
     set_error(error, "cannot open " + path);
     return std::nullopt;
   }
-  util::Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::streamoff size = in.tellg();
+  util::Bytes data(size > 0 ? static_cast<std::size_t>(size) : 0);
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(data.size()));
+  if (size < 0 || !in.good()) {
+    set_error(error, "short read from " + path);
+    return std::nullopt;
+  }
   std::string decode_error;
   auto c = decode_checkpoint(util::ByteView(data), &decode_error);
   if (!c) set_error(error, path + ": " + decode_error);

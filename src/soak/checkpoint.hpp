@@ -9,7 +9,7 @@
 // Wire layout (all integers in the codec's standard encodings):
 //
 //   magic   "SOSCKPT\0"                      8 bytes
-//   version u32                              rejected when > supported
+//   version u32                              rejected unless the supported one
 //   digest  raw 32 bytes                     world identity (config + trace)
 //   segment u64                              segments completed so far
 //   simtime f64                              the cut
@@ -17,7 +17,7 @@
 //   hash    raw 32 bytes                     SHA-256 over everything above
 //
 // Every rejection happens at decode, before any node state is touched: a
-// truncated, corrupted, future-versioned or wrong-world checkpoint never
+// truncated, corrupted, other-versioned or wrong-world checkpoint never
 // partially restores a fleet.
 #pragma once
 
@@ -31,7 +31,9 @@
 
 namespace sos::soak {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2 added the record table ahead of the fleet state (see
+/// bundle/records.hpp); version 1 payloads are refused, not parsed.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 struct Checkpoint {
   std::uint64_t segment = 0;  // quiescent segments completed before the cut
@@ -57,7 +59,7 @@ std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
 util::Bytes encode_checkpoint(const Checkpoint& c);
 
 /// Decode + validate. nullopt on any malformation, with a human-pointed
-/// diagnostic in *error (wrong magic, future version, truncation, integrity
+/// diagnostic in *error (wrong magic, another version, truncation, integrity
 /// mismatch, trailing bytes).
 std::optional<Checkpoint> decode_checkpoint(util::ByteView data, std::string* error);
 

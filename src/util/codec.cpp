@@ -49,6 +49,19 @@ void Writer::raw(ByteView b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
+void Writer::close_frame(std::size_t at) {
+  std::size_t len = buf_.size() - at - 1;
+  std::uint8_t prefix[10];
+  std::size_t n = 0;
+  while (len >= 0x80) {
+    prefix[n++] = static_cast<std::uint8_t>(len) | 0x80;
+    len >>= 7;
+  }
+  prefix[n++] = static_cast<std::uint8_t>(len);
+  if (n > 1) buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(at) + 1, n - 1, 0);
+  std::memcpy(buf_.data() + at, prefix, n);
+}
+
 const std::uint8_t* Reader::take(std::size_t n) {
   if (!ok_ || data_.size() - pos_ < n) {
     ok_ = false;

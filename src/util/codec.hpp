@@ -11,14 +11,15 @@
 //   static constexpr std::string_view kSigningDomain = "sos-bundle-v1";
 //   template <class S, class F>
 //   static void fields(S& s, F&& f) {
-//     f(s.origin, s.msg_num, util::unsigned_field(s.hop_count), s.payload,
+//     f(s.origin, s.msg_num, util::per_copy(s.hop_count), s.payload,
 //       util::unsigned_field(s.signature));
 //   }
 //
-// S is the record or a const record, so the one list drives all three
-// walkers below: encode(), the strict decode(), and signing_bytes() — the
-// domain tag followed by every field not marked unsigned_field. How a field
-// is written follows from its type:
+// S is the record or a const record, so the one list drives every walker
+// below: encode(), the strict decode(), signing_bytes() — the domain tag
+// followed by every field not marked unsigned_field or per_copy — and the
+// shared-body walkers put_shared(), get_shared() and same_shared(), which
+// skip the per_copy fields. How a field is written follows from its type:
 //
 //   u8/bool/u32/u64          fixed width     double        its f64 bits
 //   u8 array (std or C)      raw bytes       Bytes/string  varint length + raw
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -62,12 +64,15 @@ class Writer {
   void str(std::string_view s);
   /// Raw bytes, no length prefix (fixed-size fields).
   void raw(ByteView b);
-  /// Length-prefixed sub-encoding written by fn(Writer&).
+  /// Length-prefixed sub-encoding written by fn(Writer&) in place: fn
+  /// writes behind a one-byte prefix, which widens (shifting the
+  /// sub-encoding) only when the length needs more than one varint byte.
   template <class Fn>
   void framed(Fn&& fn) {
-    Writer sub;
-    fn(sub);
-    bytes(sub.data());
+    const std::size_t at = size();
+    u8(0);
+    fn(*this);
+    close_frame(at);
   }
 
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -76,6 +81,9 @@ class Writer {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  /// Write the length prefix of the frame whose placeholder byte is at `at`.
+  void close_frame(std::size_t at);
+
   Bytes buf_;
 };
 
@@ -160,6 +168,17 @@ Unsigned<T> unsigned_field(T& v) {
   return {v};
 }
 
+/// Per-copy relay metadata (a bundle's hop count): outside the signature,
+/// and outside the body that copies of one record share in a checkpoint.
+template <class T>
+struct PerCopy {
+  T& v;
+};
+template <class T>
+PerCopy<T> per_copy(T& v) {
+  return {v};
+}
+
 /// One-byte enum; decoding fails above `max`.
 template <class E>
 struct EnumU8 {
@@ -231,6 +250,10 @@ template <class W, class T>
 void put(W& w, const Unsigned<T>& f) {
   put(w, f.v);
 }
+template <class W, class T>
+void put(W& w, const PerCopy<T>& f) {
+  put(w, f.v);
+}
 template <class W, class E>
 void put(W& w, const EnumU8<E>& f) {
   w.u8(static_cast<std::uint8_t>(f.v));
@@ -291,6 +314,10 @@ void get(Reader& r, T& v);
 
 template <class T>
 void get(Reader& r, Unsigned<T> f) {
+  get(r, f.v);
+}
+template <class T>
+void get(Reader& r, PerCopy<T> f) {
   get(r, f.v);
 }
 template <class E>
@@ -399,9 +426,11 @@ void put_signed(W& w, const T& v) {
 }
 template <class W, class T>
 void put_signed(W&, const Unsigned<T>&) {}
+template <class W, class T>
+void put_signed(W&, const PerCopy<T>&) {}
 
 /// The bytes a signature covers: the record's domain tag (a length-prefixed
-/// string) followed by every field not marked unsigned_field.
+/// string) followed by every field not marked unsigned_field or per_copy.
 template <class T>
 Bytes signing_bytes(const T& v) {
   auto walk = [&v](auto& w) {
@@ -414,6 +443,78 @@ Bytes signing_bytes(const T& v) {
   w.reserve(s.size());
   walk(w);
   return w.take();
+}
+
+// --- shared bodies: a record minus its per_copy fields -------------------------
+
+template <class W, class T>
+void put_shared_field(W& w, const T& f) {
+  put(w, f);
+}
+template <class W, class T>
+void put_shared_field(W&, const PerCopy<T>&) {}
+
+/// Append the encoding of v's fields except its per_copy ones.
+template <class W, class T>
+void put_shared(W& w, const T& v) {
+  T::fields(v, [&w](const auto&... fs) { (put_shared_field(w, fs), ...); });
+}
+
+template <class T>
+void get_shared_field(Reader& r, T& f) {
+  get(r, f);
+}
+template <class T>
+void get_shared_field(Reader&, PerCopy<T>) {}
+
+/// Decode what put_shared wrote; per_copy fields keep their values.
+template <class T>
+void get_shared(Reader& r, T& v) {
+  T::fields(v, [&r](auto&&... fs) { (get_shared_field(r, fs), ...); });
+}
+
+namespace codec_detail {
+
+template <class T>
+bool same_value(const T& a, const T& b);
+template <class T>
+bool same_value(const Unsigned<T>& a, const Unsigned<T>& b) {
+  return same_value(a.v, b.v);
+}
+template <class E>
+bool same_value(const EnumU8<E>& a, const EnumU8<E>& b) {
+  return a.v == b.v;
+}
+template <class T>
+bool same_value(const PerCopy<T>&, const PerCopy<T>&) {
+  return true;
+}
+
+/// Equal encodings: doubles compare by bits, records field by field.
+template <class T>
+bool same_value(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  } else if constexpr (Record<const T>) {
+    bool same = true;
+    T::fields(a, [&](const auto&... fa) {
+      T::fields(b, [&](const auto&... fb) { same = (same_value(fa, fb) && ...); });
+    });
+    return same;
+  } else {
+    static_assert(!std::ranges::range<T> || std::is_same_v<T, Bytes> ||
+                      std::is_same_v<T, std::string> || ByteArray<T>,
+                  "same_value compares byte containers only");
+    return a == b;
+  }
+}
+
+}  // namespace codec_detail
+
+/// True when put_shared would write the same bytes for a and b.
+template <class T>
+bool same_shared(const T& a, const T& b) {
+  return codec_detail::same_value(a, b);
 }
 
 }  // namespace sos::util

@@ -322,10 +322,15 @@ TEST(Store, RandomizedOpsMatchBruteForceModel) {
         // A checkpoint round trip into a fresh store must rebuild every
         // index, the deadline index included.
         su::Writer w;
-        store.save_state(w);
+        sb::RecordTable::save(w, [&](su::Writer& out, sb::RecordTable& records) {
+          store.save_state(out, records);
+        });
         sb::BundleStore restored(capacity);
         su::Reader r(w.data());
-        ASSERT_TRUE(restored.load_state(r));
+        sb::RecordTable records;
+        ASSERT_TRUE(records.load(r));
+        ASSERT_TRUE(restored.load_state(r, records));
+        ASSERT_TRUE(r.done());
         store = std::move(restored);
       }
       expect_store_matches(store, model);
@@ -335,18 +340,21 @@ TEST(Store, RandomizedOpsMatchBruteForceModel) {
 }
 
 TEST(Store, LoadStateRejectsRepeatedBundle) {
-  // A save_state payload whose one bundle appears twice.
+  // A save_state payload holding its one table bundle twice.
+  const sb::Bundle b = make_bundle("alice", 1, 100.0);
   su::Writer twice;
-  twice.varint(2);
-  for (int i = 0; i < 2; ++i) {
-    twice.bytes(make_bundle("alice", 1, 100.0).encode());
-    twice.f64(0.0);
-    twice.u8(0);
-  }
-  twice.u64(0);
-  twice.u64(0);
-  sb::BundleStore restored;
+  sb::RecordTable::save(twice, [&](su::Writer& out, sb::RecordTable& records) {
+    out.varint(2);
+    for (int i = 0; i < 2; ++i) {
+      records.put(out, b);
+      su::put(out, b.hop_count, 0.0, std::uint8_t{0});
+    }
+    su::put(out, std::uint64_t{0}, std::uint64_t{0});
+  });
   su::Reader r(twice.data());
-  EXPECT_FALSE(restored.load_state(r));
+  sb::RecordTable records;
+  ASSERT_TRUE(records.load(r));
+  sb::BundleStore restored;
+  EXPECT_FALSE(restored.load_state(r, records));
   EXPECT_EQ(restored.size(), 0u);
 }

@@ -16,6 +16,7 @@
 #include "alleyoop/local_db.hpp"
 #include "alleyoop/post.hpp"
 #include "bundle/bundle.hpp"
+#include "bundle/records.hpp"
 #include "bundle/store.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
@@ -231,6 +232,30 @@ su::Bytes saved(const State& s) {
   return w.take();
 }
 
+/// A state that refers into a record table, saved behind its table.
+template <class State>
+su::Bytes saved_with_records(const State& s) {
+  su::Writer w;
+  sb::RecordTable::save(w, [&s](su::Writer& out, sb::RecordTable& records) {
+    s.save_state(out, records);
+  });
+  return w.take();
+}
+
+/// A table holding one record of each kind, then one reference to each.
+su::Bytes sample_table() {
+  const sb::Bundle bundle = sample_bundle();
+  const sp::Certificate cert = sample_cert();
+  const sb::Verdict verdict{bundle.id(), ramp<32>(0xD0)};
+  su::Writer w;
+  sb::RecordTable::save(w, [&](su::Writer& out, sb::RecordTable& records) {
+    records.put(out, bundle);
+    records.put(out, cert);
+    records.put(out, verdict);
+  });
+  return w.take();
+}
+
 sb::BundleStore sample_store() {
   sb::BundleStore store;
   sb::Bundle a = sample_bundle();
@@ -348,8 +373,8 @@ TEST(LayoutKat, SprayBlobAndState) {
 }
 
 TEST(LayoutKat, BundleStoreState) {
-  EXPECT_EQ(digest(saved(sample_store())),
-            "253:58f3c52c3e10159860621b74e8f8a941365fe672323420be9be0bdaf9530e068");
+  EXPECT_EQ(digest(saved_with_records(sample_store())),
+            "256:7845053491a135fba1e6e4196b0f35f7f2461ea1457626496a2149900c593516");
 }
 
 TEST(LayoutKat, DrbgState) {
@@ -392,6 +417,44 @@ Accepts loads_into(State& target) {
     return target.load_state(r) && r.done();
   };
 }
+
+/// Like loads_into, for a state that refers into the record table ahead of it.
+template <class State>
+Accepts loads_with_records(State& target) {
+  return [&target](su::ByteView b) {
+    su::Reader r(b);
+    sb::RecordTable records;
+    return records.load(r) && target.load_state(r, records) && r.done();
+  };
+}
+
+/// A payload's record table, decoded so a test can corrupt it, and the
+/// bytes that follow it.
+struct TableMirror {
+  std::vector<sb::Bundle> bundles;
+  std::vector<sp::Certificate> certs;
+  std::vector<sb::Verdict> verdicts;
+  su::Bytes rest;
+
+  static TableMirror parse(const su::Bytes& blob) {
+    TableMirror t;
+    su::Reader r{su::ByteView(blob)};
+    t.bundles.resize(r.varint());
+    for (sb::Bundle& b : t.bundles) su::get_shared(r, b);
+    su::get(r, t.certs, t.verdicts);
+    t.rest = r.raw(r.remaining());
+    EXPECT_TRUE(r.done());
+    return t;
+  }
+  su::Bytes encode() const {
+    su::Writer w;
+    w.varint(bundles.size());
+    for (const sb::Bundle& b : bundles) su::put_shared(w, b);
+    su::put(w, certs, verdicts);
+    w.raw(rest);
+    return w.take();
+  }
+};
 
 /// A scheme takes a peer blob only if its state changes.
 template <class Scheme>
@@ -437,13 +500,63 @@ TEST(LayoutReject, RoutingBlobs) {
 TEST(LayoutReject, CheckpointStates) {
   SchemeHarness h;
   sb::BundleStore store;
-  expect_exact("store", saved(sample_store()), loads_into(store));
+  expect_exact("store", saved_with_records(sample_store()), loads_with_records(store));
+  expect_exact("record table", sample_table(), [](su::ByteView b) {
+    su::Reader r(b);
+    sb::RecordTable records;
+    return records.load(r) && records.bundle(r) && records.cert(r) && records.verdict(r) &&
+           r.done();
+  });
   sc::Drbg drbg(su::to_bytes("target"));
   expect_exact("drbg", saved(sc::Drbg(su::to_bytes("layout-kat"))), loads_into(drbg));
   sm::ProphetScheme prophet;
   expect_exact("prophet state", saved(sample_prophet(h)), loads_into(prophet));
   sm::SprayAndWaitScheme spray;
   expect_exact("spray state", saved(sample_spray()), loads_into(spray));
+}
+
+TEST(LayoutReject, RecordTableIndicesAndEntries) {
+  const su::Bytes valid = saved_with_records(sample_store());
+  const TableMirror good = TableMirror::parse(valid);
+  ASSERT_EQ(good.encode(), valid);
+  ASSERT_EQ(good.bundles.size(), 2u);
+  // Each copy keeps its own hop count; the table entry carries none.
+  EXPECT_EQ(good.bundles[0].hop_count, 0u);
+
+  // An index past the table: without its last entry, the copy naming it
+  // refers one past the end.
+  TableMirror short_table = good;
+  short_table.bundles.pop_back();
+  sb::BundleStore target;
+  EXPECT_FALSE(loads_with_records(target)(short_table.encode()));
+  EXPECT_EQ(target.size(), 0u);
+
+  // A repeated entry, in each pool.
+  TableMirror tables = TableMirror::parse(sample_table());
+  ASSERT_TRUE(tables.certs.size() == 1 && tables.verdicts.size() == 1);
+  TableMirror twice_bundled = good;
+  twice_bundled.bundles.push_back(good.bundles[0]);
+  TableMirror twice_certified = tables;
+  twice_certified.certs.push_back(tables.certs[0]);
+  TableMirror twice_verified = tables;
+  twice_verified.verdicts.push_back(tables.verdicts[0]);
+  for (const TableMirror* bad : {&twice_bundled, &twice_certified, &twice_verified}) {
+    su::Bytes blob = bad->encode();
+    su::Reader r{su::ByteView(blob)};
+    sb::RecordTable records;
+    EXPECT_FALSE(records.load(r));
+  }
+  // Entries equal but for a per-copy field are one entry: the bodies match.
+  TableMirror hopped = good;
+  hopped.bundles.push_back(good.bundles[0]);
+  hopped.bundles.back().hop_count = 9;
+  EXPECT_EQ(hopped.encode(), twice_bundled.encode());
+
+  // A truncated table: the pools end early, so no state can follow.
+  su::Bytes truncated(valid.begin(), valid.end() - static_cast<std::ptrdiff_t>(good.rest.size()) - 1);
+  su::Reader r{su::ByteView(truncated)};
+  sb::RecordTable records;
+  EXPECT_FALSE(records.load(r));
 }
 
 TEST(LayoutReject, OracleRecords) {

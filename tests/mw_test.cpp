@@ -827,10 +827,13 @@ TEST(MwSeam, ManagerStatesRejectEveryPrefixAndATrailingByte) {
   ASSERT_EQ(bed.node(1).adhoc().resume_cache_size(), 1u);
   ASSERT_EQ(bed.node(1).store().size(), 1u);
 
+  // States that refer to bundles, certificates or verdicts are swept
+  // behind the record table their save wrote.
   auto sweep = [](const char* what, const su::Bytes& valid, auto&& load) {
     auto accepts = [&](su::ByteView b) {
       su::Reader r(b);
-      return load(r) && r.done();
+      sb::RecordTable records;
+      return records.load(r) && load(r, records) && r.done();
     };
     for (std::size_t n = 0; n < valid.size(); ++n)
       EXPECT_FALSE(accepts(su::ByteView(valid.data(), n))) << what << ": prefix of " << n;
@@ -841,60 +844,86 @@ TEST(MwSeam, ManagerStatesRejectEveryPrefixAndATrailingByte) {
   };
   auto saved = [](const auto& manager) {
     su::Writer w;
-    manager.save_state(w);
+    sb::RecordTable::save(w, [&](su::Writer& out, sb::RecordTable& records) {
+      if constexpr (requires { manager.save_state(out, records); })
+        manager.save_state(out, records);
+      else
+        manager.save_state(out);
+    });
     return w.take();
   };
   sm::SosNode& src = bed.node(1);
   sm::SosNode& dst = bed.node(2);
-  sweep("adhoc", saved(src.adhoc()), [&](su::Reader& r) { return dst.adhoc().load_state(r); });
+  using Records = const sb::RecordTable&;
+  sweep("adhoc", saved(src.adhoc()),
+        [&](su::Reader& r, Records t) { return dst.adhoc().load_state(r, t); });
   sweep("messages", saved(src.messages()),
-        [&](su::Reader& r) { return dst.messages().load_state(r); });
+        [&](su::Reader& r, Records t) { return dst.messages().load_state(r, t); });
   sweep("routing", saved(src.routing()),
-        [&](su::Reader& r) { return dst.routing().load_state(r); });
-  sweep("node", saved(src), [&](su::Reader& r) { return dst.load_state(r); });
+        [&](su::Reader& r, Records) { return dst.routing().load_state(r); });
+  sweep("node", saved(src), [&](su::Reader& r, Records t) { return dst.load_state(r, t); });
 }
 
 namespace {
-// The AdHocManager checkpoint layout, mirrored so a test can corrupt it.
-struct VerifyRecord {
-  sb::BundleId id;
-  std::array<std::uint8_t, 32> digest{};
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.id, s.digest);
-  }
-};
+// The AdHocManager checkpoint layout behind its record table, mirrored so a
+// test can corrupt it. Verdicts and certificates are table indices.
 struct ResumeRecord {
   std::array<std::uint8_t, 32> fingerprint{};
   std::array<std::uint8_t, 32> secret{};
-  sp::Certificate cert;
+  std::uint64_t cert = 0;
   double established_at = 0;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.fingerprint, s.secret, su::framed(s.cert), s.established_at);
-  }
 };
 struct AdHocState {
+  su::Bytes table;
   su::Bytes drbg;
   bool started = false;
   std::map<std::string, std::string> adverts;
-  std::vector<VerifyRecord> verify;
+  std::vector<std::uint64_t> verify;
   std::vector<ResumeRecord> resume;
   std::map<std::uint32_t, std::array<std::uint8_t, 32>> hints;
 
   static AdHocState parse(const su::Bytes& blob) {
     AdHocState s;
     su::Reader r{su::ByteView(blob)};
+    su::Reader at_table = r;
+    sb::RecordTable records;
+    EXPECT_TRUE(records.load(r));
+    s.table = at_table.raw(at_table.remaining() - r.remaining());
     s.drbg = r.raw(40);  // key + counter
-    su::get(r, s.started, s.adverts, s.verify, s.resume, s.hints);
+    su::get(r, s.started, s.adverts);
+    s.verify.resize(r.varint());
+    for (std::uint64_t& v : s.verify) v = r.varint();
+    s.resume.resize(r.varint());
+    for (ResumeRecord& e : s.resume) {
+      su::get(r, e.fingerprint, e.secret);
+      e.cert = r.varint();
+      su::get(r, e.established_at);
+    }
+    su::get(r, s.hints);
     EXPECT_TRUE(r.done());
     return s;
   }
   su::Bytes encode() const {
     su::Writer w;
+    w.raw(table);
     w.raw(drbg);
-    su::put(w, started, adverts, verify, resume, hints);
+    su::put(w, started, adverts);
+    w.varint(verify.size());
+    for (std::uint64_t v : verify) w.varint(v);
+    w.varint(resume.size());
+    for (const ResumeRecord& e : resume) {
+      su::put(w, e.fingerprint, e.secret);
+      w.varint(e.cert);
+      su::put(w, e.established_at);
+    }
+    su::put(w, hints);
     return w.take();
+  }
+  bool loads_into(sm::AdHocManager& adhoc) const {
+    su::Bytes blob = encode();
+    su::Reader r{su::ByteView(blob)};
+    sb::RecordTable records;
+    return records.load(r) && adhoc.load_state(r, records) && r.done();
   }
 };
 }  // namespace
@@ -914,7 +943,9 @@ TEST(MwSeam, AdHocStateWithARepeatedCacheKeyIsRejected) {
   bed.part(0, 1);
   for (std::size_t i = 0; i < 3; ++i) bed.node(i).detach();
   su::Writer w;
-  bed.node(1).adhoc().save_state(w);
+  sb::RecordTable::save(w, [&](su::Writer& out, sb::RecordTable& records) {
+    bed.node(1).adhoc().save_state(out, records);
+  });
   const su::Bytes blob = w.take();
   const AdHocState good = AdHocState::parse(blob);
   ASSERT_EQ(good.encode(), blob);
@@ -925,14 +956,17 @@ TEST(MwSeam, AdHocStateWithARepeatedCacheKeyIsRejected) {
   twice_verified.verify.push_back(good.verify[0]);
   AdHocState twice_resumed = good;
   twice_resumed.resume.push_back(good.resume[0]);
-  for (const AdHocState* bad : {&twice_verified, &twice_resumed}) {
-    su::Bytes bad_blob = bad->encode();
-    su::Reader r{su::ByteView(bad_blob)};
-    EXPECT_FALSE(bed.node(2).adhoc().load_state(r));
+  // Indices past the table fail closed too.
+  AdHocState verdict_past_table = good;
+  verdict_past_table.verify[0] = 1;
+  AdHocState cert_past_table = good;
+  cert_past_table.resume[0].cert = 1;
+  for (const AdHocState* bad :
+       {&twice_verified, &twice_resumed, &verdict_past_table, &cert_past_table}) {
+    EXPECT_FALSE(bad->loads_into(bed.node(2).adhoc()));
     EXPECT_EQ(bed.node(2).adhoc().resume_cache_size(), 0u);  // nothing attached
   }
-  su::Reader r{su::ByteView(blob)};
-  EXPECT_TRUE(bed.node(2).adhoc().load_state(r));
+  EXPECT_TRUE(good.loads_into(bed.node(2).adhoc()));
   EXPECT_EQ(bed.node(2).adhoc().resume_cache_size(), 1u);
 }
 

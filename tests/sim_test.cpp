@@ -281,6 +281,15 @@ TEST(Trajectory, DwellSegmentsHold) {
   tr.add(20, {15, 5});
   EXPECT_DOUBLE_EQ(tr.at(7).x, 5);
   EXPECT_DOUBLE_EQ(tr.at(15).x, 10);
+  // The hold ends with the dwell segment, starts nowhere on a moving one,
+  // and lasts forever after the last anchor.
+  EXPECT_EQ(tr.held_at(7).until, 10.0);
+  EXPECT_EQ(tr.held_at(15).until, 15.0);
+  EXPECT_EQ(tr.held_at(25).until, HUGE_VAL);
+  for (double t = 7; t < 10; t += 0.25) {
+    EXPECT_EQ(tr.at(t).x, tr.held_at(7).pos.x) << t;
+    EXPECT_EQ(tr.at(t).y, tr.held_at(7).pos.y) << t;
+  }
 }
 
 namespace {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bundle/records.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
 #include "deploy/replay.hpp"
@@ -35,6 +36,7 @@
 #include "util/rng.hpp"
 #include "run_fingerprint.hpp"
 
+namespace sb = sos::bundle;
 namespace sc = sos::crypto;
 namespace sd = sos::deploy;
 namespace sk = sos::soak;
@@ -71,10 +73,11 @@ std::vector<EngineOpt> all_engines() {
 }
 
 /// A ReplaySession payload split at the fields load_state range-checks —
-/// sim time, per-node blobs, timeline cursors, resume points — so a test
-/// can re-encode it with one field corrupted.
+/// sim time, record table, per-node blobs, timeline cursors, resume
+/// points — so a test can re-encode it with one field corrupted.
 struct SessionPayload {
   double now = 0;
+  su::Bytes table;
   std::vector<su::Bytes> nodes;
   std::vector<std::uint64_t> cursors;
   std::vector<double> resume;
@@ -84,6 +87,10 @@ struct SessionPayload {
     SessionPayload p;
     su::Reader r{su::ByteView(blob)};
     p.now = r.f64();
+    su::Reader at_table = r;
+    sb::RecordTable records;
+    EXPECT_TRUE(records.load(r));
+    p.table = at_table.raw(at_table.remaining() - r.remaining());
     p.nodes.resize(r.varint());
     for (auto& n : p.nodes) n = r.bytes();
     p.cursors.resize(p.nodes.size());
@@ -97,6 +104,7 @@ struct SessionPayload {
   su::Bytes encode() const {
     su::Writer w;
     w.f64(now);
+    w.raw(su::ByteView(table));
     w.varint(nodes.size());
     for (const auto& n : nodes) w.bytes(su::ByteView(n));
     for (std::uint64_t c : cursors) w.varint(c);
@@ -179,6 +187,27 @@ TEST(CheckpointCodec, FutureVersionRejectedWithDiagnostic) {
   EXPECT_NE(error.find("newer"), std::string::npos) << error;
 }
 
+TEST(CheckpointCodec, OlderVersionRejectedWithDiagnostic) {
+  // A well-formed version-1 file: its payload is laid out without the
+  // record table, so it must be refused by version, never parsed.
+  ASSERT_GT(sk::kCheckpointVersion, 1u);
+  su::Bytes older = sk::encode_checkpoint(sample_checkpoint());
+  older[11] = 1;
+  su::ByteView body(older.data(), older.size() - 32);
+  auto hash = sc::Sha256::hash(body);
+  std::copy(hash.begin(), hash.end(), older.end() - 32);
+  std::string error;
+  EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
+  EXPECT_NE(error.find("version 1 is older"), std::string::npos) << error;
+  EXPECT_NE(error.find("supported version " + std::to_string(sk::kCheckpointVersion)),
+            std::string::npos)
+      << error;
+  // With a stale hash the version is still what the diagnostic names.
+  older.back() ^= 1;
+  EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
+  EXPECT_NE(error.find("version 1 is older"), std::string::npos) << error;
+}
+
 TEST(CheckpointCodec, TrailingBytesRejected) {
   // Craft a body with junk after the payload and a matching hash: only the
   // done() check can catch this one.
@@ -239,6 +268,23 @@ TEST(CheckpointStore, SavesAtomicallyAndLoadsHighestSegment) {
   for (const auto& entry : std::filesystem::directory_iterator(store.dir())) {
     EXPECT_EQ(entry.path().extension(), ".bin") << entry.path();
   }
+}
+
+TEST(CheckpointStore, MultiMegabytePayloadRoundTripsThroughDisk) {
+  // Checkpoint-sized: the file is read back in one sized read.
+  sk::CheckpointStore store(temp_dir("ckpt-large"));
+  sk::Checkpoint c = sample_checkpoint();
+  c.payload = sc::Drbg(su::to_bytes("large-on-disk")).generate(std::size_t{3} << 20);
+  std::string error;
+  ASSERT_TRUE(store.save(c, &error)) << error;
+  auto loaded = store.load_latest(&error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->payload, c.payload);
+  EXPECT_EQ(loaded->segment, c.segment);
+  EXPECT_EQ(loaded->sim_time, c.sim_time);
+  EXPECT_EQ(loaded->world_digest, c.world_digest);
+  EXPECT_EQ(std::filesystem::file_size(store.dir() + "/ckpt-7.bin"),
+            sk::encode_checkpoint(c).size());
 }
 
 TEST(CheckpointStore, LoadLatestSkipsNamesSaveNeverWrites) {
@@ -396,7 +442,7 @@ TEST(SoakResume, CheckpointPayloadLayoutIsPinned) {
   session.save_state(w);
   su::Bytes blob = w.take();
   EXPECT_EQ(su::hex_encode(sc::Sha256::hash(su::ByteView(blob))),
-            "c0f9b3cfc2f15a962a01cf8ec4a19ca4b78fc88cebd0e9f8714b47b083b7e2f4");
+            "749d67f58f3f8056179cab01f261d77758572261376bf5fbca1db99ea15b19f1");
 }
 
 TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
@@ -439,6 +485,10 @@ TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {
       {"resume negative", [&](SessionPayload& p) { p.resume[3] = -1.0; }},
       {"resume past the cut", [&](SessionPayload& p) { p.resume[3] = p.now + 1.0; }},
       {"cursor past timeline", [&](SessionPayload& p) { p.cursors[5] = 1u << 20; }},
+      // The table ends one byte early, so its last pool swallows the node
+      // count; an empty table leaves every reference past its end.
+      {"table truncated", [&](SessionPayload& p) { p.table.pop_back(); }},
+      {"table emptied", [&](SessionPayload& p) { p.table = {0, 0, 0}; }},
   };
   for (const auto& [name, corrupt] : corruptions) {
     SessionPayload bad = good;
