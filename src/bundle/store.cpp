@@ -26,6 +26,7 @@ bool BundleStore::insert(Bundle b, util::SimTime now) {
     ++duplicates_;
     return false;
   }
+  ++generation_;
   StoredBundle stored{std::move(b), now, 0};
   stored.hops_on_arrival = stored.bundle.hop_count;
   if (stored.bundle.is_unicast()) ++unicast_count_;
@@ -43,9 +44,14 @@ bool BundleStore::contains(const BundleId& id) const {
 }
 
 std::optional<Bundle> BundleStore::get(const BundleId& id) const {
+  const StoredBundle* stored = find(id);
+  if (stored == nullptr) return std::nullopt;
+  return stored->bundle;
+}
+
+const StoredBundle* BundleStore::find(const BundleId& id) const {
   auto it = bundles_.find(id);
-  if (it == bundles_.end()) return std::nullopt;
-  return it->second.bundle;
+  return it == bundles_.end() ? nullptr : &it->second;
 }
 
 void BundleStore::refresh_summary(const pki::UserId& origin) {
@@ -67,7 +73,8 @@ void BundleStore::refresh_summary(const pki::UserId& origin) {
   summary_.erase(origin);
 }
 
-void BundleStore::erase(std::map<BundleId, StoredBundle>::iterator it) {
+void BundleStore::erase(Held::iterator it) {
+  ++generation_;
   const BundleId id = it->first;
   const Bundle& b = it->second.bundle;
   by_creation_.erase({b.creation_ts, id});
@@ -77,17 +84,18 @@ void BundleStore::erase(std::map<BundleId, StoredBundle>::iterator it) {
   refresh_summary(id.origin);
 }
 
-std::vector<Bundle> BundleStore::newer_than(const pki::UserId& origin,
-                                            std::uint32_t after) const {
-  std::vector<Bundle> out;
+BundleStore::HeldRange BundleStore::newer_than(const pki::UserId& origin,
+                                               std::uint32_t after) const {
   // Nothing can be newer than the maximum message number — and `after + 1`
   // would wrap to 0 and rescan the origin's whole range.
-  if (after == std::numeric_limits<std::uint32_t>::max()) return out;
-  // BundleId ordering is (origin, msg_num), so this is a range scan.
-  auto it = bundles_.lower_bound(BundleId{origin, after + 1});
-  for (; it != bundles_.end() && it->first.origin == origin; ++it)
-    out.push_back(it->second.bundle);
-  return out;
+  if (after == std::numeric_limits<std::uint32_t>::max()) return {bundles_.end(), bundles_.end()};
+  // BundleId ordering is (origin, msg_num): the origin's bundles above
+  // `after` are one contiguous run, ending where the next origin starts.
+  auto first = bundles_.lower_bound(BundleId{origin, after + 1});
+  auto last = first;
+  if (first != bundles_.end() && first->first.origin == origin)
+    last = bundles_.upper_bound(BundleId{origin, std::numeric_limits<std::uint32_t>::max()});
+  return {first, last};
 }
 
 std::vector<const StoredBundle*> BundleStore::all() const {
@@ -122,7 +130,7 @@ void BundleStore::save_state(util::Writer& w, RecordTable& records) const {
 
 bool BundleStore::load_state(util::Reader& r, const RecordTable& records) {
   std::uint64_t n = r.count();
-  std::map<BundleId, StoredBundle> bundles;
+  Held bundles;
   TimeIndex by_creation;
   TimeIndex by_deadline;
   std::map<pki::UserId, std::uint32_t> summary;
@@ -151,6 +159,7 @@ bool BundleStore::load_state(util::Reader& r, const RecordTable& records) {
   std::uint64_t duplicates = 0;
   util::get(r, evicted, duplicates);
   if (!r.ok()) return false;
+  ++generation_;
   bundles_ = std::move(bundles);
   by_creation_ = std::move(by_creation);
   by_deadline_ = std::move(by_deadline);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <vector>
 
@@ -24,6 +25,12 @@ struct StoredBundle {
 
 class BundleStore {
  public:
+  /// Held bundles keyed by id, so in (origin, msg_num) order.
+  using Held = std::map<BundleId, StoredBundle>;
+  /// A run of held (id, stored bundle) entries, borrowed from the store:
+  /// valid until the store next changes (see generation()).
+  using HeldRange = std::ranges::subrange<Held::const_iterator>;
+
   explicit BundleStore(std::size_t capacity = 10000) : capacity_(capacity) {}
 
   /// Insert if new; returns false for duplicates (same origin + msg_num).
@@ -31,6 +38,8 @@ class BundleStore {
 
   bool contains(const BundleId& id) const;
   std::optional<Bundle> get(const BundleId& id) const;
+  /// The held copy of `id`, borrowed like a HeldRange (nullptr if absent).
+  const StoredBundle* find(const BundleId& id) const;
   std::size_t size() const { return bundles_.size(); }
   std::size_t capacity() const { return capacity_; }
 
@@ -45,8 +54,14 @@ class BundleStore {
   /// full-store unicast scan in the common all-pub/sub workload).
   std::size_t unicast_count() const { return unicast_count_; }
 
-  /// All bundles from `origin` with msg_num > after, ascending.
-  std::vector<Bundle> newer_than(const pki::UserId& origin, std::uint32_t after) const;
+  /// All bundles from `origin` with msg_num > after, ascending, walked in
+  /// place: request serving touches only the bundles it actually sends.
+  HeldRange newer_than(const pki::UserId& origin, std::uint32_t after) const;
+
+  /// Bumped by every change to the held set. A caller walking a HeldRange
+  /// (or holding a find() pointer) checks it to prove nothing it calls
+  /// changed the store underneath the walk.
+  std::uint64_t generation() const { return generation_; }
 
   /// Every held bundle (routing schemes iterate for forwarding decisions).
   std::vector<const StoredBundle*> all() const;
@@ -64,6 +79,7 @@ class BundleStore {
   /// eviction/duplicate counters survive — they are lifetime statistics,
   /// not store contents.
   void clear() {
+    ++generation_;
     bundles_.clear();
     by_creation_.clear();
     by_deadline_.clear();
@@ -87,11 +103,11 @@ class BundleStore {
   /// last element of the origin's range).
   void refresh_summary(const pki::UserId& origin);
   /// Drop one held bundle and its entries in every secondary index.
-  void erase(std::map<BundleId, StoredBundle>::iterator it);
+  void erase(Held::iterator it);
 
   using TimeIndex = std::set<std::pair<util::SimTime, BundleId>>;
 
-  std::map<BundleId, StoredBundle> bundles_;
+  Held bundles_;
   // Secondary index ordered by creation time: drop-head eviction pops the
   // oldest bundle in O(log n) instead of scanning the whole store.
   TimeIndex by_creation_;
@@ -103,6 +119,7 @@ class BundleStore {
   std::size_t capacity_;
   std::uint64_t evicted_ = 0;
   std::uint64_t duplicates_ = 0;
+  std::uint64_t generation_ = 0;  // not state: never saved or compared
 };
 
 }  // namespace sos::bundle

@@ -41,15 +41,15 @@ AdHocManager::AdHocManager(sim::Scheduler& sched, sim::MpcEndpoint& endpoint,
 }
 
 void AdHocManager::install_endpoint_callbacks() {
-  endpoint_->on_peer_found = [this](sim::PeerId peer, const sim::DiscoveryInfo& info) {
+  endpoint_->on_peer_found = [this](sim::PeerId peer, const sim::Advertisement& ad) {
     if (!on_peer_advert) return;
-    std::map<pki::UserId, std::uint32_t> parsed;
-    for (const auto& [key, value] : info) {
-      auto uid = pki::UserId::from_string(key);
-      if (!uid) continue;  // foreign advertisement, not ours
-      parsed[*uid] = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+    // Another SOS node's snapshot carries the entries its text renders
+    // from; only a foreign advertiser's dictionary is parsed.
+    if (const auto* own = dynamic_cast<const Advert*>(&ad)) {
+      on_peer_advert(peer, own->entries());
+      return;
     }
-    on_peer_advert(peer, parsed);
+    on_peer_advert(peer, Advert::parse(ad.render()));
   };
   endpoint_->on_peer_lost = [this](sim::PeerId peer) {
     if (on_peer_gone) on_peer_gone(peer);
@@ -71,7 +71,7 @@ void AdHocManager::install_endpoint_callbacks() {
 
 void AdHocManager::start() {
   started_ = true;
-  endpoint_->start_advertising(advert_info_);
+  endpoint_->start_advertising(advert_);
   endpoint_->start_browsing();
 }
 
@@ -124,21 +124,30 @@ void AdHocManager::attach(sim::Scheduler& sched, sim::MpcEndpoint& endpoint) {
   if (started_) {
     // Restore the transport surface on the fresh endpoint. No peer is in
     // range at a task boundary, so this schedules no discovery events.
-    endpoint_->start_advertising(advert_info_);
+    endpoint_->start_advertising(advert_);
     endpoint_->start_browsing();
   }
 }
 
-sim::DiscoveryInfo AdHocManager::to_discovery_info(
-    const std::map<pki::UserId, std::uint32_t>& entries) {
+sim::DiscoveryInfo Advert::render() const {
   sim::DiscoveryInfo info;
-  for (const auto& [uid, num] : entries) info[uid.to_string()] = std::to_string(num);
+  for (const auto& [uid, num] : entries_) info.emplace(uid.to_string(), std::to_string(num));
   return info;
 }
 
-void AdHocManager::set_advertisement(const std::map<pki::UserId, std::uint32_t>& entries) {
-  advert_info_ = to_discovery_info(entries);
-  endpoint_->update_discovery_info(advert_info_);
+Advert::Entries Advert::parse(const sim::DiscoveryInfo& info) {
+  Entries entries;
+  for (const auto& [key, value] : info) {
+    auto uid = pki::UserId::from_string(key);
+    if (!uid) continue;  // foreign advertisement, not ours
+    entries[*uid] = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+  }
+  return entries;
+}
+
+void AdHocManager::set_advertisement(Advert::Entries entries) {
+  advert_ = std::make_shared<const Advert>(std::move(entries));
+  endpoint_->update_discovery_info(advert_);
 }
 
 void AdHocManager::connect(sim::PeerId peer) {
@@ -470,7 +479,8 @@ void AdHocManager::save_state(util::Writer& w, bundle::RecordTable& records) con
   // every session) has already ended.
   assert(sched_ == nullptr && sessions_.empty());
   session_rng_.save_state(w);
-  util::put(w, started_, advert_info_);
+  // The advertisement travels as the plain-text dictionary it renders to.
+  util::put(w, started_, advert_->render());
   // LRU lists serialize front (most recent) to back so the restored
   // eviction order is bit-identical.
   w.varint(verify_lru_.size());
@@ -498,6 +508,10 @@ bool AdHocManager::load_state(util::Reader& r, const bundle::RecordTable& record
   bool started = false;
   sim::DiscoveryInfo advert_info;
   util::get(r, started, advert_info);
+  // Only a dictionary render() could have written decodes: anything else
+  // would not survive the next save byte for byte.
+  auto advert = std::make_shared<const Advert>(Advert::parse(advert_info));
+  if (advert->render() != advert_info) return false;
   std::uint64_t verify_n = r.count();
   std::map<bundle::BundleId, VerifyCacheEntry> verify_cache;
   std::list<bundle::BundleId> verify_lru;
@@ -529,7 +543,7 @@ bool AdHocManager::load_state(util::Reader& r, const bundle::RecordTable& record
   if (!r.ok()) return false;
   session_rng_ = std::move(rng);
   started_ = started;
-  advert_info_ = std::move(advert_info);
+  advert_ = std::move(advert);
   verify_cache_ = std::move(verify_cache);
   verify_lru_ = std::move(verify_lru);
   resume_cache_ = std::move(resume_cache);
@@ -539,19 +553,26 @@ bool AdHocManager::load_state(util::Reader& r, const bundle::RecordTable& record
 }
 
 void AdHocManager::send_frame(sim::PeerId peer, FrameType type, util::ByteView payload) {
+  send_frame(peer, type, payload.size(), [&payload](util::Writer& w) { w.raw(payload); });
+}
+
+util::Writer AdHocManager::open_frame(FrameType type, std::size_t payload_size) {
+  // The frame type and payload are sealed in place behind the outer byte:
+  // one allocation per frame, sized for the tag up front.
+  util::Writer wire;
+  wire.reserve(2 + payload_size + crypto::kAeadTagSize);
+  wire.u8(kOuterSealed);
+  wire.u8(static_cast<std::uint8_t>(type));
+  return wire;
+}
+
+void AdHocManager::seal_and_send(sim::PeerId peer, util::Bytes wire) {
   auto it = sessions_.find(peer);
   if (it == sessions_.end() || !it->second.secure) return;
   Session& s = it->second;
 
   std::uint8_t nonce[12];
   make_nonce(nonce, s.send_ctr++);
-  // The frame type and payload are sealed in place behind the outer byte:
-  // one allocation per frame, sized for the tag up front.
-  util::Bytes wire;
-  wire.reserve(2 + payload.size() + crypto::kAeadTagSize);
-  wire.push_back(kOuterSealed);
-  wire.push_back(static_cast<std::uint8_t>(type));
-  util::append(wire, payload);
   crypto::aead_seal_in_place(s.send_key, nonce, kFrameAad, wire, 1);
   ++stats_.frames_sent;
   endpoint_->send(peer, std::move(wire));

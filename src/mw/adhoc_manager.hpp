@@ -30,6 +30,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "bundle/bundle.hpp"
@@ -42,6 +43,27 @@
 #include "sim/multipeer.hpp"
 
 namespace sos::mw {
+
+/// The advertisement an AdHocManager publishes: the UserID -> MessageNumber
+/// entries it was built from, immutable once published. A browsing SOS
+/// node hands these entries to its routing scheme as they are; the
+/// plain-text dictionary is rendered only where text is read (a
+/// checkpoint, MpcEndpoint::discovery_info()).
+class Advert final : public sim::Advertisement {
+ public:
+  using Entries = std::map<pki::UserId, std::uint32_t>;
+
+  explicit Advert(Entries entries) : entries_(std::move(entries)) {}
+  const Entries& entries() const { return entries_; }
+  /// Base32 user id -> decimal message number.
+  sim::DiscoveryInfo render() const override;
+  /// The entries of a plain-text dictionary; keys that are not user ids (a
+  /// foreign advertiser's) are skipped.
+  static Entries parse(const sim::DiscoveryInfo& info);
+
+ private:
+  Entries entries_;
+};
 
 class AdHocManager {
  public:
@@ -91,8 +113,8 @@ class AdHocManager {
   /// are unaffected — the memo only skips recomputing a pure function.
   void set_verify_memo(crypto::VerifyMemo* memo) { verify_memo_ = memo; }
 
-  /// Replace the plain-text advertisement dictionary (UserID -> MsgNumber).
-  void set_advertisement(const std::map<pki::UserId, std::uint32_t>& entries);
+  /// Publish a new advertisement (UserID -> MsgNumber) built from `entries`.
+  void set_advertisement(Advert::Entries entries);
 
   /// Ask for a session with a discovered peer.
   void connect(sim::PeerId peer);
@@ -105,6 +127,15 @@ class AdHocManager {
 
   /// Seal and transmit an application frame (Summary/Request/BundleData).
   void send_frame(sim::PeerId peer, FrameType type, util::ByteView payload);
+  /// Same, for a payload of `payload_size` bytes that `encode(util::Writer&)`
+  /// writes straight into the wire buffer, which is then sealed where it
+  /// lies: one buffer carries the frame from encoding to the air.
+  template <class Encode>
+  void send_frame(sim::PeerId peer, FrameType type, std::size_t payload_size, Encode&& encode) {
+    util::Writer wire = open_frame(type, payload_size);
+    encode(wire);
+    seal_and_send(peer, wire.take());
+  }
 
   /// Verify a received bundle end to end: origin certificate chains to the
   /// CA root, is time-valid and unrevoked, binds the claimed origin id, and
@@ -154,8 +185,8 @@ class AdHocManager {
   bool load_state(util::Reader& r, const bundle::RecordTable& records);
 
   // --- callbacks up to the message manager -------------------------------
-  /// Peer advertisement seen while browsing (parsed dictionary).
-  std::function<void(sim::PeerId, const std::map<pki::UserId, std::uint32_t>&)> on_peer_advert;
+  /// Peer advertisement seen while browsing (decoded dictionary).
+  std::function<void(sim::PeerId, const Advert::Entries&)> on_peer_advert;
   std::function<void(sim::PeerId)> on_peer_gone;
   /// Handshake completed; peer identity authenticated.
   std::function<void(sim::PeerId, const pki::Certificate&)> on_secure_session;
@@ -237,6 +268,13 @@ class AdHocManager {
   bool verify_cache_hit(const bundle::BundleId& id, const VerifyDigest& digest);
   void verify_cache_insert(const bundle::BundleId& id, const VerifyDigest& digest);
 
+  /// A wire buffer holding the sealed-frame header for `type`, with room
+  /// for `payload_size` payload bytes and the AEAD tag.
+  static util::Writer open_frame(FrameType type, std::size_t payload_size);
+  /// Seal wire[1..] in place under the peer's session and transmit it; a
+  /// peer without a secure session drops the frame.
+  void seal_and_send(sim::PeerId peer, util::Bytes wire);
+
   void handle_connected(sim::PeerId peer);
   void handle_receive(sim::PeerId peer, util::Bytes wire);
   void handle_hello(sim::PeerId peer, util::ByteView payload);
@@ -251,8 +289,6 @@ class AdHocManager {
   void mark_session_secure(sim::PeerId peer, Session& s, const util::Bytes& okm,
                            bool mine_first, const pki::Certificate& peer_cert);
   static Fingerprint cert_fingerprint(const pki::Certificate& cert);
-  static sim::DiscoveryInfo to_discovery_info(
-      const std::map<pki::UserId, std::uint32_t>& entries);
 
   sim::Scheduler* sched_;    // rebindable: see detach()/attach()
   sim::MpcEndpoint* endpoint_;
@@ -261,7 +297,8 @@ class AdHocManager {
   crypto::Drbg session_rng_;
   std::map<sim::PeerId, Session> sessions_;
   bool started_ = false;               // advertising+browsing requested
-  sim::DiscoveryInfo advert_info_;     // survives rebinding
+  // The published advertisement; survives rebinding.
+  std::shared_ptr<const Advert> advert_ = std::make_shared<const Advert>(Advert::Entries{});
   // sos-lint: allow(seam-exempt) scenario-constant toggle: set before the
   // run starts and never scheduler-coupled, so it transfers by value.
   bool verify_signatures_ = true;      // see set_verify_signatures

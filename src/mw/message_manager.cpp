@@ -13,8 +13,7 @@ MessageManager::MessageManager(AdHocManager& adhoc, NodeStats& stats,
   // Own certificate is always available to forward.
   remember_certificate(adhoc_.credentials().certificate);
 
-  adhoc_.on_peer_advert = [this](sim::PeerId peer,
-                                 const std::map<pki::UserId, std::uint32_t>& advert) {
+  adhoc_.on_peer_advert = [this](sim::PeerId peer, const Advert::Entries& advert) {
     if (on_peer_advert) on_peer_advert(peer, advert);
   };
   adhoc_.on_secure_session = [this](sim::PeerId peer, const pki::Certificate& cert) {
@@ -194,8 +193,11 @@ std::optional<pki::UserId> MessageManager::peer_user(sim::PeerId peer) const {
   return it->second;
 }
 
-void MessageManager::send_summary(sim::PeerId peer, const SummaryFrame& summary) {
-  adhoc_.send_frame(peer, FrameType::Summary, summary.encode());
+void MessageManager::send_summary(std::span<const sim::PeerId> peers,
+                                  const SummaryFrame& summary) {
+  if (peers.empty()) return;
+  const util::Bytes encoded = summary.encode();
+  for (sim::PeerId peer : peers) adhoc_.send_frame(peer, FrameType::Summary, encoded);
 }
 
 void MessageManager::send_request(sim::PeerId peer, const RequestFrame& request) {
@@ -206,19 +208,20 @@ bool MessageManager::send_bundle(sim::PeerId peer, const bundle::Bundle& b,
                                  std::uint32_t spray_copies) {
   const pki::Certificate* cert = certificate_for(b.origin);
   if (cert == nullptr) return false;
-  BundleDataFrame frame;
-  frame.bundle = b.encode();
-  frame.origin_cert = cert->encode();
-  frame.spray_copies = spray_copies;
-  adhoc_.send_frame(peer, FrameType::BundleData, frame.encode());
+  const BundleDataRef frame{b, *cert, spray_copies};
+  util::Sizer size;
+  util::put(size, frame);
+  adhoc_.send_frame(peer, FrameType::BundleData, size.size(),
+                    [&frame](util::Writer& w) { util::put(w, frame); });
   sent_this_session_[peer].insert(b.id());
   ++stats_.bundles_sent;
   return true;
 }
 
-bool MessageManager::already_sent(sim::PeerId peer, const bundle::BundleId& id) const {
+const std::set<bundle::BundleId>& MessageManager::sent_to(sim::PeerId peer) const {
+  static const std::set<bundle::BundleId> kNone;
   auto it = sent_this_session_.find(peer);
-  return it != sent_this_session_.end() && it->second.count(id) > 0;
+  return it == sent_this_session_.end() ? kNone : it->second;
 }
 
 void MessageManager::handle_frame(sim::PeerId peer, FrameType type, util::Bytes payload) {
@@ -229,7 +232,7 @@ void MessageManager::handle_frame(sim::PeerId peer, FrameType type, util::Bytes 
         ++stats_.malformed_frames;
         return;
       }
-      if (on_summary) on_summary(peer, *f);
+      if (on_summary) on_summary(peer, std::move(*f));
       return;
     }
     case FrameType::Request: {

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "bundle/store.hpp"
 #include "mw/adhoc_manager.hpp"
@@ -38,20 +39,25 @@ class MessageManager {
   std::vector<sim::PeerId> secure_peers() const { return adhoc_.secure_peers(); }
 
   // --- outbound operations (called by the routing manager) -----------------
-  void send_summary(sim::PeerId peer, const SummaryFrame& summary);
+  /// Encode `summary` once and send it to each of `peers`.
+  void send_summary(std::span<const sim::PeerId> peers, const SummaryFrame& summary);
   void send_request(sim::PeerId peer, const RequestFrame& request);
   /// Ship one bundle with its origin certificate; no-op without the cert
-  /// (a forwarder that cannot prove provenance must not forward).
+  /// (a forwarder that cannot prove provenance must not forward). The
+  /// frame is encoded straight into the wire buffer that is sealed and
+  /// sent. Nothing on this path touches the store.
   bool send_bundle(sim::PeerId peer, const bundle::Bundle& b, std::uint32_t spray_copies);
-  /// True if this bundle was already sent on the current session (avoids
-  /// duplicate transmission while co-located).
-  bool already_sent(sim::PeerId peer, const bundle::BundleId& id) const;
+  /// Bundles already sent on the current session with `peer` (so never
+  /// re-sent while co-located), in BundleId order — the store's order, so
+  /// a request walk merges against it.
+  const std::set<bundle::BundleId>& sent_to(sim::PeerId peer) const;
 
   // --- callbacks up to the routing manager ---------------------------------
-  std::function<void(sim::PeerId, const std::map<pki::UserId, std::uint32_t>&)> on_peer_advert;
+  std::function<void(sim::PeerId, const Advert::Entries&)> on_peer_advert;
   std::function<void(sim::PeerId, const pki::UserId&)> on_session_ready;
   std::function<void(sim::PeerId)> on_session_down;
-  std::function<void(sim::PeerId, const SummaryFrame&)> on_summary;
+  /// The decoded summary, handed over by move.
+  std::function<void(sim::PeerId, SummaryFrame)> on_summary;
   std::function<void(sim::PeerId, const RequestFrame&)> on_request;
   /// Verified bundle (certificate + signature already checked) + origin cert.
   std::function<void(sim::PeerId, bundle::Bundle, const pki::Certificate&, std::uint32_t)>

@@ -41,6 +41,28 @@ class RoutingContext {
     return it == s.end() ? 0 : it->second;
   }
 
+  /// Calls fn(uid, held) for each publisher `advertised` is ahead on here:
+  /// its number exceeds `held`, max_held(uid). In UserId order; with
+  /// `subscribed_only`, followed publishers alone. One ordered merge of
+  /// the sorted maps instead of a lookup per entry.
+  template <class Fn>
+  void for_each_ahead(const std::map<pki::UserId, std::uint32_t>& advertised,
+                      bool subscribed_only, Fn&& fn) const {
+    const auto& summary = store_.summary();
+    auto held = summary.begin();
+    auto wanted = subscriptions_.begin();
+    for (const auto& [uid, num] : advertised) {
+      if (subscribed_only) {
+        while (wanted != subscriptions_.end() && *wanted < uid) ++wanted;
+        if (wanted == subscriptions_.end()) return;  // nothing further is followed
+        if (uid < *wanted) continue;
+      }
+      while (held != summary.end() && held->first < uid) ++held;
+      std::uint32_t mine = held != summary.end() && held->first == uid ? held->second : 0;
+      if (num > mine) fn(uid, mine);
+    }
+  }
+
   /// Carried unicast bundles keyed by *destination*: the advertisement
   /// entry that tells a passing destination "I have mail for you".
   std::map<pki::UserId, std::uint32_t> unicast_dest_summary() const {
@@ -70,7 +92,8 @@ class RoutingContext {
   util::SimTime now_;
 };
 
-/// Authenticated view of a connected peer after the summary exchange.
+/// Authenticated view of a connected peer after the summary exchange (the
+/// decoded summary is moved in, never copied).
 struct PeerView {
   pki::UserId uid;  // from the verified certificate
   SummaryFrame summary;

@@ -9,15 +9,16 @@ namespace sos::mw {
 RoutingManager::RoutingManager(sim::Scheduler& sched, MessageManager& msgs, NodeStats& stats,
                                std::unique_ptr<RoutingScheme> scheme)
     : sched_(&sched), msgs_(msgs), stats_(stats), scheme_(std::move(scheme)) {
-  msgs_.on_peer_advert = [this](sim::PeerId peer,
-                                const std::map<pki::UserId, std::uint32_t>& advert) {
+  msgs_.on_peer_advert = [this](sim::PeerId peer, const Advert::Entries& advert) {
     handle_advert(peer, advert);
   };
   msgs_.on_session_ready = [this](sim::PeerId peer, const pki::UserId& uid) {
     handle_session_ready(peer, uid);
   };
   msgs_.on_session_down = [this](sim::PeerId peer) { peers_.erase(peer); };
-  msgs_.on_summary = [this](sim::PeerId peer, const SummaryFrame& s) { handle_summary(peer, s); };
+  msgs_.on_summary = [this](sim::PeerId peer, SummaryFrame s) {
+    handle_summary(peer, std::move(s));
+  };
   msgs_.on_request = [this](sim::PeerId peer, const RequestFrame& r) { handle_request(peer, r); };
   msgs_.on_bundle = [this](sim::PeerId peer, bundle::Bundle b, const pki::Certificate& cert,
                            std::uint32_t copies) {
@@ -156,12 +157,15 @@ void RoutingManager::schedule_push() {
   push_event_ = sched_->schedule_at(push_at_, [this] {
     push_pending_ = false;
     push_event_ = sim::kInvalidEventId;  // consumed by firing
-    for (sim::PeerId peer : msgs_.secure_peers()) msgs_.send_summary(peer, build_summary());
+    // One summary serves every peer: all of them would get the same bytes
+    // (PRoPHET's blob ages once per timestamp, so a rebuild at the same
+    // instant changes nothing). With no peer, nothing is built at all.
+    std::vector<sim::PeerId> peers = msgs_.secure_peers();
+    if (!peers.empty()) msgs_.send_summary(peers, build_summary());
   });
 }
 
-void RoutingManager::handle_advert(sim::PeerId peer,
-                                   const std::map<pki::UserId, std::uint32_t>& advert) {
+void RoutingManager::handle_advert(sim::PeerId peer, const Advert::Entries& advert) {
   if (scheme_->should_connect(ctx(), advert)) msgs_.adhoc().connect(peer);
 }
 
@@ -170,14 +174,14 @@ void RoutingManager::handle_session_ready(sim::PeerId peer, const pki::UserId& u
   view.uid = uid;
   peers_[peer] = view;
   scheme_->on_encounter(ctx(), uid);
-  msgs_.send_summary(peer, build_summary());
+  msgs_.send_summary({&peer, 1}, build_summary());
 }
 
-void RoutingManager::handle_summary(sim::PeerId peer, const SummaryFrame& summary) {
+void RoutingManager::handle_summary(sim::PeerId peer, SummaryFrame summary) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) return;  // summary before the session registered
-  it->second.summary = summary;
-  scheme_->on_peer_blob(it->second.uid, summary.scheme_blob);
+  it->second.summary = std::move(summary);
+  scheme_->on_peer_blob(it->second.uid, it->second.summary.scheme_blob);
   RequestPlan plan = scheme_->plan_requests(ctx(), it->second);
   if (plan.empty()) return;
   RequestFrame req;
@@ -190,21 +194,46 @@ void RoutingManager::handle_request(sim::PeerId peer, const RequestFrame& reques
   auto it = peers_.find(peer);
   if (it == peers_.end()) return;
   const PeerView& view = it->second;
+  const RoutingContext context = ctx();
 
-  std::vector<bundle::Bundle> to_send;
-  for (const auto& [uid, since] : request.by_publisher) {
-    for (auto& b : msgs_.store().newer_than(uid, since)) to_send.push_back(std::move(b));
-  }
+  // The request is served in place: the walks hold iterators into the
+  // store, and each bundle is read where it is held. That is sound because
+  // nothing a send calls changes the store synchronously — sealing, the
+  // network's scheduled delivery and the scheme's on_sent hook leave it
+  // alone — so the walk sees exactly the snapshot a copy would have held.
+  // offer() asserts it after every send.
+  for (const auto& [uid, since] : request.by_publisher)
+    offer_range(peer, context, view, msgs_.store().newer_than(uid, since));
   for (const auto& id : request.by_id) {
-    auto b = msgs_.store().get(id);
-    if (b) to_send.push_back(std::move(*b));
+    if (msgs_.sent_to(peer).count(id) > 0) continue;
+    if (const bundle::StoredBundle* stored = msgs_.store().find(id))
+      offer(peer, context, view, stored->bundle);
   }
-  for (const auto& b : to_send) {
-    if (msgs_.already_sent(peer, b.id())) continue;
-    if (!scheme_->may_send(ctx(), b, view)) continue;
-    std::uint32_t copies = scheme_->copies_to_send(ctx(), b, view);
-    if (msgs_.send_bundle(peer, b, copies)) scheme_->on_sent(ctx(), b, view);
+}
+
+void RoutingManager::offer_range(sim::PeerId peer, const RoutingContext& ctx,
+                                 const PeerView& view, bundle::BundleStore::HeldRange range) {
+  if (range.empty()) return;
+  // The sent set and the store are both in BundleId order, so one merge
+  // skips what this session already carried at one iterator step each.
+  // Sends insert behind the walk (the id just offered), so the sent
+  // iterator stays valid and ahead of every insertion.
+  const std::set<bundle::BundleId>& sent = msgs_.sent_to(peer);
+  auto s = sent.lower_bound(range.begin()->first);
+  for (const auto& [id, stored] : range) {
+    while (s != sent.end() && *s < id) ++s;
+    if (s != sent.end() && *s == id) continue;
+    offer(peer, ctx, view, stored.bundle);
   }
+}
+
+void RoutingManager::offer(sim::PeerId peer, const RoutingContext& ctx, const PeerView& view,
+                           const bundle::Bundle& b) {
+  [[maybe_unused]] const std::uint64_t generation = msgs_.store().generation();
+  if (!scheme_->may_send(ctx, b, view)) return;
+  std::uint32_t copies = scheme_->copies_to_send(ctx, b, view);
+  if (msgs_.send_bundle(peer, b, copies)) scheme_->on_sent(ctx, b, view);
+  assert(msgs_.store().generation() == generation && "a send changed the store mid-walk");
 }
 
 bool RoutingManager::wanted_by_app(const bundle::Bundle& b) const {

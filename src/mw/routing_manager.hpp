@@ -70,13 +70,20 @@ class RoutingManager {
 
  private:
   RoutingContext ctx() const;
-  void handle_advert(sim::PeerId peer, const std::map<pki::UserId, std::uint32_t>& advert);
+  void handle_advert(sim::PeerId peer, const Advert::Entries& advert);
   void handle_session_ready(sim::PeerId peer, const pki::UserId& uid);
-  void handle_summary(sim::PeerId peer, const SummaryFrame& summary);
+  void handle_summary(sim::PeerId peer, SummaryFrame summary);
   void handle_request(sim::PeerId peer, const RequestFrame& request);
   void handle_bundle(sim::PeerId peer, bundle::Bundle b, const pki::Certificate& origin_cert,
                      std::uint32_t spray_copies);
   SummaryFrame build_summary();
+  /// Offer the held bundles in `range` the peer has not been sent on this
+  /// session, merging the walk against the session's sent set.
+  void offer_range(sim::PeerId peer, const RoutingContext& ctx, const PeerView& view,
+                   bundle::BundleStore::HeldRange range);
+  /// The scheme's send decision for one requested, not yet sent bundle.
+  void offer(sim::PeerId peer, const RoutingContext& ctx, const PeerView& view,
+             const bundle::Bundle& b);
   void push_summaries();
   void maintenance_tick();
   void schedule_maintenance();

@@ -26,11 +26,10 @@ bool InterestBasedScheme::should_connect(
 
 RequestPlan InterestBasedScheme::plan_requests(const RoutingContext& ctx, const PeerView& peer) {
   RequestPlan plan;
-  for (const auto& [uid, num] : peer.summary.entries) {
-    if (!ctx.subscribed_to(uid)) continue;
-    std::uint32_t held = ctx.max_held(uid);
-    if (num > held) plan.by_publisher.emplace_back(uid, held);
-  }
+  ctx.for_each_ahead(peer.summary.entries, true,
+                     [&plan](const pki::UserId& uid, std::uint32_t held) {
+                       plan.by_publisher.emplace_back(uid, held);
+                     });
   // Unicast addressed to this user is always interesting.
   for (const auto& u : peer.summary.unicast)
     if (u.dest == ctx.self() && !ctx.store().contains(u.id)) plan.by_id.push_back(u.id);

@@ -18,10 +18,10 @@ bool SprayAndWaitScheme::should_connect(
 
 RequestPlan SprayAndWaitScheme::plan_requests(const RoutingContext& ctx, const PeerView& peer) {
   RequestPlan plan;
-  for (const auto& [uid, num] : peer.summary.entries) {
-    std::uint32_t held = ctx.max_held(uid);
-    if (num > held) plan.by_publisher.emplace_back(uid, held);
-  }
+  ctx.for_each_ahead(peer.summary.entries, false,
+                     [&plan](const pki::UserId& uid, std::uint32_t held) {
+                       plan.by_publisher.emplace_back(uid, held);
+                     });
   return plan;
 }
 

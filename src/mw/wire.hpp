@@ -146,4 +146,19 @@ struct BundleDataFrame {
   }
 };
 
+/// BundleDataFrame's layout over a decoded bundle and certificate: each is
+/// written in place behind its length prefix, with no encoding of either
+/// built first. Encodes to the same bytes as
+/// BundleDataFrame{b.encode(), cert.encode(), copies}.
+struct BundleDataRef {
+  const bundle::Bundle& bundle;
+  const pki::Certificate& origin_cert;
+  std::uint32_t spray_copies = 0;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f(util::framed(s.bundle), util::framed(s.origin_cert), s.spray_copies);
+  }
+};
+
 }  // namespace sos::mw

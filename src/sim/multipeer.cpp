@@ -8,35 +8,39 @@ namespace sos::sim {
 
 // --- MpcEndpoint -----------------------------------------------------------
 
-void MpcEndpoint::start_advertising(DiscoveryInfo info) {
-  info_ = std::make_shared<const DiscoveryInfo>(std::move(info));
+void MpcEndpoint::start_advertising(std::shared_ptr<const Advertisement> ad) {
+  ad_ = std::move(ad);
   if (advertising_) return;
   advertising_ = true;
   // Browsers already in range discover us now.
   for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     if (peer.browsing_ && peer.on_peer_found) {
-      net_->scheduler().schedule_in(0, [&peer, me = id_, info = info_] {
-        if (peer.on_peer_found) peer.on_peer_found(me, *info);
+      net_->scheduler().schedule_in(0, [&peer, me = id_, ad = ad_] {
+        if (peer.on_peer_found) peer.on_peer_found(me, *ad);
       });
     }
   }
+}
+
+void MpcEndpoint::start_advertising(DiscoveryInfo info) {
+  start_advertising(std::make_shared<const TextAdvertisement>(std::move(info)));
 }
 
 void MpcEndpoint::stop_advertising() {
   advertising_ = false;
 }
 
-void MpcEndpoint::update_discovery_info(DiscoveryInfo info) {
-  info_ = std::make_shared<const DiscoveryInfo>(std::move(info));
+void MpcEndpoint::update_discovery_info(std::shared_ptr<const Advertisement> ad) {
+  ad_ = std::move(ad);
   if (!advertising_) return;
   for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     // Connected peers exchange state in-session; only browsers that have
     // not connected care about the refreshed advertisement.
     if (peer.browsing_ && !peer.is_connected(id_) && peer.on_peer_found) {
-      net_->scheduler().schedule_in(0, [&peer, me = id_, info = info_] {
-        if (peer.on_peer_found) peer.on_peer_found(me, *info);
+      net_->scheduler().schedule_in(0, [&peer, me = id_, ad = ad_] {
+        if (peer.on_peer_found) peer.on_peer_found(me, *ad);
       });
     }
   }
@@ -48,8 +52,8 @@ void MpcEndpoint::start_browsing() {
   for (PeerId other : net_->neighbours_[id_]) {
     MpcEndpoint& peer = net_->endpoint(other);
     if (peer.advertising_ && on_peer_found) {
-      net_->scheduler().schedule_in(0, [this, other, info = peer.info_] {
-        if (on_peer_found) on_peer_found(other, *info);
+      net_->scheduler().schedule_in(0, [this, other, ad = peer.ad_] {
+        if (on_peer_found) on_peer_found(other, *ad);
       });
     }
   }
@@ -109,8 +113,8 @@ void MpcNetwork::set_in_range(PeerId a, PeerId b, bool in_range) {
     // Mutual discovery if roles match.
     auto notify = [this](MpcEndpoint& browser, MpcEndpoint& advertiser) {
       if (browser.browsing_ && advertiser.advertising_ && browser.on_peer_found) {
-        sched_.schedule_in(0, [&browser, id = advertiser.id_, info = advertiser.info_] {
-          if (browser.on_peer_found) browser.on_peer_found(id, *info);
+        sched_.schedule_in(0, [&browser, id = advertiser.id_, ad = advertiser.ad_] {
+          if (browser.on_peer_found) browser.on_peer_found(id, *ad);
         });
       }
     };
@@ -206,7 +210,10 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
   ++l.in_flight;
 
   std::uint64_t generation = l.generation;
-  sched_.schedule_at(deliver_at, [this, from, to, generation, frame = std::move(frame)] {
+  // Events run once, so the delivery moves its payload on: the buffer the
+  // sender sealed is the one the receiver opens.
+  sched_.schedule_at(deliver_at, [this, from, to, generation,
+                                  frame = std::move(frame)]() mutable {
     Link& cur = link(from, to);
     // A stale generation means the session died mid-transfer; the loss was
     // already counted (and in_flight zeroed) when the session dropped, so a
@@ -216,7 +223,7 @@ void MpcNetwork::do_send(PeerId from, PeerId to, util::Bytes frame) {
     --cur.in_flight;
     ++frames_delivered_;
     MpcEndpoint& dst = endpoints_[to];
-    if (dst.on_receive) dst.on_receive(from, frame);
+    if (dst.on_receive) dst.on_receive(from, std::move(frame));
   });
 }
 

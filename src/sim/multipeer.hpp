@@ -2,7 +2,8 @@
 // substrate the paper's ad hoc manager runs on (DESIGN.md substitution #1).
 // It reproduces the MPC state machine the SOS middleware depends on:
 //
-//   * advertisers publish a plain-text discovery-info dictionary,
+//   * advertisers publish a discovery-info dictionary (plain text on the
+//     air; a snapshot object here, rendered to text only where read),
 //   * browsers in radio range get found/lost callbacks,
 //   * invitations are accepted/declined by the advertiser and take
 //     `setup_time_s` to establish,
@@ -33,6 +34,26 @@ using PeerId = std::uint32_t;
 /// Plain-text key/value advertisement (paper: UserID -> MessageNumber).
 using DiscoveryInfo = std::map<std::string, std::string>;
 
+/// What an advertiser publishes: immutable once published, and shared by
+/// every discovery notification that announces it. The plain-text
+/// dictionary is rendered only where something reads it, so a publisher
+/// can hand browsers of its own kind the decoded form it was built from.
+class Advertisement {
+ public:
+  virtual ~Advertisement() = default;
+  virtual DiscoveryInfo render() const = 0;
+};
+
+/// An advertisement published as the plain-text dictionary itself.
+class TextAdvertisement final : public Advertisement {
+ public:
+  explicit TextAdvertisement(DiscoveryInfo info) : info_(std::move(info)) {}
+  DiscoveryInfo render() const override { return info_; }
+
+ private:
+  DiscoveryInfo info_;
+};
+
 class FaultPlan;
 class MpcNetwork;
 
@@ -40,19 +61,22 @@ class MpcNetwork;
 class MpcEndpoint {
  public:
   // --- advertising ------------------------------------------------------
+  void start_advertising(std::shared_ptr<const Advertisement> ad);
+  /// Advertise a plain-text dictionary.
   void start_advertising(DiscoveryInfo info);
   void stop_advertising();
-  /// Replace the advertised dictionary; browsers in range are re-notified
-  /// (models the advertiser restart MPC apps perform on state change).
-  void update_discovery_info(DiscoveryInfo info);
+  /// Replace the advertisement; browsers in range are re-notified (models
+  /// the advertiser restart MPC apps perform on state change).
+  void update_discovery_info(std::shared_ptr<const Advertisement> ad);
   bool advertising() const { return advertising_; }
-  const DiscoveryInfo& discovery_info() const { return *info_; }
+  /// The advertised dictionary as text, rendered on each call.
+  DiscoveryInfo discovery_info() const { return ad_->render(); }
 
   // --- browsing -----------------------------------------------------------
   void start_browsing();
   void stop_browsing();
   bool browsing() const { return browsing_; }
-  std::function<void(PeerId, const DiscoveryInfo&)> on_peer_found;
+  std::function<void(PeerId, const Advertisement&)> on_peer_found;
   std::function<void(PeerId)> on_peer_lost;
 
   // --- sessions -----------------------------------------------------------
@@ -80,8 +104,9 @@ class MpcEndpoint {
   bool advertising_ = false;
   bool browsing_ = false;
   // Immutable once published: a discovery notification shares the
-  // dictionary it announces instead of copying it.
-  std::shared_ptr<const DiscoveryInfo> info_ = std::make_shared<const DiscoveryInfo>();
+  // advertisement it announces instead of copying it.
+  std::shared_ptr<const Advertisement> ad_ =
+      std::make_shared<const TextAdvertisement>(DiscoveryInfo{});
 };
 
 /// Owns all endpoints plus the link/session state between them.

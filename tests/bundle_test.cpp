@@ -169,13 +169,17 @@ TEST(Store, NewerThanRangeScan) {
   sb::BundleStore store;
   for (std::uint32_t i = 1; i <= 10; ++i) store.insert(make_bundle("alice", i), 0);
   store.insert(make_bundle("bob", 99), 0);
-  auto got = store.newer_than(sp::user_id_from_name("alice"), 7);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].msg_num, 8u);
-  EXPECT_EQ(got[2].msg_num, 10u);
+  // The range is read in place, keyed by id, and stops where the next
+  // publisher's bundles begin.
+  std::vector<std::uint32_t> nums;
+  for (const auto& [id, stored] : store.newer_than(sp::user_id_from_name("alice"), 7)) {
+    EXPECT_EQ(id, stored.bundle.id());
+    nums.push_back(stored.bundle.msg_num);
+  }
+  EXPECT_EQ(nums, (std::vector<std::uint32_t>{8, 9, 10}));
   EXPECT_TRUE(store.newer_than(sp::user_id_from_name("alice"), 10).empty());
   // Zero means "send everything".
-  EXPECT_EQ(store.newer_than(sp::user_id_from_name("alice"), 0).size(), 10u);
+  EXPECT_EQ(std::ranges::distance(store.newer_than(sp::user_id_from_name("alice"), 0)), 10);
 }
 
 TEST(Store, NewerThanUnknownUserIsEmpty) {

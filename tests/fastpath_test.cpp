@@ -259,7 +259,7 @@ struct ResumeAttackRig {
 
   /// Connect the attacker endpoint to bob and inject one Resume frame.
   void inject_resume(const sm::ResumeFrame& frame) {
-    net.endpoint(2).start_advertising({});
+    net.endpoint(2).start_advertising(ss::DiscoveryInfo{});
     net.set_in_range(1, 2, true);
     net.endpoint(2).on_connected = [&, wire = frame](ss::PeerId peer) {
       su::Bytes bytes;
@@ -341,7 +341,7 @@ TEST(ResumeReject, ReplayedHelloDoesNotKillLiveResumedSession) {
 TEST(ResumeReject, TruncatedResumeFrameIsMalformed) {
   ResumeAttackRig rig;
   auto malformed_before = rig.bob->stats().malformed_frames;
-  rig.net.endpoint(2).start_advertising({});
+  rig.net.endpoint(2).start_advertising(ss::DiscoveryInfo{});
   rig.net.set_in_range(1, 2, true);
   rig.net.endpoint(2).on_connected = [&](ss::PeerId peer) {
     rig.net.endpoint(2).send(peer, su::Bytes{0x03, 0x01, 0x02});  // truncated
@@ -675,8 +675,8 @@ TEST(StoreQuery, NewerThanAtUint32MaxDoesNotWrap) {
     b.msg_num = num;
     store.insert(std::move(b), 0.0);
   }
-  EXPECT_EQ(store.newer_than(origin, 0).size(), 3u);
-  EXPECT_EQ(store.newer_than(origin, 2).size(), 1u);
+  EXPECT_EQ(std::ranges::distance(store.newer_than(origin, 0)), 3);
+  EXPECT_EQ(std::ranges::distance(store.newer_than(origin, 2)), 1);
   EXPECT_TRUE(store.newer_than(origin, std::numeric_limits<std::uint32_t>::max()).empty());
 }
 

@@ -3,11 +3,13 @@
 // routing blobs and checkpoint state — so a layout change cannot slip in
 // unnoticed. The rejection sweep checks that each decoder fails closed on
 // every strict prefix of a valid encoding and on one appended byte, and the
-// allocation test counts what a received bundle costs the heap.
+// allocation tests count what a received bundle, a delivered frame and a
+// request for bundles already sent cost the heap.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -24,8 +26,12 @@
 #include "mw/routing.hpp"
 #include "mw/schemes/prophet.hpp"
 #include "mw/schemes/spray_wait.hpp"
+#include "mw/sos_node.hpp"
 #include "mw/wire.hpp"
+#include "pki/bootstrap.hpp"
 #include "pki/certificate.hpp"
+#include "sim/multipeer.hpp"
+#include "sim/scheduler.hpp"
 #include "util/codec.hpp"
 
 namespace sa = sos::alleyoop;
@@ -34,9 +40,10 @@ namespace sc = sos::crypto;
 namespace sd = sos::deploy;
 namespace sm = sos::mw;
 namespace sp = sos::pki;
+namespace ss = sos::sim;
 namespace su = sos::util;
 
-// Counts heap allocations in this test binary, for the reception-path test.
+// Counts heap allocations in this test binary, for the allocation tests.
 namespace {
 std::size_t g_allocations = 0;
 }  // namespace
@@ -338,6 +345,22 @@ TEST(LayoutKat, BundleDataFrame) {
             "290:94bcba0bc55c253b0e122e1cf0a292d0c7452d14351b58e18c6716c22cfdde42");
 }
 
+TEST(LayoutKat, BundleDataRefEncodesTheFrame) {
+  // Senders encode a BundleData frame straight from the decoded bundle and
+  // certificate; the bytes must be the pinned frame's. The certificate
+  // needs a two-byte length prefix, and so does a bundle with a long
+  // payload.
+  sb::Bundle bundle = sample_bundle();
+  const sp::Certificate cert = sample_cert();
+  EXPECT_EQ(su::encode(sm::BundleDataRef{bundle, cert, 4}), sample_bundle_data().encode());
+  EXPECT_GT(cert.encode().size(), 127u);
+  bundle.payload.assign(300, 0x42);
+  sm::BundleDataFrame frame;
+  frame.bundle = bundle.encode();
+  frame.origin_cert = cert.encode();
+  EXPECT_EQ(su::encode(sm::BundleDataRef{bundle, cert, 0}), frame.encode());
+}
+
 TEST(LayoutKat, PostAndSocialAction) {
   EXPECT_EQ(hex(sample_post().encode()),
             "1011121314151617181905616c6963650000000340bc20400000000006686920616c6c");
@@ -603,4 +626,60 @@ TEST(LayoutAllocations, ReceptionPathAllocatesOnlyOwnedBuffers) {
   su::Bytes bundle_signed = bundle->signing_bytes();
   su::Bytes cert_signed = cert->signing_bytes();
   EXPECT_EQ(g_allocations - before, 2u);
+}
+
+TEST(LayoutAllocations, DeliveredFrameIsNotCopied) {
+  // The network hands the receiver the very buffer the sender gave it.
+  ss::Scheduler sched;
+  ss::MpcNetwork net(sched, 2);
+  net.endpoint(1).start_advertising(ss::DiscoveryInfo{});
+  net.set_in_range(0, 1, true);
+  net.endpoint(0).invite(1);
+  sched.run_all();
+  ASSERT_TRUE(net.endpoint(0).is_connected(1));
+  const std::uint8_t* received = nullptr;
+  net.endpoint(1).on_receive = [&received](ss::PeerId, su::Bytes frame) {
+    received = frame.data();
+  };
+  su::Bytes frame(1000, 0x5a);
+  const std::uint8_t* sent = frame.data();
+  net.endpoint(0).send(1, std::move(frame));
+  std::size_t before = g_allocations;
+  sched.run_all();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(received, sent);
+}
+
+TEST(LayoutAllocations, RequestForBundlesAlreadySentAllocatesNothing) {
+  // A redundant request, for bundles this session already carried, costs
+  // one iterator step per bundle: nothing is copied out of the store.
+  ss::Scheduler sched;
+  ss::MpcNetwork net(sched, 2);
+  sp::BootstrapService infra{su::to_bytes("alloc-infra")};
+  sm::SosConfig config;
+  config.scheme = "epidemic";
+  config.maintenance_interval_s = 0;
+  std::vector<std::unique_ptr<sm::SosNode>> nodes;
+  for (ss::PeerId i = 0; i < 2; ++i) {
+    sc::Drbg device(su::to_bytes("alloc-device-" + std::to_string(i)));
+    auto creds = infra.signup("alloc" + std::to_string(i), device, 0);
+    nodes.push_back(std::make_unique<sm::SosNode>(sched, net.endpoint(i), std::move(*creds),
+                                                  config));
+    nodes.back()->start();
+  }
+  for (int k = 0; k < 4; ++k) nodes[0]->publish(su::to_bytes("post " + std::to_string(k)));
+  net.set_in_range(0, 1, true);
+  sched.run_all();
+  ASSERT_EQ(nodes[0]->messages().sent_to(1).size(), 4u);
+  ASSERT_EQ(nodes[1]->store().size(), 4u);
+
+  sm::RequestFrame request;
+  request.by_publisher.emplace_back(nodes[0]->user_id(), 0);
+  request.by_publisher.emplace_back(nodes[0]->user_id(), 2);
+  request.by_id.push_back({nodes[0]->user_id(), 3});
+  const std::uint64_t sent_before = nodes[0]->stats().bundles_sent;
+  std::size_t before = g_allocations;
+  nodes[0]->messages().on_request(1, request);
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(nodes[0]->stats().bundles_sent, sent_before);
 }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "sim/multipeer.hpp"
 #include "sim/scheduler.hpp"
 #include "util/codec.hpp"
+#include "util/rng.hpp"
 
 namespace sb = sos::bundle;
 namespace sc = sos::crypto;
@@ -400,7 +403,7 @@ struct HelloRig {
     hello.certificate = mallory.certificate.encode();
     hello.ephemeral_pub = eph_pub;
     hello.binding_sig = mallory.signing_keypair.sign(hello.signing_bytes());
-    net.endpoint(1).start_advertising({});
+    net.endpoint(1).start_advertising(ss::DiscoveryInfo{});
     net.endpoint(1).on_connected = [this, hello](ss::PeerId peer) {
       su::Bytes wire{0x01};  // kOuterHello
       su::append(wire, hello.encode());
@@ -1054,4 +1057,283 @@ TEST(MwStats, PeerCertificateAvailableAfterHandshake) {
   const auto* cert = bed.node(1).adhoc().peer_certificate(0);
   ASSERT_NE(cert, nullptr);
   EXPECT_EQ(cert->subject_id, bed.uid(0));
+}
+
+// --- the copy-free control plane ----------------------------------------------
+
+namespace {
+
+/// Send decisions that are pure functions of the bundle id, so a model can
+/// predict them; records every call the request server makes.
+class ScriptedScheme : public sm::RoutingScheme {
+ public:
+  struct Call {
+    char kind;  // 'm' may_send, 'c' copies_to_send, 's' on_sent
+    sb::BundleId id;
+    bool operator==(const Call&) const = default;
+  };
+
+  static bool allows(const sb::BundleId& id) { return (id.msg_num * 2654435761u >> 7) % 4 != 0; }
+  static std::uint32_t copies(const sb::BundleId& id) { return id.msg_num % 3; }
+
+  std::string name() const override { return "scripted"; }
+  std::map<sp::UserId, std::uint32_t> advertisement(const sm::RoutingContext& ctx) override {
+    return ctx.store().summary();
+  }
+  bool should_connect(const sm::RoutingContext&,
+                      const std::map<sp::UserId, std::uint32_t>&) override {
+    return true;
+  }
+  sm::RequestPlan plan_requests(const sm::RoutingContext&, const sm::PeerView&) override {
+    return {};
+  }
+  bool may_send(const sm::RoutingContext&, const sb::Bundle& b, const sm::PeerView&) override {
+    calls.push_back({'m', b.id()});
+    return allows(b.id());
+  }
+  bool should_carry(const sm::RoutingContext&, const sb::Bundle&) override { return false; }
+  std::uint32_t copies_to_send(const sm::RoutingContext&, const sb::Bundle& b,
+                               const sm::PeerView&) override {
+    calls.push_back({'c', b.id()});
+    return copies(b.id());
+  }
+  void on_sent(const sm::RoutingContext&, const sb::Bundle& b, const sm::PeerView&) override {
+    calls.push_back({'s', b.id()});
+  }
+
+  std::vector<Call> calls;
+};
+
+/// Request serving as it was before the store walk: copy every requested
+/// bundle out of the store, then filter the copies one at a time against
+/// the session's sent set. Returns the scheme calls and the (id, copies)
+/// frames sent, updating `sent` as sends happen.
+std::pair<std::vector<ScriptedScheme::Call>, std::vector<std::pair<sb::BundleId, std::uint32_t>>>
+copy_then_filter(const sb::BundleStore& store, std::set<sb::BundleId>& sent,
+                 const sm::RequestFrame& request, const std::set<sp::UserId>& certified) {
+  std::vector<sb::Bundle> to_send;
+  for (const auto& [uid, since] : request.by_publisher)
+    for (const sb::StoredBundle* stored : store.all())
+      if (stored->bundle.origin == uid && stored->bundle.msg_num > since)
+        to_send.push_back(stored->bundle);
+  for (const auto& id : request.by_id)
+    if (auto b = store.get(id)) to_send.push_back(*b);
+  std::vector<ScriptedScheme::Call> calls;
+  std::vector<std::pair<sb::BundleId, std::uint32_t>> frames;
+  for (const auto& b : to_send) {
+    if (sent.count(b.id()) > 0) continue;
+    calls.push_back({'m', b.id()});
+    if (!ScriptedScheme::allows(b.id())) continue;
+    calls.push_back({'c', b.id()});
+    if (certified.count(b.origin) == 0) continue;  // no certificate: not sent
+    sent.insert(b.id());
+    frames.emplace_back(b.id(), ScriptedScheme::copies(b.id()));
+    calls.push_back({'s', b.id()});
+  }
+  return {calls, frames};
+}
+
+}  // namespace
+
+TEST(MwServe, InPlaceServingMatchesCopyThenFilter) {
+  // Node 0 serves random requests from its store to node 1 over one
+  // session; a model of the old algorithm predicts every scheme call and
+  // every frame. Requests repeat and overlap publishers (so a walk meets
+  // bundles an earlier walk of the same request just sent), name ids, ask
+  // from UINT32_MAX, and name publishers held without a certificate.
+  Testbed bed(2);
+  auto scheme = std::make_unique<ScriptedScheme>();
+  ScriptedScheme& scripted = *scheme;
+  bed.node(0).set_scheme(std::move(scheme));
+  bed.meet(0, 1);
+  ASSERT_TRUE(bed.node(0).adhoc().session_secure(1));
+  ASSERT_TRUE(bed.node(0).messages().sent_to(1).empty());
+
+  // Publishers: node 0 itself, two whose certificates node 0 holds, one
+  // whose certificate it lacks, and one it holds nothing from.
+  std::vector<sp::DeviceCredentials> authors;
+  for (int k = 0; k < 3; ++k) {
+    sc::Drbg device(su::to_bytes("author-" + std::to_string(k)));
+    authors.push_back(*bed.infra.signup("author" + std::to_string(k), device, 0));
+  }
+  bed.node(0).messages().remember_certificate(authors[0].certificate);
+  bed.node(0).messages().remember_certificate(authors[1].certificate);
+  const std::set<sp::UserId> certified = {bed.uid(0), bed.uid(1), authors[0].user_id,
+                                          authors[1].user_id};
+  const std::vector<sp::UserId> publishers = {bed.uid(0), authors[0].user_id,
+                                              authors[1].user_id, authors[2].user_id,
+                                              sp::user_id_from_name("nobody")};
+
+  // Frames node 1 receives, in arrival order (signatures check out, so
+  // every sent bundle is handed up).
+  std::vector<std::pair<sb::BundleId, std::uint32_t>> received;
+  bed.node(1).messages().on_bundle = [&received](ss::PeerId, sb::Bundle b, const sp::Certificate&,
+                                                 std::uint32_t copies) {
+    received.emplace_back(b.id(), copies);
+  };
+
+  su::Rng rng(2024);
+  std::set<sb::BundleId> model_sent;
+  std::vector<std::pair<sb::BundleId, std::uint32_t>> model_frames;
+  for (int round = 0; round < 60; ++round) {
+    // The store grows between requests, out of order.
+    for (int k = 0; k < 4; ++k) {
+      std::size_t who = rng.below(4);
+      sb::Bundle b;
+      b.msg_num = static_cast<std::uint32_t>(1 + rng.below(40));
+      b.payload = su::to_bytes("post " + std::to_string(round));
+      if (who == 0) {
+        b.origin = bed.uid(0);
+        b.sign(bed.node(0).credentials().signing_keypair);
+      } else {
+        b.origin = authors[who - 1].user_id;
+        b.sign(authors[who - 1].signing_keypair);
+      }
+      bed.node(0).store().insert(std::move(b), bed.sched.now());
+    }
+    sm::RequestFrame request;
+    for (std::uint64_t n = rng.below(5); n > 0; --n) {
+      std::uint32_t since = static_cast<std::uint32_t>(rng.below(40));
+      if (rng.chance(0.15)) since = 0;
+      if (rng.chance(0.1)) since = std::numeric_limits<std::uint32_t>::max();
+      request.by_publisher.emplace_back(rng.pick(publishers), since);
+    }
+    for (std::uint64_t n = rng.below(4); n > 0; --n)
+      request.by_id.push_back(
+          {rng.pick(publishers), static_cast<std::uint32_t>(1 + rng.below(40))});
+
+    auto [calls, frames] =
+        copy_then_filter(bed.node(0).store(), model_sent, request, certified);
+    scripted.calls.clear();
+    const std::uint64_t sent_before = bed.node(0).stats().bundles_sent;
+    bed.node(0).messages().on_request(1, request);
+    EXPECT_EQ(scripted.calls, calls) << "round " << round;
+    EXPECT_EQ(bed.node(0).stats().bundles_sent - sent_before, frames.size()) << "round " << round;
+    EXPECT_EQ(bed.node(0).messages().sent_to(1), model_sent) << "round " << round;
+    model_frames.insert(model_frames.end(), frames.begin(), frames.end());
+    bed.sched.run_all();
+    EXPECT_EQ(received, model_frames) << "round " << round;
+  }
+  EXPECT_GT(model_sent.size(), 40u);  // the rounds did send
+}
+
+TEST(MwServe, MergedPlansMatchLookupPlansOnRandomMaps) {
+  // Each scheme's plan_requests merges the peer's summary against the
+  // store summary (and the subscriptions) in one ordered walk; the
+  // reference looks every entry up, as the schemes used to.
+  auto lookup_plan = [](const std::string& scheme, const sm::RoutingContext& ctx,
+                        const sm::PeerView& peer) {
+    sm::RequestPlan plan;
+    for (const auto& [uid, num] : peer.summary.entries) {
+      if (scheme == "interest" && !ctx.subscribed_to(uid)) continue;
+      std::uint32_t held = ctx.max_held(uid);
+      if (num > held) plan.by_publisher.emplace_back(uid, held);
+    }
+    if (scheme == "interest")
+      for (const auto& u : peer.summary.unicast)
+        if (u.dest == ctx.self() && !ctx.store().contains(u.id)) plan.by_id.push_back(u.id);
+    return plan;
+  };
+  std::vector<sp::UserId> pool;
+  for (int k = 0; k < 12; ++k) pool.push_back(sp::user_id_from_name("pool" + std::to_string(k)));
+  const sp::UserId self = pool[0];
+  su::Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    sb::BundleStore store;
+    for (std::uint64_t n = rng.below(30); n > 0; --n) {
+      sb::Bundle b;
+      b.origin = rng.pick(pool);
+      b.msg_num = static_cast<std::uint32_t>(1 + rng.below(20));
+      if (rng.chance(0.1)) b.dest = rng.pick(pool);
+      store.insert(std::move(b), 0);
+    }
+    std::set<sp::UserId> subscriptions;
+    for (const sp::UserId& uid : pool)
+      if (rng.chance(0.4)) subscriptions.insert(uid);
+    sm::PeerView peer;
+    peer.uid = rng.pick(pool);
+    for (const sp::UserId& uid : pool)
+      if (rng.chance(0.6)) peer.summary.entries[uid] = static_cast<std::uint32_t>(rng.below(22));
+    for (std::uint64_t n = rng.below(4); n > 0; --n)
+      peer.summary.unicast.push_back(
+          {sb::BundleId{rng.pick(pool), static_cast<std::uint32_t>(1 + rng.below(20))},
+           rng.chance(0.5) ? self : rng.pick(pool)});
+    sm::RoutingContext ctx(self, subscriptions, store, 0.0);
+    for (const std::string name : {"interest", "epidemic", "spray", "blackhole"}) {
+      auto scheme = sm::make_scheme(name);
+      sm::RequestPlan merged = scheme->plan_requests(ctx, peer);
+      sm::RequestPlan lookup = lookup_plan(name, ctx, peer);
+      EXPECT_EQ(merged.by_publisher, lookup.by_publisher) << name << " trial " << trial;
+      EXPECT_EQ(merged.by_id, lookup.by_id) << name << " trial " << trial;
+    }
+  }
+}
+
+TEST(MwAdvert, BrowsersGetTheEntriesTheAdvertisedTextRendersFrom) {
+  // The advertisement travels as a snapshot of the entries it was built
+  // from; a browser must be handed exactly what parsing the advertised
+  // text would give — also after the advertiser resumes from a checkpoint,
+  // which restores the snapshot by parsing that text.
+  Testbed bed(2, "epidemic");
+  for (int k = 0; k < 3; ++k) bed.node(0).publish(su::to_bytes("p" + std::to_string(k)));
+  bed.sched.run_all();
+  std::vector<sm::Advert::Entries> seen;
+  auto forward = bed.node(1).adhoc().on_peer_advert;
+  bed.node(1).adhoc().on_peer_advert = [&](ss::PeerId peer, const sm::Advert::Entries& e) {
+    if (peer == 0) seen.push_back(e);
+    forward(peer, e);
+  };
+  auto advertised = [&bed] { return sm::Advert::parse(bed.net.endpoint(0).discovery_info()); };
+  bed.meet(0, 1);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen.back(), advertised());
+  EXPECT_EQ(seen.back(), (sm::Advert::Entries{{bed.uid(0), 3u}}));
+  bed.part(0, 1);
+
+  auto save = [](const sm::SosNode& node) {
+    su::Writer w;
+    sb::RecordTable::save(
+        w, [&node](su::Writer& out, sb::RecordTable& records) { node.save_state(out, records); });
+    return w.take();
+  };
+  bed.node(0).detach();
+  const su::Bytes saved = save(bed.node(0));
+  su::Reader r{su::ByteView(saved)};
+  sb::RecordTable records;
+  ASSERT_TRUE(records.load(r) && bed.node(0).load_state(r, records) && r.done());
+  EXPECT_EQ(save(bed.node(0)), saved);  // the restored snapshot renders the same text
+  bed.node(0).attach(bed.sched, bed.net.endpoint(0));
+  bed.meet(0, 1);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen.back(), advertised());
+  EXPECT_EQ(seen.back(), seen.front());
+}
+
+TEST(MwSeam, AdHocStateWithANonCanonicalAdvertIsRejected) {
+  // The advertisement is restored by parsing its text, so only text that
+  // Advert::render() writes may load: anything else would be re-saved
+  // differently, or silently lose entries.
+  Testbed bed(3);
+  bed.node(1).follow(bed.uid(0));
+  bed.node(0).publish(su::to_bytes("advertised"));
+  bed.meet(0, 1);
+  bed.part(0, 1);
+  for (std::size_t i = 0; i < 3; ++i) bed.node(i).detach();
+  su::Writer w;
+  sb::RecordTable::save(w, [&](su::Writer& out, sb::RecordTable& records) {
+    bed.node(1).adhoc().save_state(out, records);
+  });
+  const AdHocState good = AdHocState::parse(w.take());
+  ASSERT_EQ(good.adverts.size(), 1u);
+  const std::string key = good.adverts.begin()->first;
+
+  AdHocState foreign_key = good;
+  foreign_key.adverts["not-a-user-id"] = "1";
+  AdHocState padded_number = good;
+  padded_number.adverts[key] = "0" + good.adverts.at(key);
+  AdHocState not_a_number = good;
+  not_a_number.adverts[key] = "one";
+  for (const AdHocState* bad : {&foreign_key, &padded_number, &not_a_number})
+    EXPECT_FALSE(bad->loads_into(bed.node(2).adhoc()));
+  EXPECT_TRUE(good.loads_into(bed.node(2).adhoc()));
 }

@@ -693,7 +693,7 @@ TEST(Mpc, DiscoveryRequiresRangeAndRoles) {
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
   std::vector<ss::PeerId> found;
-  b.on_peer_found = [&](ss::PeerId p, const ss::DiscoveryInfo&) { found.push_back(p); };
+  b.on_peer_found = [&](ss::PeerId p, const ss::Advertisement&) { found.push_back(p); };
   a.start_advertising({{"USER000001", "5"}});
   b.start_browsing();
   f.sched.run_all();
@@ -709,7 +709,7 @@ TEST(Mpc, DiscoveryInfoCarriesDictionary) {
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
   ss::DiscoveryInfo seen;
-  b.on_peer_found = [&](ss::PeerId, const ss::DiscoveryInfo& info) { seen = info; };
+  b.on_peer_found = [&](ss::PeerId, const ss::Advertisement& ad) { seen = ad.render(); };
   a.start_advertising({{"USERAAA", "7"}, {"USERBBB", "3"}});
   b.start_browsing();
   f.net.set_in_range(0, 1, true);
@@ -724,7 +724,7 @@ TEST(Mpc, PeerLostOnRangeExit) {
   auto& b = f.net.endpoint(1);
   bool lost = false;
   b.on_peer_lost = [&](ss::PeerId p) { lost = (p == 0); };
-  a.start_advertising({});
+  a.start_advertising(ss::DiscoveryInfo{});
   b.start_browsing();
   f.net.set_in_range(0, 1, true);
   f.sched.run_all();
@@ -737,7 +737,7 @@ TEST(Mpc, InviteEstablishesAfterSetupTime) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   a.start_browsing();
   f.net.set_in_range(0, 1, true);
   double connected_at = -1;
@@ -756,7 +756,7 @@ TEST(Mpc, InvitationCanBeDeclined) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   b.on_invitation = [](ss::PeerId) { return false; };
   f.net.set_in_range(0, 1, true);
   a.invite(1);
@@ -769,7 +769,7 @@ TEST(Mpc, InviteFailsIfRangeLostDuringSetup) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   a.invite(1);
   f.sched.schedule_in(0.5, [&] { f.net.set_in_range(0, 1, false); });
@@ -782,7 +782,7 @@ TEST(Mpc, ReliableFrameDelivery) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   a.invite(1);
   su::Bytes received;
@@ -798,7 +798,7 @@ TEST(Mpc, FramesArriveInOrderWithBandwidthDelay) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   a.invite(1);
   std::vector<std::string> got;
@@ -822,7 +822,7 @@ TEST(Mpc, MidTransferDisconnectLosesFrame) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   a.invite(1);
   int received = 0;
@@ -854,7 +854,7 @@ TEST(Mpc, WireSnifferSeesFrames) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   a.invite(1);
   su::Bytes sniffed;
@@ -869,7 +869,7 @@ TEST(Mpc, ReconnectAfterRangeCycle) {
   MpcFixture f;
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
-  b.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
   a.start_browsing();
   f.net.set_in_range(0, 1, true);
   a.invite(1);
@@ -894,8 +894,8 @@ TEST(Mpc, ThreeWayIndependentSessions) {
   auto& a = f.net.endpoint(0);
   auto& b = f.net.endpoint(1);
   auto& c = f.net.endpoint(2);
-  b.start_advertising({});
-  c.start_advertising({});
+  b.start_advertising(ss::DiscoveryInfo{});
+  c.start_advertising(ss::DiscoveryInfo{});
   f.net.set_in_range(0, 1, true);
   f.net.set_in_range(0, 2, true);
   a.invite(1);
