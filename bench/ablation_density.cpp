@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   churn.config.days = 7;
   churn.config.total_posts_target = 20.0;
   churn.variants = {
-      {"epidemic/resume off", "epidemic", 0.0, 0.0},
-      {"epidemic/resume on", "epidemic", 172800.0, 0.0},
-      {"prophet/resume off", "prophet", 0.0, 0.0},
-      {"prophet/resume on", "prophet", 172800.0, 0.0},
+      {"epidemic/resume off", "epidemic", 0.0},
+      {"epidemic/resume on", "epidemic", 172800.0},
+      {"prophet/resume off", "prophet", 0.0},
+      {"prophet/resume on", "prophet", 172800.0},
   };
 
   auto churn_results = runner.run({churn});

@@ -6,10 +6,7 @@
 //
 // All variants replay one recorded contact trace through deploy::SweepRunner
 // — identical encounters by construction, not just identical seeds — and
-// run in parallel with --jobs N. A second sweep measures the
-// SosConfig::verify_batch_window_s tradeoff: batching received bundles into
-// one signature pass buys verify throughput at the price of dissemination
-// latency bounded by the window.
+// run in parallel with --jobs N.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,10 +27,10 @@ int main(int argc, char** argv) {
   cell.label = "";
   cell.config = deploy::gainesville_config("interest");
   cell.variants = {
-      {"epidemic", "epidemic", 86400.0, 0.0},
-      {"interest", "interest", 86400.0, 0.0},
-      {"spray", "spray", 86400.0, 0.0},
-      {"direct", "direct", 86400.0, 0.0},
+      {"epidemic", "epidemic", 86400.0},
+      {"interest", "interest", 86400.0},
+      {"spray", "spray", 86400.0},
+      {"direct", "direct", 86400.0},
   };
   auto results = runner.run({cell});
 
@@ -56,50 +53,5 @@ int main(int argc, char** argv) {
   std::printf("expected ordering: epidemic >= interest > spray > direct on delivery;\n"
               "direct has the lowest overhead and a 1-hop share of 1.0 by construction;\n"
               "epidemic pays for its delivery edge with the most transmissions.\n");
-
-  // --- verify-batch-window sweep ------------------------------------------
-  // Same world again (recorded once, replayed for every window) under the
-  // chatty epidemic scheme, where re-receptions make signature work the
-  // per-encounter bottleneck. The window defers delivery by up to its
-  // length but converts single verifies into batch passes.
-  deploy::print_heading("Verify-batch window: dissemination latency vs verify throughput");
-
-  deploy::SweepCell batch;
-  batch.label = "";
-  batch.config = deploy::gainesville_config("epidemic");
-  batch.variants = {
-      {"window 0s (sync)", "epidemic", 86400.0, 0.0, false},
-      {"window 5s", "epidemic", 86400.0, 5.0, false},
-      {"window 5s", "epidemic", 86400.0, 5.0, true},
-      {"window 30s", "epidemic", 86400.0, 30.0, false},
-      {"window 30s", "epidemic", 86400.0, 30.0, true},
-  };
-  auto batch_results = runner.run({batch});
-
-  deploy::Table bt({"verify batch", "adaptive", "deliveries", "median delay", "P[<=24h]",
-                    "batch passes", "batch fallbacks", "sig verifies", "interrupted",
-                    "wall s"});
-  for (const auto& r : batch_results) {
-    const auto& oracle = r.result.oracle;
-    const auto& s = r.result.totals;
-    auto delays = oracle.delay_cdf(false);
-    bt.set_row(r.variant,
-               {r.label, r.config.verify_batch_adaptive ? "yes" : "no",
-                std::to_string(oracle.delivery_count()),
-                util::format_duration(delays.quantile(0.5)),
-                deploy::fmt(delays.at(util::hours(24)), 3),
-                std::to_string(s.bundle_batch_verifies),
-                std::to_string(s.bundle_batch_fallbacks),
-                std::to_string(s.bundle_sig_cache_misses),
-                std::to_string(s.transfers_interrupted), deploy::fmt(r.wall_s, 2)});
-  }
-  bt.print();
-  std::printf("the window defers each bundle's verification (and hence store/forward)\n"
-              "by up to its length — visible as a right-shifted delay CDF — while the\n"
-              "batch passes amortize the Ed25519 double-scalar work across the burst.\n"
-              "Adaptive flushing closes the window's failure mode: entries whose\n"
-              "session drops mid-window are verified and delivered on the spot instead\n"
-              "of dying with the transfer, so long windows keep their batching without\n"
-              "sacrificing deliveries when encounters are short.\n");
   return 0;
 }

@@ -114,25 +114,9 @@ static void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify);
 
-static void BM_Ed25519VerifyBatch(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  crypto::Drbg d(util::to_bytes("batch"));
-  std::vector<util::Bytes> msgs;
-  msgs.reserve(n);
-  std::vector<crypto::EdBatchItem> items;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto kp = crypto::Ed25519Keypair::from_seed(d.generate_array<32>());
-    msgs.push_back(d.generate(256));
-    items.push_back({kp.public_key(), msgs.back(), kp.sign(msgs.back())});
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::ed25519_verify_batch(items));
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Ed25519VerifyBatch)->Arg(4)->Arg(16)->Arg(64);
-
 static void BM_ScMul(benchmark::State& state) {
   // Scalar multiply mod L (Karatsuba 256x256 + fold reduction): the scalar
-  // work inside every signature and batch-verify coefficient.
+  // work inside every signature.
   crypto::Drbg d(util::to_bytes("scmul"));
   std::uint8_t wide[64];
   auto wa = d.generate(64), wb = d.generate(64);

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/drbg.hpp"
 #include "crypto/ge25519.hpp"
 #include "crypto/sc25519.hpp"
 #include "crypto/sha512.hpp"
@@ -82,89 +81,6 @@ bool ed25519_verify(const EdPublicKey& pub, util::ByteView msg, const EdSignatur
   // sos-lint: allow(memcmp-public) both operands are public: the recomputed
   // point encoding and the signature's R half straight off the wire.
   return std::memcmp(r_enc, sig.data(), 32) == 0;
-}
-
-bool ed25519_verify_batch(const std::vector<EdBatchItem>& items, std::vector<bool>* per_item) {
-  const std::size_t n = items.size();
-  if (per_item) per_item->assign(n, false);
-  if (n == 0) return true;
-
-  auto fallback = [&] {
-    bool all = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      bool ok = ed25519_verify(items[i].pub, items[i].msg, items[i].sig);
-      if (per_item) (*per_item)[i] = ok;
-      all = all && ok;
-    }
-    return all;
-  };
-  if (n == 1) return fallback();
-
-  // Parse phase. Any malformed input sends the whole batch to the
-  // per-signature path, which isolates the offender.
-  std::vector<Scalar> s(n), k(n);
-  std::vector<GeP3> a(n), r(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(s[i].data(), items[i].sig.data() + 32, 32);
-    if (!sc_is_canonical(s[i])) return fallback();
-    if (!ge_frombytes(a[i], items[i].pub.data())) return fallback();
-    if (!ge_frombytes(r[i], items[i].sig.data())) return fallback();
-    // The single-signature check compares encodings byte-for-byte, so a
-    // non-canonical R must not slip through the point-level batch check.
-    std::uint8_t r_reenc[32];
-    ge_tobytes(r_reenc, r[i]);
-    // sos-lint: allow(memcmp-public) canonicality check on public data: the
-    // re-encoded R point vs the wire signature bytes.
-    if (std::memcmp(r_reenc, items[i].sig.data(), 32) != 0) return fallback();
-    k[i] = challenge(items[i].sig.data(), items[i].pub, items[i].msg);
-  }
-
-  // Random 128-bit coefficients z_i, derived Fiat-Shamir style from the
-  // whole batch so runs are deterministic and an adversary cannot pick
-  // signatures after seeing the coefficients.
-  Sha512 seed_hash;
-  seed_hash.update(util::to_bytes("sos-ed25519-batch-v1"));
-  for (std::size_t i = 0; i < n; ++i) {
-    seed_hash.update(util::ByteView(items[i].pub.data(), items[i].pub.size()));
-    seed_hash.update(util::ByteView(items[i].sig.data(), items[i].sig.size()));
-    seed_hash.update(items[i].msg);
-  }
-  auto seed = seed_hash.finish();
-  Drbg coeff_rng(util::ByteView(seed.data(), seed.size()));
-
-  // Check sum(z_i * (s_i*B - k_i*A_i - R_i)) == identity, i.e.
-  // (sum z_i s_i)*B == sum (z_i k_i)*A_i + z_i*R_i.
-  Scalar s_combined{};
-  std::vector<std::pair<Scalar, GeP3>> terms;
-  terms.reserve(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Scalar z{};
-    coeff_rng.generate(z.data(), 16);
-    bool zero = true;
-    for (int j = 0; j < 16; ++j) zero = zero && z[j] == 0;
-    if (zero) z[0] = 1;  // a zero coefficient would ignore the item
-    s_combined = sc_muladd(z, s[i], s_combined);
-    terms.emplace_back(sc_mul(z, k[i]), a[i]);
-    terms.emplace_back(z, r[i]);
-  }
-  GeP3 rhs = ge_multi_scalarmult_vartime(terms);
-  GeP3 lhs = ge_scalarmult_base(s_combined.data());
-  // Cofactored comparison (multiply the difference by 8): per-item errors
-  // with small-order components cannot be made to cancel across items by
-  // grinding coefficient parities, so a forged signature fails the batch
-  // with probability 1 - 2^-128 regardless of torsion tricks. The standard
-  // Ed25519 batch-equation caveat applies: an adversarially crafted
-  // signature whose verification error is PURE 8-torsion passes the
-  // cofactored batch but fails the strict single-signature check; producing
-  // one still requires the signer's private key, so this admits no
-  // third-party forgery.
-  GeP3 diff = ge_sub(lhs, ge_to_cached(rhs));
-  diff = ge_double(ge_double(ge_double(diff)));
-  if (ge_is_identity(diff)) {
-    if (per_item) per_item->assign(n, true);
-    return true;
-  }
-  return fallback();
 }
 
 }  // namespace sos::crypto

@@ -5,7 +5,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -50,25 +49,5 @@ class Ed25519Keypair {
 
 /// Signature check; false on malformed points/scalars as well as bad sigs.
 bool ed25519_verify(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig);
-
-/// One entry of a verification batch. `msg` is a view: the caller keeps the
-/// message bytes alive for the duration of the call.
-struct EdBatchItem {
-  EdPublicKey pub;
-  util::ByteView msg;
-  EdSignature sig;
-};
-
-/// Random-linear-combination batch verification: one multi-scalar pass for
-/// the whole batch instead of one double-scalar pass per signature. The
-/// combined equation is cofactored (standard for Ed25519 batching), so a
-/// batch pass means every signature is valid up to 8-torsion — equivalent
-/// to ed25519_verify for all honestly generated signatures, and never
-/// accepting a third-party forgery. If the combined check fails (or any
-/// input is malformed), falls back to strict per-signature verification so
-/// a single corrupted signature is isolated; `per_item`, when non-null,
-/// then holds the individual verdicts (all true on batch success).
-bool ed25519_verify_batch(const std::vector<EdBatchItem>& items,
-                          std::vector<bool>* per_item = nullptr);
 
 }  // namespace sos::crypto

@@ -255,31 +255,6 @@ GeP3 ge_double_scalarmult_base_vartime(const std::uint8_t s[32], const GeP3& a,
   return r;
 }
 
-GeP3 ge_multi_scalarmult_vartime(const std::vector<std::pair<Scalar, GeP3>>& terms) {
-  const std::size_t n = terms.size();
-  std::vector<std::array<signed char, kSlideDigits>> digits(n);
-  std::vector<std::array<GeCached, 8>> tables(n);
-  int top = -1;
-  for (std::size_t t = 0; t < n; ++t) {
-    slide(digits[t].data(), terms[t].first.data(), 15, 6);
-    tables[t] = odd_multiples<8>(terms[t].second);
-    top = std::max(top, top_nonzero(digits[t].data()));
-  }
-
-  GeP3 r = ge_identity();
-  for (int i = top; i >= 0; --i) {
-    r = ge_double(r);
-    for (std::size_t t = 0; t < n; ++t) {
-      signed char d = digits[t][static_cast<std::size_t>(i)];
-      if (d > 0)
-        r = ge_add(r, tables[t][d / 2]);
-      else if (d < 0)
-        r = ge_sub(r, tables[t][-d / 2]);
-    }
-  }
-  return r;
-}
-
 GeP3 ge_scalarmult_generic(const GeP3& p, const std::uint8_t scalar[32]) {
   GeCached pc = ge_to_cached(p);
   GeP3 r = ge_identity();

@@ -3,15 +3,12 @@
 // precomputed radix-16 per-window table (64 table additions, zero
 // doublings); variable-base uses signed sliding-window wNAF; verification
 // uses a Straus/Shamir interleaved double-scalar multiplication so
-// s*B - k*A shares a single doubling chain; batch verification uses a
-// multi-scalar Straus pass. All scalar multiplications here are
-// variable-time: this reproduction runs simulations, not production
-// endpoints (see README).
+// s*B - k*A shares a single doubling chain. All scalar multiplications
+// here are variable-time: this reproduction runs simulations, not
+// production endpoints (see README).
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "crypto/fe25519.hpp"
 #include "crypto/sc25519.hpp"
@@ -56,10 +53,6 @@ GeP3 ge_scalarmult_vartime(const GeP3& p, const std::uint8_t scalar[32]);
 /// table of B.
 GeP3 ge_double_scalarmult_base_vartime(const std::uint8_t s[32], const GeP3& a,
                                        const std::uint8_t k[32]);
-
-/// sum(scalar_i * P_i) for arbitrarily many points, one shared doubling
-/// chain (batch verification workhorse).
-GeP3 ge_multi_scalarmult_vartime(const std::vector<std::pair<Scalar, GeP3>>& terms);
 
 /// Reference double-and-add ladder; slow, kept as the cross-check oracle
 /// for the table/wNAF/Shamir paths.

@@ -40,10 +40,8 @@ class VerifyMemo {
   bool verify(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig);
 
   /// Stored verdict for a triple, if any (nullopt = not yet computed).
-  /// Batch callers hash the triple once with key_of and reuse the key for
-  /// the matching store() after their batch pass.
   std::optional<bool> lookup(const Key& key) const;
-  /// Record a verdict computed externally (e.g. by a batch pass).
+  /// Record a verdict computed outside verify().
   void store(const Key& key, bool ok);
 
   std::size_t size() const;

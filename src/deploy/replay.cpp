@@ -269,11 +269,10 @@ void run_strand_task(const EngineState& st, std::size_t ti) {
   // run_until returns. A scheduled detach event would be unsound here —
   // contact teardown cascades through zero-delay events (drop_session
   // notifies on_disconnected via schedule_in(0), which triggers the session
-  // drop and the adaptive verify flush), and those land *behind* any
+  // drop and its routing cleanup), and those land *behind* any
   // pre-scheduled event at the same timestamp. run_until(t) drains every
   // cascade at t first — so by the time a member detaches, its sessions
-  // have already died the same death (and flushed the same queues) as on
-  // the single-scheduler path.
+  // have already died the same death as on the single-scheduler path.
   if (!tail) {
     std::map<util::SimTime, std::vector<std::uint32_t>> detach_groups;
     for (const sim::ContactStrand& s : task.strands)

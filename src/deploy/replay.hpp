@@ -72,12 +72,11 @@ class WorkerBudget {
 /// order, fleet build, social wiring, workload timelines); advance_to(t)
 /// then replays every remaining contact ending at or before t and runs each
 /// node's local timers up to t, so a cut placed in a globally quiescent
-/// contact gap leaves the fleet in a serializable state (no sessions, no
-/// verify queues — only absolute timer deadlines). Segment-by-segment
-/// execution is bitwise identical to one uninterrupted
-/// advance_to(horizon()): tasks never straddle a quiescent gap, and
-/// per-node state crosses segments through the same detach/attach seam it
-/// crosses shard boundaries with.
+/// contact gap leaves the fleet in a serializable state (no sessions, only
+/// absolute timer deadlines). Segment-by-segment execution is bitwise
+/// identical to one uninterrupted advance_to(horizon()): tasks never
+/// straddle a quiescent gap, and per-node state crosses segments through
+/// the same detach/attach seam it crosses shard boundaries with.
 ///
 /// ReplayOptions::subepisode_jobs > 0 replays each segment on the strand
 /// DAG with that many workers; 0 ("mono") replays it as one fused task

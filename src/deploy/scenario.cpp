@@ -86,8 +86,6 @@ void build_fleet(Fleet& fleet, const ScenarioConfig& config, sim::Scheduler& sch
     mw_config.scheme = config.scheme;
     mw_config.store_capacity = config.store_capacity;
     mw_config.resume_lifetime_s = config.resume_lifetime_s;
-    mw_config.verify_batch_window_s = config.verify_batch_window_s;
-    mw_config.verify_batch_adaptive = config.verify_batch_adaptive;
     mw_config.verify_signatures = config.verify_signatures;
     if (plan != nullptr) {
       // Adversaries keep their PKI identity and workload; only behavior

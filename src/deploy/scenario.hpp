@@ -25,6 +25,18 @@ class VerifyMemo;
 
 namespace sos::deploy {
 
+/// A setting that no longer configures anything, kept under its old name
+/// only for a caller that must not change yet. It holds nothing and
+/// accepts only T{}: assigning any other constant fails to compile,
+/// because the converting constructor is consteval.
+template <class T>
+struct RetiredSetting {
+  constexpr RetiredSetting() = default;
+  consteval RetiredSetting(T value) {
+    if (value != T{}) throw "retired setting: only its default value is accepted";
+  }
+};
+
 struct ScenarioConfig {
   std::size_t nodes = 10;
   double area_w_m = 11000.0;           // ~11 km (paper)
@@ -53,16 +65,12 @@ struct ScenarioConfig {
   /// (0 = every contact pays the full cert-exchange + X25519 handshake).
   double resume_lifetime_s = 86400.0;
 
-  /// Batch-verification window handed to each node's SosConfig: > 0 queues
-  /// received bundles this many sim-seconds and verifies them in one batch
-  /// signature pass (throughput up, dissemination latency up by up to the
-  /// window); 0 verifies synchronously.
-  double verify_batch_window_s = 0.0;
-
-  /// Adaptive flushing for that window: a peer's queued entries flush when
-  /// its session drops (and on store pressure) instead of dying with the
-  /// transfer — the batched passes without the dense-cell delivery loss.
-  bool verify_batch_adaptive = false;
+  /// Placeholders for the retired batch-verification window: every bundle
+  /// is verified synchronously, and nothing reads these. sosbench still
+  /// assigns them, and sosbench changes only in its own PR (ROADMAP item 3,
+  /// which deletes both).
+  RetiredSetting<double> verify_batch_window_s;
+  RetiredSetting<bool> verify_batch_adaptive;
 
   /// Disaster fault-injection plan (sim/faults.hpp): degraded links, node
   /// churn, partition-and-heal timelines, adversarial roles. Default (no

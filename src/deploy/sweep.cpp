@@ -32,8 +32,6 @@ ScenarioConfig variant_config(const SweepCell& cell, const ScenarioVariant& v,
   if (opts.derive_seeds) config.seed = util::derive_seed(opts.base_seed, cell_index);
   config.scheme = v.scheme;
   config.resume_lifetime_s = v.resume_lifetime_s;
-  config.verify_batch_window_s = v.verify_batch_window_s;
-  config.verify_batch_adaptive = v.verify_batch_adaptive;
   config.verify_signatures = v.verify_signatures;
   if (v.faults) config.faults = *v.faults;
   return config;
@@ -219,7 +217,7 @@ std::vector<SweepCell> density_ablation_grid(double days) {
     c.config.days = days;
     // Keep per-user posting volume constant as the population grows.
     c.config.total_posts_target = 26.0 * static_cast<double>(nodes);
-    c.variants = {{"interest", "interest", 86400.0, 0.0}};
+    c.variants = {{"interest", "interest", 86400.0}};
     return c;
   };
   std::vector<SweepCell> grid = {

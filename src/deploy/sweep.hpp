@@ -30,10 +30,6 @@ struct ScenarioVariant {
   std::string label;                      // defaults to the scheme name
   std::string scheme = "interest";
   double resume_lifetime_s = 86400.0;
-  double verify_batch_window_s = 0.0;
-  /// Flush queued verifications on session drop / store pressure instead
-  /// of waiting out the window (ScenarioConfig::verify_batch_adaptive).
-  bool verify_batch_adaptive = false;
   /// Bundle-signature verification on delivery/forwarding paths (the
   /// signed-vs-unsigned disaster ablation). Handshake authentication is
   /// never ablated.
@@ -44,8 +40,9 @@ struct ScenarioVariant {
 };
 
 /// One grid cell: a world/workload config plus the variants sharing it.
-/// `config.scheme`/`resume`/`verify_batch` are overridden per variant;
-/// `config.seed` is overridden by the runner's derived per-cell seed.
+/// Each variant overrides `config.scheme`, `resume_lifetime_s`,
+/// `verify_signatures` and (when set) `faults`; `config.seed` is overridden
+/// by the runner's derived per-cell seed.
 struct SweepCell {
   std::string label;
   ScenarioConfig config;

@@ -76,8 +76,7 @@ void AdHocManager::start() {
 }
 
 void AdHocManager::drop_live_sessions() {
-  // Collect first: on_session_down handlers may re-enter (the adaptive
-  // verify flush delivers bundles, which can touch the session map).
+  // Collect first: on_session_down handlers may re-enter the session map.
   std::vector<sim::PeerId> secure;
   for (const auto& [peer, session] : sessions_)
     if (session.secure) secure.push_back(peer);
@@ -709,130 +708,6 @@ bool AdHocManager::verify_bundle(const bundle::Bundle& b, const pki::Certificate
   }
   verify_cache_insert(b.id(), digest);
   return true;
-}
-
-std::vector<bool> AdHocManager::verify_bundles(const std::vector<BundleToVerify>& batch) {
-  if (!verify_signatures_) return std::vector<bool>(batch.size(), true);
-  std::vector<bool> ok(batch.size(), false);
-
-  // Cache/policy pass; survivors join one batch signature verification
-  // covering both the CA signature on the certificate and the origin
-  // signature on the bundle.
-  struct Pending {
-    std::size_t index;
-    VerifyDigest digest;
-    util::Bytes cert_signed;    // owns bytes the batch items view
-    util::Bytes bundle_signed;  // owns bytes the batch items view
-    std::size_t cert_item = 0;    // batch-item slot of the cert signature
-    std::size_t bundle_item = 0;  // batch-item slot of the bundle signature
-  };
-  std::vector<Pending> pending;
-  // Concurrent duplicates (the same bundle pulled from two peers in one
-  // burst) collapse onto the first occurrence instead of being verified
-  // twice within the batch.
-  std::map<VerifyDigest, std::size_t> in_batch;               // digest -> pending slot
-  std::vector<std::pair<std::size_t, std::size_t>> followers;  // (batch idx, pending slot)
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const bundle::Bundle& b = *batch[i].bundle;
-    const pki::Certificate& cert = *batch[i].cert;
-    if (!bundle_policy_ok(b, cert)) continue;
-    util::Bytes bundle_signed = b.signing_bytes();
-    util::Bytes cert_signed = cert.signing_bytes();
-    VerifyDigest digest = verify_digest(bundle_signed, b.signature, cert_signed, cert.signature);
-    if (verify_cache_hit(b.id(), digest)) {
-      ++stats_.bundle_sig_cache_hits;
-      ok[i] = true;
-      continue;
-    }
-    auto [dup, inserted] = in_batch.try_emplace(digest, pending.size());
-    if (!inserted) {
-      followers.emplace_back(i, dup->second);  // stats counted on resolution
-      continue;
-    }
-    ++stats_.bundle_sig_cache_misses;
-    pending.push_back(
-        Pending{i, digest, std::move(cert_signed), std::move(bundle_signed), 0, 0});
-  }
-  if (pending.empty()) return ok;  // a follower always has a leader in pending
-
-  // One batch item per DISTINCT certificate (a burst from one origin pays
-  // the CA-signature check once) plus one per bundle. Dedup keys on a hash
-  // of the full certificate body AND signature: a forged body carrying a
-  // copied signature must not alias onto a legitimate certificate's
-  // verdict, and hashing avoids copying the body into the map key.
-  std::vector<crypto::EdBatchItem> items;
-  std::map<crypto::Sha256::Digest, std::size_t> cert_items;
-  for (Pending& p : pending) {
-    const pki::Certificate& cert = *batch[p.index].cert;
-    crypto::Sha256 ch;
-    ch.update(p.cert_signed);
-    ch.update(util::ByteView(cert.signature.data(), cert.signature.size()));
-    auto [cit, fresh] = cert_items.try_emplace(ch.finish(), items.size());
-    if (fresh) items.push_back({creds_.trust.root_key(), p.cert_signed, cert.signature});
-    p.cert_item = cit->second;
-    p.bundle_item = items.size();
-    items.push_back({cert.subject_key, p.bundle_signed, batch[p.index].bundle->signature});
-  }
-  ++stats_.bundle_batch_verifies;
-  std::vector<bool> verdicts;
-  if (verify_memo_) {
-    // Resolve what the shared memo already knows and batch only the residue.
-    // Counter semantics are untouched: the simulated node performed one
-    // batch pass either way; the memo only skips redundant curve math, and
-    // a fallback means what it always meant — some entry was bad.
-    verdicts.assign(items.size(), false);
-    std::vector<std::size_t> unknown;
-    std::vector<crypto::VerifyMemo::Key> unknown_keys;  // hashed once, reused by store
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      auto key = crypto::VerifyMemo::key_of(items[i].pub, items[i].msg, items[i].sig);
-      if (auto known = verify_memo_->lookup(key)) {
-        verdicts[i] = *known;
-      } else {
-        unknown.push_back(i);
-        unknown_keys.push_back(key);
-      }
-    }
-    if (!unknown.empty()) {
-      std::vector<crypto::EdBatchItem> residue;
-      residue.reserve(unknown.size());
-      for (std::size_t i : unknown) residue.push_back(items[i]);
-      std::vector<bool> residue_verdicts;
-      crypto::ed25519_verify_batch(residue, &residue_verdicts);
-      for (std::size_t k = 0; k < unknown.size(); ++k) {
-        verdicts[unknown[k]] = residue_verdicts[k];
-        verify_memo_->store(unknown_keys[k], residue_verdicts[k]);
-      }
-    }
-    bool all_ok = true;
-    for (bool v : verdicts) all_ok = all_ok && v;
-    if (!all_ok) ++stats_.bundle_batch_fallbacks;
-  } else if (!crypto::ed25519_verify_batch(items, &verdicts)) {
-    ++stats_.bundle_batch_fallbacks;
-  }
-
-  for (const Pending& p : pending) {
-    if (!verdicts[p.cert_item]) {
-      ++stats_.bundle_cert_rejected;
-    } else if (!verdicts[p.bundle_item]) {
-      ++stats_.bundle_sig_rejected;
-    } else {
-      verify_cache_insert(batch[p.index].bundle->id(), p.digest);
-      ok[p.index] = true;
-    }
-  }
-  for (const auto& [batch_idx, pending_slot] : followers) {
-    const Pending& leader = pending[pending_slot];
-    ok[batch_idx] = ok[leader.index];
-    // Mirror the leader's verdict in the stats so every batch entry is
-    // visible as exactly one of: cache hit, verified miss, or rejection.
-    if (ok[batch_idx])
-      ++stats_.bundle_sig_cache_hits;  // duplicate skipped verify
-    else if (!verdicts[leader.cert_item])
-      ++stats_.bundle_cert_rejected;
-    else
-      ++stats_.bundle_sig_rejected;
-  }
-  return ok;
 }
 
 }  // namespace sos::mw

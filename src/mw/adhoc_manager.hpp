@@ -78,10 +78,10 @@ class AdHocManager {
   /// peers behind them are unreachable once detached, and a stale secure
   /// entry would wedge the next handshake on that transport id. Secure
   /// sessions are counted lost and fire on_session_down (so the message
-  /// layer runs its usual drop cleanup — adaptive verify flush included);
-  /// half-open handshakes are discarded silently. The resumption cache and
-  /// hints survive, which is what lets the next contact resume. No-op at a
-  /// quiescent point (task boundaries, where every contact has ended).
+  /// layer runs its usual drop cleanup); half-open handshakes are discarded
+  /// silently. The resumption cache and hints survive, which is what lets
+  /// the next contact resume. No-op at a quiescent point (task boundaries,
+  /// where every contact has ended).
   void drop_live_sessions();
   /// Unhook from the current endpoint and scheduler. All soft state —
   /// sessions, resumption cache, verify cache, the advertised dictionary —
@@ -102,8 +102,8 @@ class AdHocManager {
   /// survive so the node comes back up advertising.
   void reset_after_reboot(bool lose_resume_cache);
 
-  /// Content-verification ablation: when off, verify_bundle/verify_bundles
-  /// accept everything without policy or signature checks (the unsigned
+  /// Content-verification ablation: when off, verify_bundle accepts
+  /// everything without policy or signature checks (the unsigned
   /// epidemic baseline of the disaster benches). Session handshakes are
   /// untouched — this ablates bundle trust, not transport encryption.
   void set_verify_signatures(bool on) { verify_signatures_ = on; }
@@ -144,15 +144,6 @@ class AdHocManager {
   /// digest, so epidemic/spray re-receptions skip the two signature checks;
   /// the time-dependent policy half is re-evaluated on every call.
   bool verify_bundle(const bundle::Bundle& b, const pki::Certificate& origin_cert);
-
-  /// Batch counterpart: verifies a burst of received bundles with one
-  /// random-linear-combination batch signature pass (cache consulted per
-  /// item first). Returns one verdict per input.
-  struct BundleToVerify {
-    const bundle::Bundle* bundle;
-    const pki::Certificate* cert;
-  };
-  std::vector<bool> verify_bundles(const std::vector<BundleToVerify>& batch);
 
   /// Bound the verified-bundle cache (callers tie this to store capacity).
   void set_verify_cache_capacity(std::size_t capacity);

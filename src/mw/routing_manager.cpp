@@ -263,12 +263,19 @@ void RoutingManager::handle_bundle(sim::PeerId peer, bundle::Bundle b,
   ++stats_.bundles_carried;
   scheme_->on_received_copies(id, spray_copies);
   if (on_carry) {
-    auto stored = msgs_.store().get(id);
-    if (stored) on_carry(*stored);
+    // Borrowed, like a request walk: the carry hook only records the
+    // bundle, so the held copy stays put across it.
+    if (const bundle::StoredBundle* stored = msgs_.store().find(id)) {
+      [[maybe_unused]] const std::uint64_t generation = msgs_.store().generation();
+      on_carry(stored->bundle);
+      assert(msgs_.store().generation() == generation && "on_carry changed the store");
+    }
   }
   if (deliver) {
     ++stats_.deliveries;
     if (on_deliver) {
+      // A copy: the app may publish from its handler, and a publish can
+      // evict the held bundle.
       auto stored = msgs_.store().get(id);
       if (stored) on_deliver(*stored, origin_cert);
     }

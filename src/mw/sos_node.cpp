@@ -59,8 +59,6 @@ SosNode::SosNode(sim::Scheduler& sched, sim::MpcEndpoint& endpoint, pki::DeviceC
   adhoc_->set_resume_lifetime(config_.resume_lifetime_s);
   adhoc_->set_verify_signatures(config_.verify_signatures);
   msgs_ = std::make_unique<MessageManager>(*adhoc_, stats_, config_.store_capacity);
-  msgs_->set_verify_batch_window(config_.verify_batch_window_s);
-  msgs_->set_verify_batch_adaptive(config_.verify_batch_adaptive, config_.verify_batch_max_queue);
   auto scheme = make_scheme(config_.scheme);
   if (!scheme) scheme = std::make_unique<InterestBasedScheme>();
   routing_ = std::make_unique<RoutingManager>(sched, *msgs_, stats_, std::move(scheme));
@@ -79,14 +77,12 @@ void SosNode::start() {
 
 void SosNode::detach() {
   // Live sessions cannot outlive their transport: drop them while the full
-  // stack is still attached, so the session-down cascade (routing cleanup,
-  // adaptive verify flush) runs with a working scheduler. Quiescent
-  // detaches — task boundaries — make this a no-op.
+  // stack is still attached, so the session-down cascade (routing cleanup)
+  // runs with a working scheduler. Quiescent detaches — task boundaries —
+  // make this a no-op.
   adhoc_->drop_live_sessions();
-  // Order matters: the message manager cancels its pending flush through
-  // the ad hoc manager's scheduler, so it must detach first; same for the
-  // routing manager's timers.
-  msgs_->detach();
+  // The routing manager cancels its timers on the departing scheduler
+  // before the ad hoc manager releases the transport.
   routing_->detach();
   adhoc_->detach();
   sched_ = nullptr;
@@ -95,7 +91,6 @@ void SosNode::detach() {
 void SosNode::attach(sim::Scheduler& sched, sim::MpcEndpoint& endpoint) {
   sched_ = &sched;
   adhoc_->attach(sched, endpoint);
-  msgs_->attach();
   routing_->attach(sched);
 }
 

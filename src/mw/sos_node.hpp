@@ -21,16 +21,6 @@ struct SosConfig {
   std::uint32_t bundle_lifetime_s = 0;   // 0 = bundles never expire
   std::size_t store_capacity = 10000;
   util::SimTime maintenance_interval_s = 600.0;
-  /// > 0: received bundles are queued this many sim-seconds and verified in
-  /// one batch signature pass; 0 verifies each bundle synchronously.
-  util::SimTime verify_batch_window_s = 0.0;
-  /// With a window > 0: flush a peer's queued entries the moment its
-  /// session drops (instead of letting them die with the transfer) and
-  /// flush the whole queue when it reaches verify_batch_max_queue entries.
-  /// Keeps the batched signature passes without the delivery loss a long
-  /// window costs in dense cells.
-  bool verify_batch_adaptive = false;
-  std::size_t verify_batch_max_queue = 256;
   /// > 0: cache a resumption secret per peer after each full handshake and
   /// re-establish later contacts with a 1-RTT HMAC-proof resume — zero
   /// X25519 operations and no certificate exchange on recurring contacts.
@@ -88,7 +78,7 @@ class SosNode {
   bool load_state(util::Reader& r, const bundle::RecordTable& records);
 
   /// Power cycle (fault-injection churn). Everything in RAM is lost:
-  /// sessions, handshake state, verify queue/caches, certificate cache,
+  /// sessions, handshake state, verify cache, certificate cache,
   /// session bookkeeping. `lose_store` additionally wipes the persisted
   /// bundle store, `lose_resume_cache` the persisted resumption secrets
   /// (kept=resume on next contact, lost=full handshake). Routing-scheme
@@ -154,6 +144,9 @@ class SosNode {
   SosConfig config_;   // sos-lint: allow(seam-exempt) see creds_
   NodeStats stats_;    // sos-lint: allow(seam-exempt) see creds_
   std::unique_ptr<AdHocManager> adhoc_;
+  // sos-lint: allow(seam-exempt) the message manager holds no scheduler or
+  // endpoint handle: its store and certificate cache are value state, and
+  // its session bookkeeping dies with drop_live_sessions.
   std::unique_ptr<MessageManager> msgs_;
   std::unique_ptr<RoutingManager> routing_;
   // sos-lint: allow(seam-exempt) monotonic publish counter: advances only

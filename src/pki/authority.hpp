@@ -83,7 +83,8 @@ class TrustStore {
   /// The expensive half: the root's signature over the certificate body.
   bool verify_signature(const Certificate& cert, crypto::VerifyMemo* memo = nullptr) const;
 
-  /// Pinned root key (for batch signature verification).
+  /// Pinned root key (for callers that check the certificate signature
+  /// against already-serialized bytes).
   const crypto::EdPublicKey& root_key() const { return root_key_; }
 
   /// verify() plus the Fig 2a identity check: the certificate must bind the

@@ -59,8 +59,7 @@ std::array<std::uint8_t, 32> world_digest(const deploy::ScenarioConfig& config,
   w.varint(config.communities);
   w.f64(config.bridge_node_frac);
   w.f64(config.resume_lifetime_s);
-  w.f64(config.verify_batch_window_s);
-  util::put(w, config.verify_batch_adaptive, config.verify_signatures);
+  util::put(w, config.verify_signatures);
   w.varint(config.store_capacity);
   util::put(w, config.radio, config.faults, config.post_window_start_h,
             config.post_window_end_h, config.social.has_value());

@@ -32,8 +32,10 @@
 namespace sos::soak {
 
 /// Version 2 added the record table ahead of the fleet state (see
-/// bundle/records.hpp); version 1 payloads are refused, not parsed.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// bundle/records.hpp). Version 3 dropped the message manager's verify-flush
+/// deadline and two batch-verify counters from each node's state. Older
+/// payloads are refused, not parsed.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 struct Checkpoint {
   std::uint64_t segment = 0;  // quiescent segments completed before the cut

@@ -139,8 +139,7 @@ TEST(Scheduler, ShardStartsAtGivenTime) {
 
 namespace {
 
-/// Small-but-real configs exercising resumption, batch windows, adaptive
-/// flushing, and three schemes.
+/// Small-but-real configs exercising resumption and three schemes.
 std::vector<sd::ScenarioConfig> determinism_configs() {
   std::vector<sd::ScenarioConfig> configs;
   {
@@ -155,9 +154,7 @@ std::vector<sd::ScenarioConfig> determinism_configs() {
     c.area_h_m = 2200;
     c.days = 1.0;
     c.total_posts_target = 60;
-    c.verify_batch_window_s = 30.0;
     configs.push_back(c);
-    c.verify_batch_adaptive = true;
     c.seed = su::derive_seed(11, 2);
     configs.push_back(c);
   }
@@ -255,8 +252,8 @@ TEST(Replay, SweepRunnerStrandJobsMatchesSingleScheduler) {
     cell.config = sd::gainesville_config("interest");
     cell.config.nodes = 10;
     cell.config.days = 1.0;
-    cell.variants = {{"interest", "interest", 86400.0, 0.0, false},
-                     {"epidemic", "epidemic", 86400.0, 0.0, false}};
+    cell.variants = {{"interest", "interest", 86400.0},
+                     {"epidemic", "epidemic", 86400.0}};
     return cell;
   };
   sd::SweepOptions single_opts;
@@ -385,10 +382,6 @@ TEST(RandomizedDeterminism, MultiCommunityWorldsAreBitwiseIdenticalAcrossEngines
     // boundary — the task-handoff case the engine exists for.
     config.days = 1.5;
     config.total_posts_target = 4.0 * static_cast<double>(config.nodes);
-    if (w % 5 == 0) {
-      config.verify_batch_window_s = 30.0;
-      config.verify_batch_adaptive = (w % 10 == 0);
-    }
 
     auto world = sd::record_world(config);
     auto dag =

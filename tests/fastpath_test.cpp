@@ -1,18 +1,19 @@
-// Fast-path behavior tests for this PR's perf work: the verified-bundle
-// cache (hits, tamper misses, revocation override, LRU bound), the batch
-// bundle-verification path, the message manager's verification window, the
+// Fast-path behavior tests: the verified-bundle cache (hits, tamper
+// misses, forged certificates, revocation override, LRU bound), the
 // bundle store's O(log n) eviction index, and the scheduler's cancel
 // bookkeeping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bundle/store.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/verify_memo.hpp"
 #include "mw/sos_node.hpp"
 #include "pki/bootstrap.hpp"
 #include "sim/multipeer.hpp"
@@ -126,96 +127,85 @@ TEST(VerifyCache, LruBoundEvictsOldestEntry) {
   EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
 }
 
-// --- batch bundle verification ----------------------------------------------
-
-TEST(VerifyBatch, AllValidVerifiedInOnePass) {
-  VerifyRig rig;
-  std::vector<sb::Bundle> bundles;
-  for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
-  std::vector<sm::AdHocManager::BundleToVerify> batch;
-  for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
-
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(std::all_of(ok.begin(), ok.end(), [](bool v) { return v; }));
-  EXPECT_EQ(rig.stats.bundle_batch_verifies, 1u);
-  EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 0u);
-
-  // Everything verified in the batch is now cached.
-  EXPECT_TRUE(rig.adhoc.verify_bundle(bundles[0], rig.publisher_creds.certificate));
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);
-}
-
-TEST(VerifyBatch, CorruptedBundleIsIsolated) {
-  VerifyRig rig;
-  std::vector<sb::Bundle> bundles;
-  for (std::uint32_t i = 1; i <= 4; ++i) bundles.push_back(rig.make_bundle(i));
-  bundles[2].payload = su::to_bytes("tampered in flight");  // signature now wrong
-  std::vector<sm::AdHocManager::BundleToVerify> batch;
-  for (const auto& b : bundles) batch.push_back({&b, &rig.publisher_creds.certificate});
-
-  auto ok = rig.adhoc.verify_bundles(batch);
-  ASSERT_EQ(ok.size(), 4u);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  EXPECT_FALSE(ok[2]);
-  EXPECT_TRUE(ok[3]);
-  EXPECT_EQ(rig.stats.bundle_batch_fallbacks, 1u);
-  EXPECT_EQ(rig.stats.bundle_sig_rejected, 1u);
-}
-
-TEST(VerifyBatch, ForgedCertBodyWithCopiedSignatureDoesNotAliasLegitimateCert) {
-  // Attack on the batch cert dedup: a certificate whose body was swapped
-  // (attacker's key bound to the publisher's id) but whose signature bytes
-  // were copied from the real certificate must not inherit the real
-  // certificate's batch verdict.
-  VerifyRig rig;
-  auto legit = rig.make_bundle(1);
-
+TEST(VerifyCache, ForgedCertBodyWithCopiedSignatureDoesNotAliasLegitimateCert) {
+  // A certificate whose body was swapped (the attacker's key bound to the
+  // publisher's id) but whose signature bytes were copied from the real
+  // certificate must not inherit the real certificate's verdict, from the
+  // node's verify cache or from a shared memo, in either arrival order.
   sc::Drbg attacker_rng(su::to_bytes("attacker"));
   auto attacker_keys = sc::Ed25519Keypair::from_seed(attacker_rng.generate_array<32>());
-  sp::Certificate forged_cert = rig.publisher_creds.certificate;  // copied signature
-  forged_cert.subject_key = attacker_keys.public_key();           // swapped body
-  sb::Bundle forged;
-  forged.origin = rig.publisher_creds.user_id;  // claims the publisher's id
-  forged.msg_num = 2;
-  forged.payload = su::to_bytes("forged");
-  forged.sign(attacker_keys);
+  for (bool shared_memo : {false, true}) {
+    for (bool legit_first : {true, false}) {
+      SCOPED_TRACE(std::string(shared_memo ? "memo, " : "no memo, ") +
+                   (legit_first ? "legit first" : "forged first"));
+      VerifyRig rig;
+      sc::VerifyMemo memo;
+      if (shared_memo) rig.adhoc.set_verify_memo(&memo);
+      auto legit = rig.make_bundle(1);
+      sp::Certificate forged_cert = rig.publisher_creds.certificate;  // copied signature
+      forged_cert.subject_key = attacker_keys.public_key();           // swapped body
+      sb::Bundle forged;
+      forged.origin = rig.publisher_creds.user_id;  // claims the publisher's id
+      forged.msg_num = 2;
+      forged.payload = su::to_bytes("forged");
+      forged.sign(attacker_keys);
 
-  // Legit first so the forged cert would alias onto its verdict if dedup
-  // keyed on signature bytes alone.
-  std::vector<sm::AdHocManager::BundleToVerify> batch = {
-      {&legit, &rig.publisher_creds.certificate}, {&forged, &forged_cert}};
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_FALSE(ok[1]);
-  EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
-
-  // Reverse order: the legitimate bundle must not be dragged down either.
-  VerifyRig rig2;
-  auto legit2 = rig2.make_bundle(1);
-  sp::Certificate forged2 = rig2.publisher_creds.certificate;
-  forged2.subject_key = attacker_keys.public_key();
-  sb::Bundle fb2 = forged;
-  std::vector<sm::AdHocManager::BundleToVerify> batch2 = {
-      {&fb2, &forged2}, {&legit2, &rig2.publisher_creds.certificate}};
-  auto ok2 = rig2.adhoc.verify_bundles(batch2);
-  EXPECT_FALSE(ok2[0]);
-  EXPECT_TRUE(ok2[1]);
+      if (legit_first) {
+        EXPECT_TRUE(rig.adhoc.verify_bundle(legit, rig.publisher_creds.certificate));
+      }
+      EXPECT_FALSE(rig.adhoc.verify_bundle(forged, forged_cert));
+      EXPECT_EQ(rig.stats.bundle_cert_rejected, 1u);
+      // The legitimate bundle is not dragged down by the forgery either.
+      EXPECT_TRUE(rig.adhoc.verify_bundle(legit, rig.publisher_creds.certificate));
+      // A second look at the forgery is still a rejection, not a cache hit.
+      EXPECT_FALSE(rig.adhoc.verify_bundle(forged, forged_cert));
+      EXPECT_EQ(rig.stats.bundle_cert_rejected, 2u);
+      EXPECT_EQ(rig.stats.bundle_sig_rejected, 0u);
+    }
+  }
 }
 
-TEST(VerifyBatch, IntraBatchDuplicatesVerifiedOnce) {
-  // The same bundle pulled from two peers in one burst: the duplicate must
-  // ride the first occurrence's verdict, not pay a second verification.
-  VerifyRig rig;
-  auto b1 = rig.make_bundle(1);
-  auto b2 = rig.make_bundle(2);
-  const auto& cert = rig.publisher_creds.certificate;
-  std::vector<sm::AdHocManager::BundleToVerify> batch = {
-      {&b1, &cert}, {&b2, &cert}, {&b1, &cert}};  // b1 twice
-  auto ok = rig.adhoc.verify_bundles(batch);
-  EXPECT_TRUE(ok[0] && ok[1] && ok[2]);
-  EXPECT_EQ(rig.stats.bundle_sig_cache_misses, 2u);  // b1, b2 verified once each
-  EXPECT_EQ(rig.stats.bundle_sig_cache_hits, 1u);    // duplicate b1 suppressed
+TEST(VerifyCache, ConcurrentDuplicateReceptionVerifiedOnce) {
+  // Two relays serve bob the same bundle in one gathering: the second copy
+  // is answered by the verify cache and then dropped as a duplicate, so
+  // the signature work is paid once.
+  ss::Scheduler sched;
+  sp::BootstrapService infra{su::to_bytes("dup-infra")};
+  ss::MpcNetwork net(sched, 4);
+  sm::SosConfig config;
+  config.scheme = "epidemic";
+  config.maintenance_interval_s = 0;
+  std::vector<std::unique_ptr<sm::SosNode>> nodes;
+  for (int i = 0; i < 4; ++i) {
+    sc::Drbg d(su::to_bytes("dup-" + std::to_string(i)));
+    nodes.push_back(std::make_unique<sm::SosNode>(
+        sched, net.endpoint(static_cast<ss::PeerId>(i)),
+        *infra.signup("dup-user" + std::to_string(i), d, 0), config));
+    nodes.back()->start();
+  }
+  sm::SosNode& bob = *nodes[3];
+  bob.follow(nodes[0]->user_id());
+  nodes[0]->publish(su::to_bytes("popular post"));
+
+  // Relays 1 and 2 each pick up the post from the publisher.
+  for (ss::PeerId relay : {1u, 2u}) {
+    net.set_in_range(0, relay, true);
+    sched.run_all();
+    net.set_in_range(0, relay, false);
+    sched.run_all();
+  }
+  ASSERT_TRUE(nodes[1]->store().contains({nodes[0]->user_id(), 1}));
+  ASSERT_TRUE(nodes[2]->store().contains({nodes[0]->user_id(), 1}));
+
+  // Bob meets both relays at once; each serves the bundle.
+  net.set_in_range(3, 1, true);
+  net.set_in_range(3, 2, true);
+  sched.run_all();
+  EXPECT_EQ(bob.stats().bundles_received, 2u);
+  EXPECT_EQ(bob.stats().bundle_sig_cache_misses, 1u);  // verified exactly once
+  EXPECT_EQ(bob.stats().bundle_sig_cache_hits, 1u);
+  EXPECT_EQ(bob.stats().duplicates_ignored, 1u);
+  EXPECT_EQ(bob.stats().deliveries, 1u);
 }
 
 // --- session resumption: wire-level rejection paths ---------------------------
@@ -350,254 +340,6 @@ TEST(ResumeReject, TruncatedResumeFrameIsMalformed) {
   rig.sched.run_all();
   EXPECT_GT(rig.bob->stats().malformed_frames, malformed_before);
   EXPECT_FALSE(rig.bob->adhoc().session_secure(2));
-}
-
-// --- message manager verification window -------------------------------------
-
-TEST(VerifyWindow, BurstIsBatchVerifiedEndToEnd) {
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("window-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 0.5;  // collect the burst, verify once
-  sc::Drbg d0(su::to_bytes("w-0")), d1(su::to_bytes("w-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("w-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("w-bob", d1, 0), config);
-  std::vector<std::string> got;
-  bob.on_data = [&](const sb::Bundle& b, const sp::Certificate&) {
-    got.push_back(su::to_string(b.payload));
-  };
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 5; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  sched.run_all();
-
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[0], "post 1");
-  EXPECT_EQ(got[4], "post 5");
-  // The burst went through the batch path, in fewer passes than bundles.
-  EXPECT_GE(bob.stats().bundle_batch_verifies, 1u);
-  EXPECT_LT(bob.stats().bundle_batch_verifies, 5u);
-  EXPECT_EQ(bob.stats().bundle_batch_fallbacks, 0u);
-  EXPECT_EQ(bob.stats().deliveries, 5u);
-}
-
-TEST(VerifyWindow, SessionDropPurgesPendingVerifications) {
-  // Bundles waiting in the verify queue when their session drops must not
-  // be delivered against a dead PeerId: they are dropped and counted as
-  // interrupted, then recovered on the next encounter.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("drop-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;  // long window: the cut wins the race
-  sc::Drbg d0(su::to_bytes("dr-0")), d1(su::to_bytes("dr-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("dr-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("dr-bob", d1, 0), config);
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 3; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  // Handshake + summary + request + bundle arrival all happen within a few
-  // seconds; the 30 s verify window is still open when the link breaks.
-  sched.run_until(sched.now() + 10.0);
-  ASSERT_EQ(bob.stats().bundles_received, 3u);  // queued, not yet verified
-  ASSERT_EQ(bob.stats().deliveries, 0u);
-  net.set_in_range(0, 1, false);
-  sched.run_all();  // the scheduled flush fires on an empty queue
-  EXPECT_EQ(bob.stats().deliveries, 0u);
-  EXPECT_EQ(bob.stats().transfers_interrupted, 3u);
-
-  // Next encounter recovers everything via the normal pull protocol.
-  net.set_in_range(0, 1, true);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 3u);
-  EXPECT_EQ(bob.stats().duplicates_ignored, 0u);
-}
-
-TEST(VerifyWindow, DuplicateArrivalsWithinWindowVerifiedOnce) {
-  // Two relays offer bob the same bundle in one burst: the second copy must
-  // be deduplicated at enqueue time, paying zero additional verification.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("dup-infra")};
-  ss::MpcNetwork net(sched, 4);
-  sm::SosConfig config;
-  config.scheme = "epidemic";
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 5.0;
-  std::vector<std::unique_ptr<sm::SosNode>> nodes;
-  for (int i = 0; i < 4; ++i) {
-    sc::Drbg d(su::to_bytes("dup-" + std::to_string(i)));
-    nodes.push_back(std::make_unique<sm::SosNode>(
-        sched, net.endpoint(static_cast<ss::PeerId>(i)),
-        *infra.signup("dup-user" + std::to_string(i), d, 0), config));
-    nodes.back()->start();
-  }
-  sm::SosNode& bob = *nodes[3];
-  bob.follow(nodes[0]->user_id());
-  nodes[0]->publish(su::to_bytes("popular post"));
-
-  // Relays 1 and 2 each pick up the post from the publisher.
-  for (ss::PeerId relay : {1u, 2u}) {
-    net.set_in_range(0, relay, true);
-    sched.run_all();
-    net.set_in_range(0, relay, false);
-    sched.run_all();
-  }
-  ASSERT_TRUE(nodes[1]->store().contains({nodes[0]->user_id(), 1}));
-  ASSERT_TRUE(nodes[2]->store().contains({nodes[0]->user_id(), 1}));
-
-  // Bob meets both relays at once: both serve the same bundle within one
-  // verify window.
-  net.set_in_range(3, 1, true);
-  net.set_in_range(3, 2, true);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().bundles_received, 2u);
-  EXPECT_EQ(bob.stats().duplicates_ignored, 1u);   // dropped at enqueue
-  EXPECT_EQ(bob.stats().bundle_sig_cache_misses, 1u);  // verified exactly once
-  EXPECT_EQ(bob.stats().deliveries, 1u);
-}
-
-TEST(VerifyWindow, DroppedSessionHandsQueueEntryToRidingPeer) {
-  // Bundle X arrives from relay 1 and is deduplicated when relay 2 offers
-  // it too; if relay 1's session then drops before the flush, the queue
-  // entry must be handed to relay 2 (still connected) instead of dropped.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("ride-infra")};
-  ss::MpcNetwork net(sched, 4);
-  sm::SosConfig config;
-  config.scheme = "epidemic";
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;
-  std::vector<std::unique_ptr<sm::SosNode>> nodes;
-  for (int i = 0; i < 4; ++i) {
-    sc::Drbg d(su::to_bytes("ride-" + std::to_string(i)));
-    nodes.push_back(std::make_unique<sm::SosNode>(
-        sched, net.endpoint(static_cast<ss::PeerId>(i)),
-        *infra.signup("ride-user" + std::to_string(i), d, 0), config));
-    nodes.back()->start();
-  }
-  sm::SosNode& bob = *nodes[3];
-  bob.follow(nodes[0]->user_id());
-  nodes[0]->publish(su::to_bytes("handed over"));
-  for (ss::PeerId relay : {1u, 2u}) {
-    net.set_in_range(0, relay, true);
-    sched.run_all();
-    net.set_in_range(0, relay, false);
-    sched.run_all();
-  }
-
-  net.set_in_range(3, 1, true);
-  net.set_in_range(3, 2, true);
-  sched.run_until(sched.now() + 10.0);  // both copies queued, flush pending
-  ASSERT_EQ(bob.stats().bundles_received, 2u);
-  ASSERT_EQ(bob.stats().duplicates_ignored, 1u);
-  ASSERT_EQ(bob.stats().deliveries, 0u);
-
-  net.set_in_range(3, 1, false);  // the leader's session drops
-  sched.run_all();                // flush delivers via relay 2's entry
-  EXPECT_EQ(bob.stats().deliveries, 1u);
-  EXPECT_EQ(bob.stats().transfers_interrupted, 0u);
-}
-
-TEST(VerifyWindow, DestroyingManagerCancelsScheduledFlush) {
-  // A scheduled flush captures the MessageManager; destroying the node with
-  // the flush pending must cancel the event, not leave a dangling callback.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("dtor-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;
-  sc::Drbg d0(su::to_bytes("dt-0")), d1(su::to_bytes("dt-1"));
-  auto alice = std::make_unique<sm::SosNode>(sched, net.endpoint(0),
-                                             *infra.signup("dt-alice", d0, 0), config);
-  auto bob = std::make_unique<sm::SosNode>(sched, net.endpoint(1),
-                                           *infra.signup("dt-bob", d1, 0), config);
-  alice->start();
-  bob->start();
-  bob->follow(alice->user_id());
-  alice->publish(su::to_bytes("pending"));
-  net.set_in_range(0, 1, true);
-  sched.run_until(sched.now() + 10.0);
-  ASSERT_EQ(bob->stats().bundles_received, 1u);  // flush still pending
-
-  bob.reset();  // destroys the MessageManager with the flush scheduled
-  alice.reset();
-  sched.run_all();  // must not fire the dangling flush (use-after-free)
-  EXPECT_EQ(sched.cancelled_backlog(), 0u);
-}
-
-TEST(VerifyWindow, AdaptiveFlushDeliversOnSessionDrop) {
-  // The adaptive window closes the classic window's failure mode: entries
-  // whose session drops mid-window are verified and delivered on the spot
-  // (the bytes arrived intact) instead of dying with the transfer.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("adrop-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;  // long window: the cut wins the race
-  config.verify_batch_adaptive = true;
-  sc::Drbg d0(su::to_bytes("ad-0")), d1(su::to_bytes("ad-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("ad-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("ad-bob", d1, 0), config);
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 3; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  sched.run_until(sched.now() + 10.0);
-  ASSERT_EQ(bob.stats().bundles_received, 3u);  // queued, not yet verified
-  ASSERT_EQ(bob.stats().deliveries, 0u);
-  net.set_in_range(0, 1, false);  // session drops with the window open
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 3u);               // flushed, not dropped
-  EXPECT_EQ(bob.stats().transfers_interrupted, 0u);    // nothing lost
-  EXPECT_GE(bob.stats().bundle_batch_verifies, 1u);    // still one batch pass
-
-  // The next encounter has nothing left to recover.
-  net.set_in_range(0, 1, true);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 3u);
-}
-
-TEST(VerifyWindow, AdaptiveStorePressureFlushesEarly) {
-  // A full queue flushes immediately instead of buffering the burst for
-  // the rest of the window.
-  ss::Scheduler sched;
-  sp::BootstrapService infra{su::to_bytes("press-infra")};
-  ss::MpcNetwork net(sched, 2);
-  sm::SosConfig config;
-  config.maintenance_interval_s = 0;
-  config.verify_batch_window_s = 30.0;
-  config.verify_batch_adaptive = true;
-  config.verify_batch_max_queue = 2;
-  sc::Drbg d0(su::to_bytes("pr-0")), d1(su::to_bytes("pr-1"));
-  sm::SosNode alice(sched, net.endpoint(0), *infra.signup("pr-alice", d0, 0), config);
-  sm::SosNode bob(sched, net.endpoint(1), *infra.signup("pr-bob", d1, 0), config);
-  alice.start();
-  bob.start();
-  bob.follow(alice.user_id());
-  for (int i = 1; i <= 5; ++i) alice.publish(su::to_bytes("post " + std::to_string(i)));
-
-  net.set_in_range(0, 1, true);
-  sched.run_until(sched.now() + 10.0);  // window still open for 20+ s
-  // 5 arrivals, queue cap 2: two pressure flushes deliver 4; the 5th waits
-  // for the scheduled window flush.
-  EXPECT_EQ(bob.stats().bundles_received, 5u);
-  EXPECT_EQ(bob.stats().deliveries, 4u);
-  EXPECT_GE(bob.stats().bundle_batch_verifies, 2u);
-  sched.run_all();
-  EXPECT_EQ(bob.stats().deliveries, 5u);
 }
 
 // --- bundle store eviction index ---------------------------------------------

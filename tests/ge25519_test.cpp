@@ -407,21 +407,6 @@ TEST(Ge25519, ShamirMatchesSeparateMultiplications) {
   }
 }
 
-TEST(Ge25519, MultiScalarMatchesSumOfProducts) {
-  sc::Drbg d(su::to_bytes("straus"));
-  for (std::size_t n : {0u, 1u, 2u, 5u, 16u}) {
-    std::vector<std::pair<sc::Scalar, sc::GeP3>> terms;
-    sc::GeP3 expected = sc::ge_identity();
-    for (std::size_t t = 0; t < n; ++t) {
-      sc::Scalar z = sc::sc_reduce32(d.generate_array<32>());
-      sc::GeP3 p = random_point(d);
-      terms.emplace_back(z, p);
-      expected = sc::ge_add(expected, sc::ge_to_cached(sc::ge_scalarmult_generic(p, z.data())));
-    }
-    EXPECT_EQ(enc(sc::ge_multi_scalarmult_vartime(terms)), enc(expected)) << n;
-  }
-}
-
 TEST(Ge25519, IdentityPredicates) {
   EXPECT_TRUE(sc::ge_is_identity(sc::ge_identity()));
   EXPECT_FALSE(sc::ge_is_identity(sc::ge_base()));
@@ -429,109 +414,4 @@ TEST(Ge25519, IdentityPredicates) {
   sc::Drbg d(su::to_bytes("ident"));
   sc::GeP3 p = random_point(d);
   EXPECT_TRUE(sc::ge_is_identity(sc::ge_sub(p, sc::ge_to_cached(p))));
-}
-
-// --- batch verification -------------------------------------------------------
-
-namespace {
-struct SignedMsg {
-  sc::Ed25519Keypair kp;
-  su::Bytes msg;
-  sc::EdSignature sig;
-};
-
-std::vector<SignedMsg> make_signed(std::size_t n, const std::string& label) {
-  sc::Drbg d(su::to_bytes("batch-" + label));
-  std::vector<SignedMsg> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    SignedMsg s;
-    s.kp = sc::Ed25519Keypair::from_seed(d.generate_array<32>());
-    s.msg = d.generate(32 + i * 7);
-    s.sig = s.kp.sign(s.msg);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<sc::EdBatchItem> to_items(const std::vector<SignedMsg>& sm) {
-  std::vector<sc::EdBatchItem> items;
-  for (const auto& s : sm) items.push_back({s.kp.public_key(), s.msg, s.sig});
-  return items;
-}
-}  // namespace
-
-TEST(Ed25519Batch, AllValidPasses) {
-  auto sm = make_signed(8, "valid");
-  std::vector<bool> verdicts;
-  EXPECT_TRUE(sc::ed25519_verify_batch(to_items(sm), &verdicts));
-  ASSERT_EQ(verdicts.size(), 8u);
-  for (bool v : verdicts) EXPECT_TRUE(v);
-}
-
-TEST(Ed25519Batch, EmptyAndSingle) {
-  EXPECT_TRUE(sc::ed25519_verify_batch({}));
-  auto sm = make_signed(1, "single");
-  std::vector<bool> verdicts;
-  EXPECT_TRUE(sc::ed25519_verify_batch(to_items(sm), &verdicts));
-  EXPECT_TRUE(verdicts[0]);
-}
-
-TEST(Ed25519Batch, CorruptedSignatureFailsBatchAndIsIsolated) {
-  auto sm = make_signed(8, "corrupt-sig");
-  auto items = to_items(sm);
-  items[3].sig[10] ^= 0x01;  // flip one bit of R
-  std::vector<bool> verdicts;
-  EXPECT_FALSE(sc::ed25519_verify_batch(items, &verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i != 3) << i;
-}
-
-TEST(Ed25519Batch, CorruptedScalarHalfIsIsolated) {
-  auto sm = make_signed(6, "corrupt-s");
-  auto items = to_items(sm);
-  items[5].sig[40] ^= 0x80;  // flip a bit of S
-  std::vector<bool> verdicts;
-  EXPECT_FALSE(sc::ed25519_verify_batch(items, &verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i != 5) << i;
-}
-
-TEST(Ed25519Batch, TamperedMessageIsIsolated) {
-  auto sm = make_signed(5, "tamper-msg");
-  sm[2].msg[0] ^= 0xff;
-  std::vector<bool> verdicts;
-  EXPECT_FALSE(sc::ed25519_verify_batch(to_items(sm), &verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i != 2) << i;
-}
-
-TEST(Ed25519Batch, WrongKeyIsIsolated) {
-  auto sm = make_signed(4, "wrong-key");
-  auto items = to_items(sm);
-  items[1].pub = sm[0].kp.public_key();
-  std::vector<bool> verdicts;
-  EXPECT_FALSE(sc::ed25519_verify_batch(items, &verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i != 1) << i;
-}
-
-TEST(Ed25519Batch, NonCanonicalScalarRejected) {
-  auto sm = make_signed(3, "noncanon");
-  auto items = to_items(sm);
-  for (int i = 32; i < 64; ++i) items[0].sig[i] = 0xff;  // S >= L
-  std::vector<bool> verdicts;
-  EXPECT_FALSE(sc::ed25519_verify_batch(items, &verdicts));
-  for (std::size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i != 0) << i;
-}
-
-TEST(Ed25519Batch, BatchAgreesWithSingleVerifyOnRandomInputs) {
-  // Sweep batches with randomly injected corruption; batch verdicts must
-  // match per-signature ed25519_verify exactly.
-  sc::Drbg d(su::to_bytes("agree"));
-  for (int round = 0; round < 6; ++round) {
-    auto sm = make_signed(6, "agree-" + std::to_string(round));
-    auto items = to_items(sm);
-    for (auto& item : items)
-      if (d.generate_array<1>()[0] & 1) item.sig[d.generate_array<1>()[0] % 64] ^= 0x04;
-    std::vector<bool> verdicts;
-    sc::ed25519_verify_batch(items, &verdicts);
-    for (std::size_t i = 0; i < items.size(); ++i)
-      EXPECT_EQ(verdicts[i], sc::ed25519_verify(items[i].pub, items[i].msg, items[i].sig)) << i;
-  }
 }

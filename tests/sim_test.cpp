@@ -60,8 +60,8 @@ TEST(Scheduler, CancelPreventsExecution) {
 
 TEST(Scheduler, InvalidEventIdIsNeverMintedAndCancelsAsNoOp) {
   // kInvalidEventId is the "no event armed" sentinel the middleware's
-  // maybe-scheduled fields (verify flush, routing push/maintenance) init
-  // to and reset to on disarm. The scheduler must never mint it — ids
+  // maybe-scheduled fields (routing push/maintenance) init to and reset to
+  // on disarm. The scheduler must never mint it — ids
   // start above the sentinel — and cancelling it must be a harmless no-op
   // that leaves no bookkeeping behind.
   ss::Scheduler sched;

@@ -188,24 +188,29 @@ TEST(CheckpointCodec, FutureVersionRejectedWithDiagnostic) {
 }
 
 TEST(CheckpointCodec, OlderVersionRejectedWithDiagnostic) {
-  // A well-formed version-1 file: its payload is laid out without the
-  // record table, so it must be refused by version, never parsed.
-  ASSERT_GT(sk::kCheckpointVersion, 1u);
-  su::Bytes older = sk::encode_checkpoint(sample_checkpoint());
-  older[11] = 1;
-  su::ByteView body(older.data(), older.size() - 32);
-  auto hash = sc::Sha256::hash(body);
-  std::copy(hash.begin(), hash.end(), older.end() - 32);
-  std::string error;
-  EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
-  EXPECT_NE(error.find("version 1 is older"), std::string::npos) << error;
-  EXPECT_NE(error.find("supported version " + std::to_string(sk::kCheckpointVersion)),
-            std::string::npos)
-      << error;
-  // With a stale hash the version is still what the diagnostic names.
-  older.back() ^= 1;
-  EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
-  EXPECT_NE(error.find("version 1 is older"), std::string::npos) << error;
+  // Well-formed files of every older version: version 1 lays its payload
+  // out without the record table, version 2 still carries the verify-flush
+  // deadline and the batch-verify counters in each node's state. Both must
+  // be refused by version, never parsed.
+  ASSERT_GT(sk::kCheckpointVersion, 2u);
+  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
+    const std::string older_than = "version " + std::to_string(version) + " is older";
+    su::Bytes older = sk::encode_checkpoint(sample_checkpoint());
+    older[11] = version;
+    su::ByteView body(older.data(), older.size() - 32);
+    auto hash = sc::Sha256::hash(body);
+    std::copy(hash.begin(), hash.end(), older.end() - 32);
+    std::string error;
+    EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
+    EXPECT_NE(error.find(older_than), std::string::npos) << error;
+    EXPECT_NE(error.find("supported version " + std::to_string(sk::kCheckpointVersion)),
+              std::string::npos)
+        << error;
+    // With a stale hash the version is still what the diagnostic names.
+    older.back() ^= 1;
+    EXPECT_FALSE(sk::decode_checkpoint(su::ByteView(older), &error).has_value());
+    EXPECT_NE(error.find(older_than), std::string::npos) << error;
+  }
 }
 
 TEST(CheckpointCodec, TrailingBytesRejected) {
@@ -442,7 +447,7 @@ TEST(SoakResume, CheckpointPayloadLayoutIsPinned) {
   session.save_state(w);
   su::Bytes blob = w.take();
   EXPECT_EQ(su::hex_encode(sc::Sha256::hash(su::ByteView(blob))),
-            "749d67f58f3f8056179cab01f261d77758572261376bf5fbca1db99ea15b19f1");
+            "9214008626cc9e154f9a4bb0df40a435e89bf76d7d175ac7032e82b91cf38e07");
 }
 
 TEST(SoakResume, MalformedPayloadNeverPartiallyAttaches) {

@@ -35,8 +35,8 @@ std::vector<sd::SweepCell> tiny_grid() {
     cell.config.area_h_m = side;
     cell.config.days = 1.0;
     cell.config.total_posts_target = 40.0;
-    cell.variants = {{"epidemic", "epidemic", 86400.0, 0.0},
-                     {"interest", "interest", 86400.0, 0.0}};
+    cell.variants = {{"epidemic", "epidemic", 86400.0},
+                     {"interest", "interest", 86400.0}};
     grid.push_back(std::move(cell));
   }
   return grid;
@@ -141,9 +141,9 @@ TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
     cell.config.bridge_node_frac = 0.2;
     cell.config.mobility.home_min_separation_m = 150.0;
     cell.config.total_posts_target = 80.0;
-    cell.variants = {{"interest", "interest", 86400.0, 0.0},
-                     {"epidemic", "epidemic", 86400.0, 0.0},
-                     {"prophet", "prophet", 86400.0, 0.0}};
+    cell.variants = {{"interest", "interest", 86400.0},
+                     {"epidemic", "epidemic", 86400.0},
+                     {"prophet", "prophet", 86400.0}};
     return cell;
   };
   sd::SweepOptions local_opts;

@@ -9,12 +9,16 @@
 //   sos_soak --resume --checkpoint-dir ckpts --jsonl soak.jsonl
 //
 // Exit status: 0 = ran to its stop condition (horizon, predicate, wall
-// budget), 2 = halted on an anomaly, 1 = usage or I/O error.
+// budget), 2 = halted on an anomaly, 1 = usage or I/O error (a malformed or
+// out-of-range number included).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "deploy/scenario.hpp"
 #include "mw/routing.hpp"
@@ -27,13 +31,14 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: sos_soak [options]\n"
-               "  --days D                simulated horizon (default 30)\n"
+               "  --days D                simulated horizon, > 0 (default 30)\n"
                "  --nodes N               fleet size (default 48)\n"
                "  --communities C         mobility communities (default 4)\n"
                "  --scheme S              routing scheme (default interest)\n"
                "  --seed X                world seed (default 42)\n"
                "  --engine E              mono | strand (default strand)\n"
-               "  --jobs J                worker threads for the engine (default 4)\n"
+               "  --jobs J                worker threads for the engine, >= 1 with strand\n"
+               "                          (default 4)\n"
                "  --snapshot-interval-s T metric snapshot cadence (default 21600)\n"
                "  --checkpoint-dir DIR    write checkpoints here (default off)\n"
                "  --checkpoint-interval-s T  checkpoint cadence (default 86400)\n"
@@ -44,6 +49,40 @@ void usage() {
                "                          (any snapshot JSONL key; unknown keys are rejected)\n"
                "  --min-gap-s G           minimum quiescent gap for a cut (default 60)\n"
                "  --no-anomaly            disable anomaly detection\n");
+}
+
+[[noreturn]] void bad_value(const char* flag, const char* text, const char* want) {
+  std::fprintf(stderr, "sos_soak: bad %s value '%s' (want %s)\n", flag, text, want);
+  std::exit(1);
+}
+
+// Numeric flag values parse strictly: the whole token, no sign or blanks
+// around it, in range. A typo must stop the run, not become 0.
+template <class T>
+T parse_number(const char* flag, const char* text, T min, const char* want) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < min) bad_value(flag, text, want);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) bad_value(flag, text, want);
+  }
+  return value;
+}
+
+double positive_number(const char* flag, const char* text) {
+  double value = parse_number(flag, text, 0.0, "a finite number > 0");
+  if (value == 0.0) bad_value(flag, text, "a finite number > 0");
+  return value;
+}
+
+double nonnegative_number(const char* flag, const char* text) {
+  return parse_number(flag, text, 0.0, "a finite number >= 0");
+}
+
+std::size_t count_at_least(const char* flag, const char* text, std::size_t min) {
+  const std::string want = "an integer >= " + std::to_string(min);
+  return parse_number<std::size_t>(flag, text, min, want.c_str());
 }
 
 }  // namespace
@@ -72,31 +111,31 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--days") == 0) {
-      days = std::strtod(need_value(i++), nullptr);
+      days = positive_number(arg, need_value(i++));
     } else if (std::strcmp(arg, "--nodes") == 0) {
-      nodes = static_cast<std::size_t>(std::strtoull(need_value(i++), nullptr, 10));
+      nodes = count_at_least(arg, need_value(i++), 1);
     } else if (std::strcmp(arg, "--communities") == 0) {
-      communities = static_cast<std::size_t>(std::strtoull(need_value(i++), nullptr, 10));
+      communities = count_at_least(arg, need_value(i++), 1);
     } else if (std::strcmp(arg, "--scheme") == 0) {
       scheme = need_value(i++);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = std::strtoull(need_value(i++), nullptr, 10);
+      seed = parse_number<std::uint64_t>(arg, need_value(i++), 0, "an unsigned integer");
     } else if (std::strcmp(arg, "--engine") == 0) {
       engine = need_value(i++);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = static_cast<std::size_t>(std::strtoull(need_value(i++), nullptr, 10));
+      jobs = count_at_least(arg, need_value(i++), 0);
     } else if (std::strcmp(arg, "--snapshot-interval-s") == 0) {
-      opts.snapshot_interval_s = std::strtod(need_value(i++), nullptr);
+      opts.snapshot_interval_s = positive_number(arg, need_value(i++));
     } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
       opts.checkpoint_dir = need_value(i++);
     } else if (std::strcmp(arg, "--checkpoint-interval-s") == 0) {
-      opts.checkpoint_interval_s = std::strtod(need_value(i++), nullptr);
+      opts.checkpoint_interval_s = positive_number(arg, need_value(i++));
     } else if (std::strcmp(arg, "--resume") == 0) {
       do_resume = true;
     } else if (std::strcmp(arg, "--jsonl") == 0) {
       opts.jsonl_path = need_value(i++);
     } else if (std::strcmp(arg, "--wall-budget-s") == 0) {
-      opts.stop.wall_budget_s = std::strtod(need_value(i++), nullptr);
+      opts.stop.wall_budget_s = nonnegative_number(arg, need_value(i++));
     } else if (std::strcmp(arg, "--stop") == 0) {
       std::string error;
       std::optional<soak::StopPredicate> p = soak::parse_stop(need_value(i++), &error);
@@ -109,7 +148,7 @@ int main(int argc, char** argv) {
       }
       opts.stop.predicates.push_back(*p);
     } else if (std::strcmp(arg, "--min-gap-s") == 0) {
-      opts.min_gap_s = std::strtod(need_value(i++), nullptr);
+      opts.min_gap_s = nonnegative_number(arg, need_value(i++));
     } else if (std::strcmp(arg, "--no-anomaly") == 0) {
       opts.anomaly_detection = false;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -156,6 +195,11 @@ int main(int argc, char** argv) {
   if (engine == "mono") {
     opts.replay.subepisode_jobs = 0;
   } else if (engine == "strand") {
+    // 0 workers would quietly fall back to the mono engine.
+    if (jobs == 0) {
+      std::fprintf(stderr, "sos_soak: bad --jobs value '0' (the strand engine needs >= 1)\n");
+      return 1;
+    }
     opts.replay.subepisode_jobs = jobs;
   } else {
     std::fprintf(stderr, "sos_soak: unknown engine '%s'\n", engine.c_str());
