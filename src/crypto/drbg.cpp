@@ -38,12 +38,4 @@ bool Drbg::load_state(util::Reader& r) {
   return true;
 }
 
-Drbg Drbg::fork(util::ByteView label) {
-  util::Bytes seed(key_, key_ + 32);
-  util::append(seed, label);
-  auto child = generate(16);  // advance our stream so repeated forks differ
-  util::append(seed, child);
-  return Drbg(seed);
-}
-
 }  // namespace sos::crypto

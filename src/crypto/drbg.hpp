@@ -1,6 +1,5 @@
 // Deterministic random byte generator (ChaCha20-based). All key material in
-// simulations derives from the scenario seed so every run is reproducible;
-// a fresh fork() per node keeps streams independent.
+// simulations derives from the scenario seed so every run is reproducible.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +32,6 @@ class Drbg {
     generate(out.data(), out.size());
     return out;
   }
-
-  /// Derive an independent child generator (label separates domains).
-  Drbg fork(util::ByteView label);
 
   /// Checkpoint the full generator state (key + counter): a restored Drbg
   /// continues the byte stream exactly where the saved one stopped.

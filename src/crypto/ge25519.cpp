@@ -99,10 +99,6 @@ GeP3 ge_identity() {
   return GeP3{kFeZero, kFeOne, kFeOne, kFeZero};
 }
 
-bool ge_is_identity(const GeP3& p) {
-  return fe_is_zero(p.X) && fe_equal(p.Y, p.Z);
-}
-
 GeP3 ge_neg(const GeP3& p) {
   return GeP3{fe_neg(p.X), p.Y, p.Z, fe_neg(p.T)};
 }
@@ -210,23 +206,6 @@ GeP3 ge_scalarmult_base(const std::uint8_t scalar[32]) {
   for (int i = 0; i < 64; ++i) {
     int digit = (scalar[i / 2] >> (4 * (i & 1))) & 0x0f;
     if (digit) r = ge_add(r, table.win[i][digit - 1]);
-  }
-  return r;
-}
-
-GeP3 ge_scalarmult_vartime(const GeP3& p, const std::uint8_t scalar[32]) {
-  signed char digits[kSlideDigits];
-  slide(digits, scalar, 15, 6);
-  auto odd = odd_multiples<8>(p);
-
-  GeP3 r = ge_identity();
-  int top = top_nonzero(digits);
-  for (int i = top; i >= 0; --i) {
-    r = ge_double(r);
-    if (digits[i] > 0)
-      r = ge_add(r, odd[digits[i] / 2]);
-    else if (digits[i] < 0)
-      r = ge_sub(r, odd[-digits[i] / 2]);
   }
   return r;
 }

@@ -1,9 +1,9 @@
 // Ed25519 group operations (twisted Edwards curve, a = -1) tuned for the
 // middleware's hot paths. Fixed-base scalar multiplication uses a
 // precomputed radix-16 per-window table (64 table additions, zero
-// doublings); variable-base uses signed sliding-window wNAF; verification
-// uses a Straus/Shamir interleaved double-scalar multiplication so
-// s*B - k*A shares a single doubling chain. All scalar multiplications
+// doublings); verification uses a Straus/Shamir interleaved double-scalar
+// multiplication over signed sliding-window (wNAF) digits, so s*B - k*A
+// shares a single doubling chain. All scalar multiplications
 // here are variable-time: this reproduction runs simulations, not
 // production endpoints (see README).
 #pragma once
@@ -26,7 +26,6 @@ struct GeCached {
 };
 
 GeP3 ge_identity();
-bool ge_is_identity(const GeP3& p);
 GeP3 ge_neg(const GeP3& p);
 GeCached ge_to_cached(const GeP3& p);
 
@@ -45,9 +44,6 @@ const GeP3& ge_base();
 /// scalar * B via the precomputed per-window table (no doublings).
 GeP3 ge_scalarmult_base(const std::uint8_t scalar[32]);
 
-/// scalar * P, signed sliding-window wNAF (width 5).
-GeP3 ge_scalarmult_vartime(const GeP3& p, const std::uint8_t scalar[32]);
-
 /// s * B + k * A in one interleaved doubling chain (Straus/Shamir). The
 /// base-point digits use a wider window over a precomputed odd-multiple
 /// table of B.
@@ -55,7 +51,7 @@ GeP3 ge_double_scalarmult_base_vartime(const std::uint8_t s[32], const GeP3& a,
                                        const std::uint8_t k[32]);
 
 /// Reference double-and-add ladder; slow, kept as the cross-check oracle
-/// for the table/wNAF/Shamir paths.
+/// for the table and Shamir paths.
 GeP3 ge_scalarmult_generic(const GeP3& p, const std::uint8_t scalar[32]);
 
 }  // namespace sos::crypto

@@ -1,13 +1,11 @@
-// HMAC (RFC 2104) instantiated with SHA-256 and SHA-512.
+// HMAC (RFC 2104) instantiated with SHA-256.
 #pragma once
 
 #include "crypto/sha256.hpp"
-#include "crypto/sha512.hpp"
 #include "util/bytes.hpp"
 
 namespace sos::crypto {
 
 Sha256::Digest hmac_sha256(util::ByteView key, util::ByteView msg);
-Sha512::Digest hmac_sha512(util::ByteView key, util::ByteView msg);
 
 }  // namespace sos::crypto

@@ -116,10 +116,4 @@ PolyTag Poly1305::finish() {
   return tag;
 }
 
-PolyTag Poly1305::mac(const std::uint8_t key[kPolyKeySize], util::ByteView data) {
-  Poly1305 p(key);
-  p.update(data);
-  return p.finish();
-}
-
 }  // namespace sos::crypto

@@ -22,8 +22,6 @@ class Poly1305 {
   void update(util::ByteView data);
   PolyTag finish();
 
-  static PolyTag mac(const std::uint8_t key[kPolyKeySize], util::ByteView data);
-
  private:
   void blocks(const std::uint8_t* data, std::size_t len, std::uint64_t hibit);
 

@@ -254,10 +254,4 @@ bool sc_is_canonical(const Scalar& s) {
   return !geq_l(r);
 }
 
-bool sc_is_zero(const Scalar& s) {
-  std::uint8_t acc = 0;
-  for (auto b : s) acc |= b;
-  return acc == 0;
-}
-
 }  // namespace sos::crypto

@@ -32,6 +32,4 @@ Scalar sc_add(const Scalar& a, const Scalar& b);
 /// True iff the encoding is canonical (< L).
 bool sc_is_canonical(const Scalar& s);
 
-bool sc_is_zero(const Scalar& s);
-
 }  // namespace sos::crypto

@@ -43,12 +43,6 @@ std::optional<bool> VerifyMemo::lookup(const Key& key) const {
   return it->second;
 }
 
-void VerifyMemo::store(const Key& key, bool ok) {
-  Shard& s = shard(key);
-  util::MutexLock lock(s.mu);
-  if (s.verdicts.size() < per_shard_cap_) s.verdicts.insert_or_assign(key, ok);
-}
-
 std::size_t VerifyMemo::size() const {
   std::size_t n = 0;
   for (const Shard& s : shards_) {

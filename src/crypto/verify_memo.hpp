@@ -41,8 +41,6 @@ class VerifyMemo {
 
   /// Stored verdict for a triple, if any (nullopt = not yet computed).
   std::optional<bool> lookup(const Key& key) const;
-  /// Record a verdict computed outside verify().
-  void store(const Key& key, bool ok);
 
   std::size_t size() const;
   /// Total verdicts this memo will store before it stops inserting.

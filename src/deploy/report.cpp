@@ -58,12 +58,6 @@ std::string fmt(double v, int decimals) {
   return buf;
 }
 
-std::string fmt_pct(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, v * 100.0);
-  return buf;
-}
-
 std::vector<std::string> compare_row(const std::string& metric, double paper, double measured,
                                      int decimals) {
   return {metric, fmt(paper, decimals), fmt(measured, decimals)};

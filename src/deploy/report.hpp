@@ -26,7 +26,6 @@ class Table {
 };
 
 std::string fmt(double v, int decimals = 3);
-std::string fmt_pct(double v, int decimals = 1);
 
 /// "paper vs measured" convenience row.
 std::vector<std::string> compare_row(const std::string& metric, double paper, double measured,

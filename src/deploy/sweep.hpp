@@ -130,13 +130,13 @@ SweepOptions sweep_options_from_args(int argc, char** argv);
 /// episode_test's community-cell pins so they can never drift apart.
 std::vector<SweepCell> density_ablation_grid(double days = 3.0);
 
-/// The disaster fault pack (ROADMAP item 3): one mid-density epidemic world
-/// per fault regime — calm baseline, lossy/asymmetric links, aftershock
-/// jitter storm with a radio-dead window, battery churn with
-/// reboot-with-store-loss, a partition-and-heal quake timeline, a
-/// blackhole/grayhole mix, and a forged-signature storm — each run as a
-/// signed and an unsigned variant. Shared by bench_disaster_pack (the
-/// README's disaster table) and the fault determinism tests.
+/// The disaster fault pack: one mid-density epidemic world per fault
+/// regime — calm baseline, lossy/asymmetric links, aftershock jitter storm
+/// with a radio-dead window, battery churn with reboot-with-store-loss, a
+/// partition-and-heal quake timeline, a blackhole/grayhole mix, and a
+/// forged-signature storm — each run as a signed and an unsigned variant.
+/// Shared by bench_disaster_pack (the README's disaster table) and the
+/// fault determinism tests.
 std::vector<SweepCell> disaster_pack_grid(double days = 2.0);
 
 }  // namespace sos::deploy

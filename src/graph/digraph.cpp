@@ -17,14 +17,6 @@ bool Digraph::has_edge(NodeId from, NodeId to) const {
   return out_[from].count(to) > 0;
 }
 
-void Digraph::remove_edge(NodeId from, NodeId to) {
-  if (from >= out_.size() || to >= out_.size()) return;
-  if (out_[from].erase(to) > 0) {
-    in_[to].erase(from);
-    --edge_count_;
-  }
-}
-
 double Digraph::density() const {
   std::size_t n = node_count();
   if (n < 2) return 0.0;

@@ -21,7 +21,6 @@ class Digraph {
   /// Add the arc from -> to. Self-loops are ignored. Returns true if new.
   bool add_edge(NodeId from, NodeId to);
   bool has_edge(NodeId from, NodeId to) const;
-  void remove_edge(NodeId from, NodeId to);
 
   const std::set<NodeId>& out_neighbors(NodeId v) const { return out_[v]; }
   const std::set<NodeId>& in_neighbors(NodeId v) const { return in_[v]; }

@@ -9,7 +9,6 @@
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 #include "util/codec.hpp"
-#include "util/log.hpp"
 
 namespace sos::mw {
 
@@ -152,10 +151,6 @@ void AdHocManager::set_advertisement(Advert::Entries entries) {
 void AdHocManager::connect(sim::PeerId peer) {
   if (endpoint_->is_connected(peer)) return;
   endpoint_->invite(peer);
-}
-
-void AdHocManager::disconnect(sim::PeerId peer) {
-  endpoint_->disconnect(peer);
 }
 
 bool AdHocManager::session_secure(sim::PeerId peer) const {

@@ -2,9 +2,9 @@
 // Multipeer Connectivity endpoint and owns everything the paper assigns to
 // it: viewing discovered peers, establishing D2D connections, encrypting
 // connections (cert exchange -> X25519 ECDH -> HKDF -> ChaCha20-Poly1305),
-// validating certificates, and signing/verifying forwarded data. Unlike
-// real MPC, whose encryption Apple does not document, this handshake is
-// fully specified here (DESIGN.md substitution #4).
+// validating certificates, and signing/verifying forwarded data. Real MPC
+// encrypts sessions in a way Apple does not document, so this handshake
+// stands in for it and is fully specified here.
 //
 // Recurring contacts — the common case under human mobility — skip the
 // cert exchange + ECDH entirely: each full handshake also derives a
@@ -118,7 +118,6 @@ class AdHocManager {
 
   /// Ask for a session with a discovered peer.
   void connect(sim::PeerId peer);
-  void disconnect(sim::PeerId peer);
   bool session_secure(sim::PeerId peer) const;
   /// Certificate presented by the peer during the handshake (nullptr until
   /// the session is secure).

@@ -16,12 +16,10 @@ MessageManager::MessageManager(AdHocManager& adhoc, NodeStats& stats,
     if (on_peer_advert) on_peer_advert(peer, advert);
   };
   adhoc_.on_secure_session = [this](sim::PeerId peer, const pki::Certificate& cert) {
-    session_users_[peer] = cert.subject_id;
     remember_certificate(cert);
     if (on_session_ready) on_session_ready(peer, cert.subject_id);
   };
   adhoc_.on_session_down = [this](sim::PeerId peer) {
-    session_users_.erase(peer);
     auto it = sent_this_session_.find(peer);
     if (it != sent_this_session_.end()) {
       // The connection broke while this session had transfers: whatever the
@@ -44,7 +42,6 @@ MessageManager::~MessageManager() {
 }
 
 void MessageManager::reset_after_reboot(bool lose_store) {
-  session_users_.clear();
   sent_this_session_.clear();
   cert_cache_.clear();
   remember_certificate(adhoc_.credentials().certificate);
@@ -54,7 +51,7 @@ void MessageManager::reset_after_reboot(bool lose_store) {
 void MessageManager::save_state(util::Writer& w, bundle::RecordTable& records) const {
   // Quiescent-cut contract: no live sessions means no per-session transfer
   // bookkeeping.
-  assert(session_users_.empty() && sent_this_session_.empty());
+  assert(sent_this_session_.empty());
   w.framed([&](util::Writer& sub) { store_.save_state(sub, records); });
   // Keys are re-derived from each certificate's subject id on load.
   w.varint(cert_cache_.size());
@@ -88,12 +85,6 @@ void MessageManager::remember_certificate(const pki::Certificate& cert) {
 const pki::Certificate* MessageManager::certificate_for(const pki::UserId& uid) const {
   auto it = cert_cache_.find(uid);
   return it == cert_cache_.end() ? nullptr : &it->second;
-}
-
-std::optional<pki::UserId> MessageManager::peer_user(sim::PeerId peer) const {
-  auto it = session_users_.find(peer);
-  if (it == session_users_.end()) return std::nullopt;
-  return it->second;
 }
 
 void MessageManager::send_summary(std::span<const sim::PeerId> peers,

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <span>
 
@@ -34,8 +33,6 @@ class MessageManager {
   const pki::Certificate* certificate_for(const pki::UserId& uid) const;
 
   // --- peer/session bookkeeping ------------------------------------------
-  /// Authenticated user id of a connected peer (nullopt before handshake).
-  std::optional<pki::UserId> peer_user(sim::PeerId peer) const;
   std::vector<sim::PeerId> secure_peers() const { return adhoc_.secure_peers(); }
 
   // --- outbound operations (called by the routing manager) -----------------
@@ -92,12 +89,10 @@ class MessageManager {
   // payload the seam exists to carry across shards, untouched.
   bundle::BundleStore store_;
   std::map<pki::UserId, pki::Certificate> cert_cache_;  // sos-lint: allow(seam-exempt) value state, no scheduler handles
-  // sos-lint: allow(seam-exempt) session identity/send bookkeeping: keyed by
+  // sos-lint: allow(seam-exempt) per-session send bookkeeping: keyed by
   // live PeerId sessions, which AdHocManager tears down on session drop (not
   // on detach — sessions survive a shard boundary by design, see mw_test's
   // shard-crossing session pins).
-  std::map<sim::PeerId, pki::UserId> session_users_;
-  // sos-lint: allow(seam-exempt) same lifecycle as session_users_.
   std::map<sim::PeerId, std::set<bundle::BundleId>> sent_this_session_;
 };
 

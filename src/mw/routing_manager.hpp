@@ -99,7 +99,7 @@ class RoutingManager {
   std::set<pki::UserId> subscriptions_;
   // sos-lint: allow(seam-exempt) keyed by live sessions, torn down on
   // session drop (not detach): secure peer state survives shard boundaries
-  // by design, same lifecycle as MessageManager::session_users_.
+  // by design, same lifecycle as MessageManager::sent_this_session_.
   std::map<sim::PeerId, PeerView> peers_;  // secure peers with summaries
   bool push_pending_ = false;              // coalesces summary gossip
   // sos-lint: allow(seam-exempt) scenario-constant debounce knob.

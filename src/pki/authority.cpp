@@ -2,19 +2,6 @@
 
 namespace sos::pki {
 
-const char* to_string(VerifyResult r) {
-  switch (r) {
-    case VerifyResult::Ok: return "ok";
-    case VerifyResult::BadSignature: return "bad-signature";
-    case VerifyResult::UnknownIssuer: return "unknown-issuer";
-    case VerifyResult::Expired: return "expired";
-    case VerifyResult::NotYetValid: return "not-yet-valid";
-    case VerifyResult::Revoked: return "revoked";
-    case VerifyResult::IdentityMismatch: return "identity-mismatch";
-  }
-  return "?";
-}
-
 CertificateAuthority::CertificateAuthority(std::string name, const crypto::EdSeed& seed,
                                            util::SimTime cert_lifetime)
     : name_(std::move(name)),
@@ -33,13 +20,6 @@ std::optional<Certificate> CertificateAuthority::issue(const CertificateRequest&
   cert.issuer_name = name_;
   cert.not_before = now;
   cert.not_after = now + cert_lifetime_;
-  cert.signature = keypair_.sign(cert.signing_bytes());
-  return cert;
-}
-
-Certificate CertificateAuthority::issue_unchecked(Certificate cert) {
-  cert.serial = next_serial_++;
-  cert.issuer_name = name_;
   cert.signature = keypair_.sign(cert.signing_bytes());
   return cert;
 }
@@ -88,14 +68,6 @@ bool TrustStore::verify_signature(const Certificate& cert, crypto::VerifyMemo* m
   util::Bytes body = cert.signing_bytes();
   if (memo) return memo->verify(root_key_, body, cert.signature);
   return crypto::ed25519_verify(root_key_, body, cert.signature);
-}
-
-VerifyResult TrustStore::verify_identity(const Certificate& cert, const UserId& expected,
-                                         util::SimTime now) const {
-  VerifyResult r = verify(cert, now);
-  if (r != VerifyResult::Ok) return r;
-  if (!(cert.subject_id == expected)) return VerifyResult::IdentityMismatch;
-  return VerifyResult::Ok;
 }
 
 }  // namespace sos::pki

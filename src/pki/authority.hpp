@@ -22,10 +22,7 @@ enum class VerifyResult {
   Expired,
   NotYetValid,
   Revoked,
-  IdentityMismatch,
 };
-
-const char* to_string(VerifyResult r);
 
 class CertificateAuthority {
  public:
@@ -39,10 +36,6 @@ class CertificateAuthority {
   /// proof-of-possession is invalid — a malicious device cannot obtain a
   /// certificate for a key it does not hold.
   std::optional<Certificate> issue(const CertificateRequest& csr, util::SimTime now);
-
-  /// Sign an arbitrary certificate body (tests use this to build
-  /// maliciously altered certificates).
-  Certificate issue_unchecked(Certificate cert);
 
   void revoke(std::uint64_t serial);
   const std::set<std::uint64_t>& revocation_list() const { return crl_; }
@@ -86,11 +79,6 @@ class TrustStore {
   /// Pinned root key (for callers that check the certificate signature
   /// against already-serialized bytes).
   const crypto::EdPublicKey& root_key() const { return root_key_; }
-
-  /// verify() plus the Fig 2a identity check: the certificate must bind the
-  /// expected unique user-identifier.
-  VerifyResult verify_identity(const Certificate& cert, const UserId& expected,
-                               util::SimTime now) const;
 
   /// CRL snapshot size — surfaced as a soak metric. Growth bound: entries
   /// enter only through update_crl/add_revoked, both driven by the CA's

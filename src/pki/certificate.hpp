@@ -1,6 +1,6 @@
-// X.509-lite certificates (DESIGN.md substitution #3): the same trust
-// decisions as the paper's X.509 deployment — identity binding, issuer
-// signature, validity window, serial for revocation — without ASN.1.
+// X.509-lite certificates, standing in for the paper's X.509 deployment:
+// the same trust decisions — identity binding, issuer signature, validity
+// window, serial for revocation — without ASN.1.
 #pragma once
 
 #include <cstdint>

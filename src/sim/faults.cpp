@@ -49,17 +49,6 @@ void check_windows(const std::vector<FaultWindow>& windows, double horizon_s,
 
 }  // namespace
 
-const char* to_string(AdversaryRole role) {
-  switch (role) {
-    case AdversaryRole::Honest: return "honest";
-    case AdversaryRole::Flooder: return "flooder";
-    case AdversaryRole::Blackhole: return "blackhole";
-    case AdversaryRole::Grayhole: return "grayhole";
-    case AdversaryRole::Forger: return "forger";
-  }
-  return "?";
-}
-
 std::vector<std::string> FaultPlanConfig::validate(double horizon_s,
                                                   std::size_t nodes) const {
   std::vector<std::string> problems;

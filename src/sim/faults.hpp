@@ -1,5 +1,5 @@
-// Disaster-realism fault injection (ROADMAP item 3). A FaultPlan compiles a
-// declarative FaultPlanConfig into deterministic per-run fault machinery:
+// Disaster-realism fault injection. A FaultPlan compiles a declarative
+// FaultPlanConfig into deterministic per-run fault machinery:
 //
 //   * per-link loss/jitter/asymmetry profiles with jitter-spike and
 //     disconnect-window schedules, injected into MpcNetwork delivery,
@@ -121,8 +121,6 @@ enum class AdversaryRole : std::uint8_t {
   /// free spread when verification is off, pure rejection load when on.
   Forger,
 };
-
-const char* to_string(AdversaryRole role);
 
 struct AdversaryMix {
   double flooder_frac = 0.0;

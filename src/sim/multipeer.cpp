@@ -27,10 +27,6 @@ void MpcEndpoint::start_advertising(DiscoveryInfo info) {
   start_advertising(std::make_shared<const TextAdvertisement>(std::move(info)));
 }
 
-void MpcEndpoint::stop_advertising() {
-  advertising_ = false;
-}
-
 void MpcEndpoint::update_discovery_info(std::shared_ptr<const Advertisement> ad) {
   ad_ = std::move(ad);
   if (!advertising_) return;
@@ -57,10 +53,6 @@ void MpcEndpoint::start_browsing() {
       });
     }
   }
-}
-
-void MpcEndpoint::stop_browsing() {
-  browsing_ = false;
 }
 
 void MpcEndpoint::invite(PeerId peer) {

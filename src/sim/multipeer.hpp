@@ -1,6 +1,7 @@
 // MultipeerSim: a simulated Apple Multipeer Connectivity surface — the
-// substrate the paper's ad hoc manager runs on (DESIGN.md substitution #1).
-// It reproduces the MPC state machine the SOS middleware depends on:
+// substrate the paper's ad hoc manager runs on, simulated here in place of
+// iOS devices. It reproduces the MPC state machine the SOS middleware
+// depends on:
 //
 //   * advertisers publish a discovery-info dictionary (plain text on the
 //     air; a snapshot object here, rendered to text only where read),
@@ -64,7 +65,6 @@ class MpcEndpoint {
   void start_advertising(std::shared_ptr<const Advertisement> ad);
   /// Advertise a plain-text dictionary.
   void start_advertising(DiscoveryInfo info);
-  void stop_advertising();
   /// Replace the advertisement; browsers in range are re-notified (models
   /// the advertiser restart MPC apps perform on state change).
   void update_discovery_info(std::shared_ptr<const Advertisement> ad);
@@ -74,7 +74,6 @@ class MpcEndpoint {
 
   // --- browsing -----------------------------------------------------------
   void start_browsing();
-  void stop_browsing();
   bool browsing() const { return browsing_; }
   std::function<void(PeerId, const Advertisement&)> on_peer_found;
   std::function<void(PeerId)> on_peer_lost;

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace sos::sim {
 
@@ -26,43 +25,6 @@ util::SimTime ContactTrace::duration() const {
   util::SimTime end = 0;
   for (const auto& c : contacts_) end = std::max(end, c.end);
   return end;
-}
-
-std::vector<double> ContactTrace::contact_durations() const {
-  std::vector<double> out;
-  out.reserve(contacts_.size());
-  for (const auto& c : contacts_) out.push_back(c.end - c.start);
-  return out;
-}
-
-void ContactTrace::save(std::ostream& os) const {
-  os << "# sos contact trace: start end node_a node_b\n";
-  for (const auto& c : contacts_)
-    os << c.start << " " << c.end << " " << c.a << " " << c.b << "\n";
-}
-
-std::optional<ContactTrace> ContactTrace::load(std::istream& is) {
-  ContactTrace trace;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    ContactInterval c;
-    if (!(ls >> c.start >> c.end >> c.a >> c.b)) return std::nullopt;
-    if (!trace.add(c)) return std::nullopt;
-  }
-  return trace;
-}
-
-std::string ContactTrace::to_string() const {
-  std::ostringstream os;
-  save(os);
-  return os.str();
-}
-
-std::optional<ContactTrace> ContactTrace::parse(const std::string& text) {
-  std::istringstream is(text);
-  return load(is);
 }
 
 void TraceRecorder::contact_start(std::uint32_t a, std::uint32_t b) {

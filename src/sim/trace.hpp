@@ -1,21 +1,10 @@
 // Contact traces: record the encounter sequence of a run and replay it
-// later, or import external traces. The authors' deployment traces are not
-// public (DESIGN.md substitution #2); this module is the seam where they
-// would plug in — any trace in the simple text format below (one contact
-// interval per line, the style used by ONE-simulator / CRAWDAD exports)
-// can drive the full middleware stack instead of synthetic mobility.
-//
-//   # comment
-//   <start_seconds> <end_seconds> <node_a> <node_b>
+// later through the scheduler.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <map>
-#include <optional>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -44,15 +33,6 @@ class ContactTrace {
   /// Highest node index mentioned + 1 (0 when empty).
   std::size_t node_count() const;
   util::SimTime duration() const;
-
-  /// Inter-contact and contact-duration samples (trace characterization).
-  std::vector<double> contact_durations() const;
-
-  // --- text format -------------------------------------------------------
-  void save(std::ostream& os) const;
-  static std::optional<ContactTrace> load(std::istream& is);
-  std::string to_string() const;
-  static std::optional<ContactTrace> parse(const std::string& text);
 
  private:
   std::vector<ContactInterval> contacts_;

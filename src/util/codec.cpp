@@ -4,11 +4,6 @@
 
 namespace sos::util {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void Writer::u32(std::uint32_t v) {
   std::uint8_t tmp[4];
   store32_be(tmp, v);
@@ -75,12 +70,6 @@ const std::uint8_t* Reader::take(std::size_t n) {
 std::uint8_t Reader::u8() {
   const std::uint8_t* p = take(1);
   return p ? *p : 0;
-}
-
-std::uint16_t Reader::u16() {
-  const std::uint8_t* p = take(2);
-  if (!p) return 0;
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
 }
 
 std::uint32_t Reader::u32() {

@@ -53,7 +53,6 @@ namespace sos::util {
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void f64(double v);
@@ -121,7 +120,6 @@ class Reader {
   explicit Reader(ByteView b) : data_(b) {}
 
   std::uint8_t u8();
-  std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();

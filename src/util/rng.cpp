@@ -69,51 +69,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (have_spare_) {
-    have_spare_ = false;
-    return mean + stddev * spare_;
-  }
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  double u2 = uniform();
-  double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_ = mag * std::sin(2.0 * M_PI * u2);
-  have_spare_ = true;
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    double v = normal(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  double prod = uniform();
-  std::uint64_t k = 0;
-  while (prod > limit) {
-    prod *= uniform();
-    ++k;
-  }
-  return k;
-}
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  if (n == 0) return 0;
-  double total = 0.0;
-  for (std::uint64_t i = 1; i <= n; ++i) total += 1.0 / std::pow(static_cast<double>(i), s);
-  double target = uniform() * total;
-  double acc = 0.0;
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= target) return i - 1;
-  }
-  return n - 1;
-}
-
 bool Rng::chance(double p) {
   return uniform() < p;
 }

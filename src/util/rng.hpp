@@ -34,18 +34,6 @@ class Rng {
   /// Exponential with the given mean (>0).
   double exponential(double mean);
 
-  /// Standard normal via Box-Muller, scaled to (mean, stddev).
-  double normal(double mean, double stddev);
-
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
-  std::uint64_t poisson(double mean);
-
-  /// Zipf-like rank draw over [0, n) with exponent s (rejection-free inverse
-  /// CDF over precomputed weights would be heavy; simple CDF walk is fine for
-  /// small n used in workloads).
-  std::uint64_t zipf(std::uint64_t n, double s);
-
   /// True with probability p.
   bool chance(double p);
 
@@ -69,8 +57,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool have_spare_ = false;
-  double spare_ = 0.0;
 };
 
 }  // namespace sos::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace sos::util {
 
@@ -27,47 +26,6 @@ double Cdf::quantile(double q) const {
   std::size_t idx = static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples_.size())));
   if (idx > 0) --idx;
   return samples_[std::min(idx, samples_.size() - 1)];
-}
-
-double Cdf::min() const {
-  if (samples_.empty()) return 0.0;
-  sort();
-  return samples_.front();
-}
-
-double Cdf::max() const {
-  if (samples_.empty()) return 0.0;
-  sort();
-  return samples_.back();
-}
-
-double Cdf::mean() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-const std::vector<double>& Cdf::sorted_samples() const {
-  sort();
-  return samples_;
-}
-
-Summary summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  Cdf cdf;
-  for (double x : xs) cdf.add(x);
-  s.min = cdf.min();
-  s.max = cdf.max();
-  s.mean = cdf.mean();
-  double var = 0;
-  for (double x : xs) var += (x - s.mean) * (x - s.mean);
-  s.stddev = std::sqrt(var / static_cast<double>(xs.size()));
-  s.p50 = cdf.quantile(0.50);
-  s.p90 = cdf.quantile(0.90);
-  s.p99 = cdf.quantile(0.99);
-  return s;
 }
 
 Histogram2d::Histogram2d(double x0, double y0, double x1, double y1, std::size_t nx,

@@ -1,6 +1,6 @@
 // Small statistics toolkit for the evaluation harness: empirical CDFs
-// (Fig 4c/4d), summary statistics, and a 2D histogram used to render the
-// Fig 4b activity map as ASCII.
+// (Fig 4c/4d) and a 2D histogram used to render the Fig 4b activity map as
+// ASCII.
 #pragma once
 
 #include <cstddef>
@@ -20,27 +20,15 @@ class Cdf {
   double at(double x) const;
   /// Smallest x with P[X <= x] >= q, q in [0,1]. Returns 0 on empty.
   double quantile(double q) const;
-  double min() const;
-  double max() const;
-  double mean() const;
 
   /// Fraction of samples strictly greater than x.
   double fraction_above(double x) const { return empty() ? 0.0 : 1.0 - at(x); }
-
-  const std::vector<double>& sorted_samples() const;
 
  private:
   void sort() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
 };
-
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0, stddev = 0, min = 0, max = 0, p50 = 0, p90 = 0, p99 = 0;
-};
-
-Summary summarize(const std::vector<double>& xs);
 
 /// 2D histogram over a rectangle; render() returns an ASCII heat map.
 class Histogram2d {

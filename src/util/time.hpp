@@ -33,7 +33,7 @@ inline double time_of_day(SimTime t) {
   return d < 0 ? d + 86400.0 : d;
 }
 
-/// "d2 07:30" style rendering for logs/reports.
+/// "d2 07:30" style rendering for reports.
 std::string format_time(SimTime t);
 
 /// "37.2h" style rendering of a duration.

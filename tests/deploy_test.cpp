@@ -89,7 +89,6 @@ TEST(Oracle, ActivityMaps) {
 
 TEST(Report, FormatHelpers) {
   EXPECT_EQ(sd::fmt(1.23456, 2), "1.23");
-  EXPECT_EQ(sd::fmt_pct(0.5, 1), "50.0%");
   auto row = sd::compare_row("x", 1.0, 2.0, 1);
   ASSERT_EQ(row.size(), 3u);
   EXPECT_EQ(row[1], "1.0");

@@ -369,28 +369,27 @@ TEST(Ge25519, FixedBaseTableMatchesGeneric) {
   }
 }
 
-TEST(Ge25519, WnafMatchesGeneric) {
-  sc::Drbg d(su::to_bytes("wnaf-points"));
-  for (const auto& s : interesting_scalars()) {
-    sc::GeP3 p = random_point(d);
-    EXPECT_EQ(enc(sc::ge_scalarmult_vartime(p, s.data())),
-              enc(sc::ge_scalarmult_generic(p, s.data())));
-  }
-}
-
 TEST(Ge25519, WnafRandomizedSweepIncludingUnreducedScalars) {
-  // The wNAF recoding carries borrows above bit 255 for full 256-bit
-  // scalars; sweep many unreduced scalars (plus dense-bit patterns) against
-  // the generic ladder.
+  // The wNAF recoding behind the Shamir chain carries borrows above bit 255
+  // for full 256-bit scalars; sweep the interesting scalars, then many
+  // unreduced ones (plus dense-bit patterns), through both digit windows
+  // (s over the B table, k over A's) against the generic ladder.
   sc::Drbg d(su::to_bytes("wnaf-sweep"));
-  sc::GeP3 p = random_point(d);
+  sc::GeP3 a = random_point(d);
+  auto check = [&](const sc::Scalar& s, const sc::Scalar& k, int i) {
+    sc::GeP3 sb = sc::ge_scalarmult_generic(sc::ge_base(), s.data());
+    sc::GeP3 ka = sc::ge_scalarmult_generic(a, k.data());
+    EXPECT_EQ(enc(sc::ge_double_scalarmult_base_vartime(s.data(), a, k.data())),
+              enc(sc::ge_add(sb, sc::ge_to_cached(ka))))
+        << i;
+  };
+  for (const auto& s : interesting_scalars()) check(s, s, -1);
   for (int i = 0; i < 200; ++i) {
     auto s = d.generate_array<32>();
     if (i % 4 == 0) s[31] |= 0xe0;            // force the top bits high
     if (i % 7 == 0) std::memset(s.data() + 24, 0xff, 8);  // dense top limb
-    EXPECT_EQ(enc(sc::ge_scalarmult_vartime(p, s.data())),
-              enc(sc::ge_scalarmult_generic(p, s.data())))
-        << i;
+    check(s, s, i);
+    check(s, d.generate_array<32>(), i);
   }
 }
 
@@ -407,11 +406,9 @@ TEST(Ge25519, ShamirMatchesSeparateMultiplications) {
   }
 }
 
-TEST(Ge25519, IdentityPredicates) {
-  EXPECT_TRUE(sc::ge_is_identity(sc::ge_identity()));
-  EXPECT_FALSE(sc::ge_is_identity(sc::ge_base()));
-  // P - P == identity via the sub path.
+TEST(Ge25519, SubtractingAPointGivesTheIdentity) {
   sc::Drbg d(su::to_bytes("ident"));
   sc::GeP3 p = random_point(d);
-  EXPECT_TRUE(sc::ge_is_identity(sc::ge_sub(p, sc::ge_to_cached(p))));
+  EXPECT_EQ(enc(sc::ge_sub(p, sc::ge_to_cached(p))), enc(sc::ge_identity()));
+  EXPECT_NE(enc(sc::ge_base()), enc(sc::ge_identity()));
 }

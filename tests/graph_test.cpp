@@ -23,16 +23,6 @@ TEST(Digraph, AddAndQueryEdges) {
   EXPECT_EQ(g.in_degree(1), 1u);
 }
 
-TEST(Digraph, RemoveEdge) {
-  sg::Digraph g(3);
-  g.add_edge(0, 1);
-  g.remove_edge(0, 1);
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_EQ(g.edge_count(), 0u);
-  g.remove_edge(0, 1);  // idempotent
-  EXPECT_EQ(g.edge_count(), 0u);
-}
-
 TEST(Digraph, DensityDirected) {
   sg::Digraph g(10);
   // 46 arcs over 90 possible: the paper's directed subscription density.

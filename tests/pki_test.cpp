@@ -200,18 +200,6 @@ TEST(TrustStore, RevocationTakesEffectAfterCrlUpdate) {
   EXPECT_EQ(store.verify(*cert, 1.0), sp::VerifyResult::Revoked);
 }
 
-TEST(TrustStore, IdentityBinding) {
-  auto ca = make_ca();
-  auto keys = make_keys("alice");
-  auto cert =
-      ca.issue(sp::CertificateRequest::create(sp::user_id_from_name("alice"), "alice", keys, enc_key_for("alice")), 0);
-  sp::TrustStore store(ca.name(), ca.root_public_key());
-  EXPECT_EQ(store.verify_identity(*cert, sp::user_id_from_name("alice"), 1.0),
-            sp::VerifyResult::Ok);
-  EXPECT_EQ(store.verify_identity(*cert, sp::user_id_from_name("bob"), 1.0),
-            sp::VerifyResult::IdentityMismatch);
-}
-
 // --- Fig 2a bootstrap flow --------------------------------------------------------
 
 TEST(Bootstrap, SignupIssuesWorkingCredentials) {
@@ -221,9 +209,10 @@ TEST(Bootstrap, SignupIssuesWorkingCredentials) {
   ASSERT_TRUE(creds.has_value());
   EXPECT_EQ(creds->user_id, sp::user_id_from_name("alice"));
   EXPECT_EQ(creds->certificate.subject_key, creds->signing_keypair.public_key());
-  // Credentials verify offline against the shipped trust store.
-  EXPECT_EQ(creds->trust.verify_identity(creds->certificate, creds->user_id, 100.0),
-            sp::VerifyResult::Ok);
+  // Credentials verify offline against the shipped trust store, and the
+  // certificate binds the account's user id.
+  EXPECT_EQ(creds->trust.verify(creds->certificate, 100.0), sp::VerifyResult::Ok);
+  EXPECT_EQ(creds->certificate.subject_id, creds->user_id);
 }
 
 TEST(Bootstrap, DuplicateAccountRejected) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/bytes.hpp"
 #include "util/codec.hpp"
@@ -94,13 +93,11 @@ TEST(Bytes, EndianLoadStore) {
 TEST(Codec, ScalarsRoundTrip) {
   su::Writer w;
   w.u8(0xAB);
-  w.u16(0xBEEF);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
   w.f64(3.14159);
   su::Reader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u16(), 0xBEEF);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
@@ -206,44 +203,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / 20000.0, mean, 0.15);
 }
 
-TEST(Rng, NormalMoments) {
-  su::Rng rng(42);
-  const int n = 20000;
-  double sum = 0, sq = 0;
-  for (int i = 0; i < n; ++i) {
-    double x = rng.normal(10.0, 2.0);
-    sum += x;
-    sq += x * x;
-  }
-  double mean = sum / n;
-  double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
-}
-
-TEST(Rng, PoissonMean) {
-  su::Rng rng(42);
-  double sum = 0;
-  for (int i = 0; i < 20000; ++i) sum += static_cast<double>(rng.poisson(4.2));
-  EXPECT_NEAR(sum / 20000.0, 4.2, 0.15);
-}
-
-TEST(Rng, PoissonLargeMeanUsesApproximation) {
-  su::Rng rng(42);
-  double sum = 0;
-  for (int i = 0; i < 5000; ++i) sum += static_cast<double>(rng.poisson(100.0));
-  EXPECT_NEAR(sum / 5000.0, 100.0, 2.0);
-}
-
-TEST(Rng, ZipfSkewsTowardLowRanks) {
-  su::Rng rng(42);
-  int low = 0;
-  for (int i = 0; i < 2000; ++i)
-    if (rng.zipf(10, 1.2) == 0) ++low;
-  // rank 0 should dominate a 10-element zipf(1.2)
-  EXPECT_GT(low, 2000 / 10);
-}
-
 TEST(Rng, ChanceExtremes) {
   su::Rng rng(42);
   for (int i = 0; i < 100; ++i) {
@@ -277,9 +236,8 @@ TEST(Cdf, BasicQuantiles) {
   EXPECT_DOUBLE_EQ(cdf.at(100), 1.0);
   EXPECT_DOUBLE_EQ(cdf.at(0.5), 0.0);
   EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 50);
-  EXPECT_DOUBLE_EQ(cdf.min(), 1);
-  EXPECT_DOUBLE_EQ(cdf.max(), 100);
-  EXPECT_NEAR(cdf.mean(), 50.5, 1e-9);
+  EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 1);
+  EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 100);
 }
 
 TEST(Cdf, AtIsInclusive) {
@@ -302,17 +260,6 @@ TEST(Cdf, FractionAbove) {
   su::Cdf cdf;
   for (int i = 1; i <= 10; ++i) cdf.add(static_cast<double>(i) / 10.0);
   EXPECT_NEAR(cdf.fraction_above(0.8), 0.2, 1e-9);
-}
-
-TEST(Stats, SummaryValues) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 9; ++i) xs.push_back(i);
-  auto s = su::summarize(xs);
-  EXPECT_EQ(s.n, 9u);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_DOUBLE_EQ(s.p50, 5.0);
 }
 
 TEST(Histogram2d, CountsAndOccupancy) {

@@ -4,7 +4,8 @@ The defaults here are THIS repo's policy (scan paths, emission roots,
 crypto paths, secret-name patterns); a rule is tuned by editing them in
 review. ``--selftest`` overrides fields in code for the fixtures. Paths
 are repo-relative with forward slashes and are matched by substring, so
-a directory prefix covers everything under it.
+a directory prefix covers everything under it. The driver exits 2 when a
+``*_paths`` entry matches no scanned file.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ class LintConfig:
         "src/sim/trace",       # recorded contact traces are replayed bitwise
         "src/graph/metrics",   # graph metric emission
         "src/mw/stats",        # per-node counters aggregated into metrics
-        "src/util/stats",      # summary statistics helpers
-        "src/util/log",        # formatted output
+        "src/util/stats",      # CDF and histogram helpers
     ])
     emission_roots: list[str] = field(default_factory=lambda: [
         "emit_report",         # fixture/selftest root

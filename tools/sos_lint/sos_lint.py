@@ -15,12 +15,14 @@ Usage:
   sos_lint.py --root <repo> path1.cpp ...   # lint specific files
   sos_lint.py --format sarif --output <f>   # SARIF 2.1.0 for CI upload
 
-Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/internal.
+Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/internal
+(including a config path entry that matches no scanned file).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -139,6 +141,21 @@ def _scan_paths(root: Path, cfg: LintConfig) -> list[Path]:
     return out
 
 
+def stale_paths(root: Path, cfg: LintConfig) -> list[str]:
+    """Every `*_paths` config entry that matches no file the configured
+    scan covers. Entries match by substring, so a stale one (a deleted or
+    renamed file) would otherwise be a silent no-op."""
+    rels = [p.relative_to(root).as_posix() for p in _scan_paths(root, cfg)]
+    out = []
+    for f in dataclasses.fields(cfg):
+        if not f.name.endswith("_paths"):
+            continue
+        for entry in getattr(cfg, f.name):
+            if not any(entry in rel for rel in rels):
+                out.append(f"{f.name} entry '{entry}'")
+    return out
+
+
 def _emit(findings: list[Finding], fmt: str, output: Path | None,
           summary: str) -> int:
     if fmt == "sarif":
@@ -251,6 +268,20 @@ def selftest(root: Path) -> int:
     if missing:
         failures.append("rules without fixtures: " + ", ".join(sorted(missing)))
 
+    # A config path entry naming no scanned file must be reported, not
+    # silently match nothing.
+    stale_cfg = LintConfig()
+    stale_cfg.scan_paths = ["tests/lint_fixtures"]
+    stale_cfg.emission_paths = ["tests/lint_fixtures/unordered_iteration",
+                                "tests/lint_fixtures/no_such_fixture"]
+    stale_cfg.crypto_paths = ["tests/lint_fixtures/"]
+    stale_cfg.entropy_allow_paths = []
+    stale_cfg.lock_scope_paths = []
+    want = ["emission_paths entry 'tests/lint_fixtures/no_such_fixture'"]
+    got = stale_paths(root, stale_cfg)
+    if got != want:
+        failures.append(f"stale config paths: expected {want}, got {got}")
+
     if failures:
         print("sos-lint selftest FAILED:")
         for f in failures:
@@ -281,6 +312,12 @@ def main(argv: list[str]) -> int:
         return selftest(root)
 
     cfg = LintConfig()
+    stale = stale_paths(root, cfg)
+    if stale:
+        for entry in stale:
+            print(f"sos-lint: config {entry} matches no scanned file under "
+                  f"{root}; drop or fix it", file=sys.stderr)
+        return 2
     files = [p.resolve() for p in args.files] if args.files else _scan_paths(root, cfg)
     if not files:
         print("sos-lint: nothing to scan", file=sys.stderr)
