@@ -3,10 +3,10 @@
 // 0.25-4 km^2) and that "further investigations at higher densities are
 // needed". This bench performs that investigation: node-count and area
 // sweeps under IB routing, plus the recurring-pair session-churn sweep.
-// All cells run on deploy::SweepRunner (pass --jobs N to parallelize;
-// --subepisode-jobs M additionally replays each cell on the contact-strand
-// engine; metrics are bitwise identical on every engine and at any thread
-// count).
+// All cells run on deploy::SweepRunner (pass --jobs N to replay that many
+// (cell, variant) items at once; metrics are bitwise identical at any
+// thread count). The "dag par" column is the cell's strand-parallelism
+// ceiling, a property of its recorded trace.
 #include <chrono>
 #include <cstdio>
 #include <string>

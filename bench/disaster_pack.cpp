@@ -2,9 +2,9 @@
 // messaging exists for. One row per deploy::disaster_pack_grid cell — calm,
 // lossy, storm, churn, quake, blackhole, sigstorm, siege — each replaying a
 // signed and an unsigned epidemic variant over one shared recorded world.
-// Runs on deploy::SweepRunner (--jobs N, --subepisode-jobs M); every
-// column is bitwise identical at any worker count (ctest -L fault pins
-// this), so the table is the README's disaster table verbatim.
+// Runs on deploy::SweepRunner (--jobs N); every column is bitwise identical
+// at any worker count and matches the strand engine (ctest -L fault pins
+// both), so the table is the README's disaster table verbatim.
 #include <cstdio>
 #include <string>
 

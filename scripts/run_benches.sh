@@ -9,8 +9,9 @@
 # deploy::SweepRunner:
 #   scripts/run_benches.sh --jobs 4 build
 # Sweep metrics are bitwise identical for any N (only wall-clock changes).
-# Run a bench binary directly with --subepisode-jobs M to also replay each
-# cell on the contact-strand engine.
+# Sweeps replay every cell on the single-scheduler reference; the
+# contact-strand engine runs under sos_soak --engine strand and sosbench's
+# community-soak workload.
 #
 # With --check, no benches run: the script is the repo's full correctness
 # gate, in three stages.

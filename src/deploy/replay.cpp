@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -56,12 +55,12 @@ struct EngineState {
 
 void run_strand_task(const EngineState& st, std::size_t ti);
 
-/// The Kahn-worker queue: every worker (the calling thread plus any helpers
-/// borrowed from the WorkerBudget) coordinates through this state, all of
-/// it guarded by `mu` — the annotations make "touched the ready set without
-/// the lock" a clang -Wthread-safety compile error, not a TSan coin-flip.
-/// `dependents` is deliberately outside the guarded set: it is written once
-/// before any worker starts and read-only afterwards.
+/// The Kahn-worker queue: every worker (the calling thread plus its
+/// helpers) coordinates through this state, all of it guarded by `mu` — the
+/// annotations make "touched the ready set without the lock" a clang
+/// -Wthread-safety compile error, not a TSan coin-flip. `dependents` is
+/// deliberately outside the guarded set: it is written once before any
+/// worker starts and read-only afterwards.
 struct KahnQueue {
   util::Mutex mu;
   std::condition_variable_any cv;
@@ -69,18 +68,16 @@ struct KahnQueue {
   std::vector<std::size_t> pending SOS_GUARDED_BY(mu);      // unmet deps per task
   std::size_t running SOS_GUARDED_BY(mu) = 0;               // tasks in flight
   std::size_t done SOS_GUARDED_BY(mu) = 0;                  // tasks completed
-  std::vector<std::thread> helpers SOS_GUARDED_BY(mu);      // spawned workers
-  std::size_t borrowed SOS_GUARDED_BY(mu) = 0;              // budget tokens held
   std::vector<std::vector<std::size_t>> dependents;         // reverse dep edges
 };
 
-/// Execute the task DAG with `jobs` (>= 1) workers. One code path for
-/// serial and parallel execution: the calling thread is always a worker;
-/// helpers join it when jobs > 1 or the shared budget grants tokens. The
+/// Execute the task DAG with up to `jobs` (>= 1) workers, never more than
+/// it has tasks. One code path for serial and parallel execution: the
+/// calling thread is always a worker, and the helpers start up front. The
 /// ordered ready set makes the serial order identical to a dedicated serial
 /// loop, and an uncontended MutexLock per task is noise next to a task's
 /// millisecond-scale replay. Throws if the DAG cannot complete (a cycle).
-void execute_task_dag(const EngineState& st, std::size_t jobs, WorkerBudget* budget) {
+void execute_task_dag(const EngineState& st, std::size_t jobs) {
   const std::vector<sim::ContactTask>& tasks = st.dag.tasks();
   const std::size_t count = tasks.size();
   KahnQueue q;
@@ -95,8 +92,7 @@ void execute_task_dag(const EngineState& st, std::size_t jobs, WorkerBudget* bud
     }
   }
 
-  std::function<void()> worker;  // named so a worker can spawn another
-  worker = [&] {
+  auto worker = [&] {
     util::MutexLock lock(q.mu);
     for (;;) {
       if (q.done == count) return;
@@ -116,49 +112,18 @@ void execute_task_dag(const EngineState& st, std::size_t jobs, WorkerBudget* bud
       for (std::size_t d : q.dependents[i]) {
         if (--q.pending[d] == 0) q.ready.insert(d);
       }
-      // Opportunistic growth: tokens freed by finished sweep cells can be
-      // picked up mid-run (the heavy cell usually starts while its grid
-      // siblings still hold theirs).
-      if (budget != nullptr && q.ready.size() > 1 && q.helpers.size() + 1 < jobs &&
-          budget->acquire(1) == 1) {
-        ++q.borrowed;
-        q.helpers.emplace_back(worker);
-      }
-      q.cv.notify_all();
+      q.cv.notify_all();  // also wakes parked workers once done == count
     }
   };
 
-  // One worker is this thread; the rest borrow from the shared budget when
-  // one is present (the sweep's thread allowance), else spawn up to the
-  // requested job count.
-  {
-    std::size_t want = jobs - 1;
-    util::MutexLock lock(q.mu);
-    if (budget != nullptr) {
-      q.borrowed = budget->acquire(want);
-      want = q.borrowed;
-    }
-    q.helpers.reserve(want);
-    for (std::size_t i = 0; i < want; ++i) q.helpers.emplace_back(worker);
-  }
-  worker();
-  std::size_t completed = 0;
-  std::size_t borrowed = 0;
+  // A worker beyond the task count would only park until the end.
+  const std::size_t workers = std::max<std::size_t>(1, std::min(jobs, count));
   std::vector<std::thread> helpers;
-  {
-    // Wake helpers parked on an empty ready set so they observe done, and
-    // take ownership of the helper list: no helper can spawn another once
-    // done == count (spawning requires finishing a task), so the
-    // swapped-out vector is complete.
-    util::MutexLock lock(q.mu);
-    q.cv.notify_all();
-    helpers.swap(q.helpers);
-    completed = q.done;
-    borrowed = q.borrowed;
-  }
+  for (std::size_t i = 1; i < workers; ++i) helpers.emplace_back(worker);
+  worker();
   for (auto& t : helpers) t.join();
-  if (budget != nullptr && borrowed > 0) budget->release(borrowed);
-  if (completed != count) {
+  util::MutexLock lock(q.mu);
+  if (q.done != count) {
     throw std::logic_error("contact task DAG failed to complete (dependency cycle?)");
   }
 }
@@ -449,7 +414,7 @@ void ReplaySession::advance_to(util::SimTime t) {
                  im.resume_at,
                  outs,
                  t};
-  execute_task_dag(st, jobs > 0 ? jobs : 1, im.replay.budget);
+  execute_task_dag(st, jobs > 0 ? jobs : 1);
 
   // Merge in task-index order — deterministic regardless of worker count.
   for (const TaskOut& out : outs) {

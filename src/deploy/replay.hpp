@@ -12,7 +12,6 @@
 // any worker count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -29,43 +28,6 @@ class Reader;
 
 namespace sos::deploy {
 
-/// Token pool shared between cell-level (SweepRunner) and strand-level
-/// workers: a sweep hands its thread budget to one WorkerBudget; strand
-/// engines borrow extra workers from it and return them, so nested
-/// parallelism never oversubscribes the requested job count.
-///
-/// Concurrency contract (lock-free, so nothing here is SOS_GUARDED_BY):
-/// the pool is a single atomic counter and tokens are conserved by
-/// protocol — every acquire() return value must eventually be release()d
-/// by the same logical owner, and release() never invents tokens the
-/// owner did not hold. The donation path (a finished sweep cell releasing
-/// its own thread for still-running strand engines to borrow) relies on
-/// exactly this conservation; tests/sweep_test.cpp hammers it under TSan.
-class WorkerBudget {
- public:
-  explicit WorkerBudget(std::size_t tokens) : available_(tokens) {}
-
-  /// Take up to `want` tokens; returns how many were granted (possibly 0).
-  std::size_t acquire(std::size_t want) {
-    std::size_t cur = available_.load(std::memory_order_relaxed);
-    while (cur > 0) {
-      std::size_t take = want < cur ? want : cur;
-      if (available_.compare_exchange_weak(cur, cur - take, std::memory_order_relaxed)) {
-        return take;
-      }
-    }
-    return 0;
-  }
-  void release(std::size_t n) { available_.fetch_add(n, std::memory_order_relaxed); }
-
-  /// Tokens currently unclaimed (leak/starvation assertions in tests; a
-  /// racing snapshot, exact only at quiescence).
-  std::size_t available() const { return available_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> available_;
-};
-
 /// A replay broken into externally driven segments — the engine under
 /// run_scenario's strand path and the soak harness's checkpoint/resume.
 /// Construction performs the single-scheduler setup sequence (RNG stream
@@ -79,7 +41,7 @@ class WorkerBudget {
 /// the same detach/attach seam it crosses shard boundaries with.
 ///
 /// ReplayOptions::subepisode_jobs > 0 replays each segment on the strand
-/// DAG with that many workers; 0 ("mono") replays it as one fused task
+/// DAG with up to that many workers; 0 ("mono") replays it as one fused task
 /// (sim::ContactDag::fused) — single-scheduler semantics on the same
 /// machinery.
 class ReplaySession {

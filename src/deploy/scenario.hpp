@@ -56,8 +56,8 @@ struct ScenarioConfig {
   /// clusters — and `bridge_node_frac` of the nodes commute between them
   /// across days. 1 is the classic single-hotspot-pool city. Community
   /// traces decompose into many independent strand tasks
-  /// (sim::ContactDag), which is what makes --subepisode-jobs effective on
-  /// them.
+  /// (sim::ContactDag), which is what makes the strand engine
+  /// (ReplayOptions::subepisode_jobs) effective on them.
   std::size_t communities = 1;
   double bridge_node_frac = 0.0;
 
@@ -147,10 +147,6 @@ std::shared_ptr<const ScenarioWorld> record_world(const ScenarioConfig& config);
 
 /// How a recorded world is replayed.
 struct ReplayOptions {
-  /// Optional worker pool shared with the cell-level sweep (SweepRunner):
-  /// strand workers beyond the first borrow tokens from it, so cell- and
-  /// strand-level parallelism never oversubscribe the machine together.
-  class WorkerBudget* budget = nullptr;
   /// Share one signature-verdict memo across every node of the replay:
   /// each distinct (key, message, signature) triple pays curve math once
   /// per run instead of once per carrying node. Pure-function memoization —
@@ -163,12 +159,13 @@ struct ReplayOptions {
   /// certificates per variant, so cross-variant re-verifies collapse too.
   /// Thread-safe; metrics are bitwise identical to the run-local scope.
   crypto::VerifyMemo* memo = nullptr;
-  /// > 0: replay on the contact-strand engine with this many workers — the
-  /// trace is cut into a sim::ContactDag and each member detaches at its
-  /// own last contact in a task, so even dense single-hotspot traces
-  /// decompose into concurrent strand tasks. 0: run_scenario replays on its
-  /// single scheduler (the reference), a ReplaySession as one fused task
-  /// per segment ("mono"). Metrics are bitwise identical at every value.
+  /// > 0: replay on the contact-strand engine with up to this many workers
+  /// (never more than a segment has tasks) — the trace is cut into a
+  /// sim::ContactDag and each member detaches at its own last contact in a
+  /// task, so even dense single-hotspot traces decompose into concurrent
+  /// strand tasks. 0: run_scenario replays on its single scheduler (the
+  /// reference), a ReplaySession as one fused task per segment ("mono").
+  /// Metrics are bitwise identical at every value.
   std::size_t subepisode_jobs = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "deploy/sweep.hpp"
 
 #include "crypto/verify_memo.hpp"
-#include "deploy/replay.hpp"
 #include "sim/subepisode.hpp"
 
 #include <atomic>
@@ -85,8 +84,8 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
   // memos[cell] by the call_once winner (losers block until the write is
   // published by call_once's internal fence). Readers see those writes
   // through call_once (same cell) or thread join (the merge below). The
-  // only mutexes on this path live inside VerifyMemo and the strand
-  // engine's KahnQueue, both annotated at their definitions.
+  // only mutex on this path lives inside VerifyMemo, annotated at its
+  // definition.
   // Worlds are recorded lazily, once per cell, by whichever worker reaches
   // the cell first; call_once blocks that cell's other variants (not other
   // cells) until the recording is done. The same pass partitions the trace
@@ -97,18 +96,6 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
   std::vector<std::unique_ptr<crypto::VerifyMemo>> memos(cells.size());
   std::vector<double> strand_parallelism(cells.size(), 0.0);
   std::vector<std::size_t> strand_width(cells.size(), 0);
-
-  // Nested parallelism: cell workers and strand workers draw on one token
-  // pool sized to the job count. Tokens not consumed by cell workers (and
-  // tokens cell workers return as the grid drains) are borrowed by the
-  // strand engines of still-running cells, so the heavy cells inherit the
-  // threads their finished siblings no longer need.
-  std::size_t cell_workers =
-      (opts_.jobs <= 1 || items.size() <= 1) ? 1 : std::min(opts_.jobs, items.size());
-  WorkerBudget budget(opts_.jobs > cell_workers ? opts_.jobs - cell_workers : 0);
-  ReplayOptions replay;
-  replay.subepisode_jobs = opts_.subepisode_jobs;  // > 0 selects the strand engine
-  replay.budget = opts_.subepisode_jobs > 0 ? &budget : nullptr;
 
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
@@ -124,16 +111,12 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
                                                          util::days(config.days));
         strand_parallelism[item.cell] = dag.parallelism();
         strand_width[item.cell] = dag.width();
-        if (opts_.cell_verify_memo) {
-          memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
-        }
+        memos[item.cell] = std::make_unique<crypto::VerifyMemo>();
       });
 
       CellResult& out = results[i];
-      ReplayOptions item_replay = replay;
-      item_replay.memo = memos[item.cell].get();  // nullptr = run-local scope
       auto t0 = std::chrono::steady_clock::now();
-      out.result = run_scenario(config, worlds[item.cell].get(), item_replay);
+      out.result = run_scenario(config, worlds[item.cell].get(), {.memo = memos[item.cell].get()});
       out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       out.cell = item.cell;
       out.variant = item.variant;
@@ -143,11 +126,9 @@ std::vector<CellResult> SweepRunner::run(const std::vector<SweepCell>& cells) co
       out.subepisode_parallelism = strand_parallelism[item.cell];
       out.subepisode_width = strand_width[item.cell];
     }
-    // This cell worker is done: hand its thread token to the strand
-    // engines of cells still running.
-    budget.release(1);
   };
 
+  const std::size_t cell_workers = std::min(opts_.jobs, items.size());
   if (cell_workers <= 1) {
     worker();
   } else {
@@ -177,8 +158,8 @@ std::size_t parse_jobs(const char* text, std::size_t fallback, const char* sourc
 SweepOptions sweep_options_from_args(int argc, char** argv) {
   SweepOptions opts;
   // The argument after a flag is its value unless it is itself a flag
-  // (`--jobs --subepisode-jobs 2` must not swallow `--subepisode-jobs`).
-  // Negative numbers are values, and parse_jobs rejects them.
+  // (`--jobs --verbose` must not swallow `--verbose`). Negative numbers are
+  // values, and parse_jobs rejects them.
   auto value_after = [&](int& i) -> const char* {
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (next == nullptr ||
@@ -194,13 +175,10 @@ SweepOptions sweep_options_from_args(int argc, char** argv) {
       if (const char* v = value_after(i)) opts.jobs = parse_jobs(v, opts.jobs, arg);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       opts.jobs = parse_jobs(arg + 7, opts.jobs, "--jobs");
-    } else if (std::strcmp(arg, "--subepisode-jobs") == 0) {
-      if (const char* v = value_after(i))
-        opts.subepisode_jobs = parse_jobs(v, opts.subepisode_jobs, arg);
-    } else if (std::strncmp(arg, "--subepisode-jobs=", 18) == 0) {
-      opts.subepisode_jobs = parse_jobs(arg + 18, opts.subepisode_jobs, "--subepisode-jobs");
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
       opts.jobs = parse_jobs(arg + 2, opts.jobs, "-j");
+    } else {
+      std::fprintf(stderr, "warning: ignoring unrecognised argument '%s'\n", arg);
     }
   }
   return opts;

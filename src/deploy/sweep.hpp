@@ -60,7 +60,9 @@ struct CellResult {
   /// (sim::ContactDag::parallelism()). Reported per cell by the density
   /// benches so trace-shape regressions — a community cell collapsing back
   /// to one chain — are visible in the bench tables, not only from tests;
-  /// it bounds what --subepisode-jobs can exploit.
+  /// it bounds what the strand engine (ReplayOptions::subepisode_jobs) can
+  /// exploit on the cell. The sweep itself replays on the single-scheduler
+  /// reference.
   double subepisode_parallelism = 0.0;
   /// Max contact tasks concurrently open in sim time
   /// (sim::ContactDag::width()); the single-hotspot cells report width > 1
@@ -68,6 +70,13 @@ struct CellResult {
   std::size_t subepisode_width = 0;
 };
 
+/// A sweep is parallel at one level only: (cell, variant) items fan out
+/// over `jobs` threads, and each item replays on the single-scheduler
+/// reference (run_scenario). All variants of a cell replay against one
+/// shared crypto::VerifyMemo (they share one recorded world, hence
+/// identical bundles and certificates), so each distinct signature pays
+/// curve math once per cell instead of once per variant; metrics are
+/// bitwise identical to run-local memos (pinned by ctest -L sweep).
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = fully serial.
   std::size_t jobs = 1;
@@ -76,19 +85,6 @@ struct SweepOptions {
   /// the seed already in their config — the figure-regeneration benches
   /// pin the calibrated Gainesville seed this way.
   bool derive_seeds = true;
-  /// > 0: replay each cell on the contact-strand engine with this many
-  /// strand-level workers per cell (metrics are bitwise identical either
-  /// way). Cell- and strand-level workers share one token pool of `jobs`
-  /// threads, so the sweep never oversubscribes the request. 0 = the
-  /// single-scheduler reference.
-  std::size_t subepisode_jobs = 0;
-  /// Sweep-wide verify memo: all variants of a cell replay against one
-  /// shared crypto::VerifyMemo (they share one recorded world, hence
-  /// identical bundles and certificates), so each distinct signature pays
-  /// curve math once per cell instead of once per variant. Thread-safe
-  /// across concurrently running variants; metrics are bitwise identical
-  /// to run-local memos (pinned by ctest -L sweep).
-  bool cell_verify_memo = true;
 };
 
 class SweepRunner {
@@ -116,11 +112,10 @@ class SweepRunner {
   SweepOptions opts_;
 };
 
-/// Bench-driver CLI: parses `--jobs N` / `--jobs=N` / `-j N` / `-jN` and
-/// `--subepisode-jobs N` / `--subepisode-jobs=N`; unset means serial. Every
-/// value is validated the same way: a missing, non-numeric or negative
-/// value warns and keeps the previous one — a typo must not mean "all
-/// cores". Unrecognised arguments are ignored.
+/// Bench-driver CLI: parses `--jobs N` / `--jobs=N` / `-j N` / `-jN`; unset
+/// means serial. A missing, non-numeric or negative value warns and keeps
+/// the previous one — a typo must not mean "all cores". Any other argument
+/// warns and is ignored.
 SweepOptions sweep_options_from_args(int argc, char** argv);
 
 /// The canonical density-ablation grid (§VI-B follow-up): the deployment's

@@ -19,8 +19,8 @@
 // their draws on (link, exact send timestamp, same-timestamp sequence
 // number), which both reproduce because a given (link, timestamp) occurs
 // inside exactly one task with identical FIFO event order. Metrics are
-// therefore bitwise identical at any --jobs/--subepisode-jobs count (pinned
-// by ctest -L fault).
+// therefore bitwise identical at any sweep --jobs count and any strand
+// worker count (pinned by ctest -L fault).
 #pragma once
 
 #include <cstdint>

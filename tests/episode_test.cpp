@@ -8,11 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <map>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "deploy/replay.hpp"
 #include "deploy/sweep.hpp"
+#include "mw/routing.hpp"
 #include "mw/sos_node.hpp"
 #include "sim/mobility.hpp"
 #include "sim/scheduler.hpp"
@@ -22,6 +28,7 @@
 
 namespace sd = sos::deploy;
 namespace sg = sos::graph;
+namespace sm = sos::mw;
 namespace ss = sos::sim;
 namespace su = sos::util;
 
@@ -243,32 +250,91 @@ TEST(Replay, SharedVerifyMemoDoesNotChangeMetrics) {
   EXPECT_GT(with_memo.totals.bundle_sig_cache_misses, 0u);
 }
 
-TEST(Replay, SweepRunnerStrandJobsMatchesSingleScheduler) {
-  // The sweep-level integration: subepisode_jobs toggles the engine per
-  // cell (with the nested worker budget); the grid's metrics must not move.
-  auto grid_cell = [] {
-    sd::SweepCell cell;
-    cell.label = "eq";
-    cell.config = sd::gainesville_config("interest");
-    cell.config.nodes = 10;
-    cell.config.days = 1.0;
-    cell.variants = {{"interest", "interest", 86400.0},
-                     {"epidemic", "epidemic", 86400.0}};
-    return cell;
-  };
-  sd::SweepOptions single_opts;
-  single_opts.jobs = 2;
-  auto baseline = sd::SweepRunner(single_opts).run({grid_cell()});
-  sd::SweepOptions strand_opts;
-  strand_opts.jobs = 2;
-  strand_opts.subepisode_jobs = 2;
-  auto stranded = sd::SweepRunner(strand_opts).run({grid_cell()});
-  ASSERT_EQ(baseline.size(), stranded.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(fingerprint(baseline[i].result), fingerprint(stranded[i].result))
-        << baseline[i].label;
-    EXPECT_EQ(baseline[i].config.seed, stranded[i].config.seed);
+namespace {
+
+/// Threads this process runs right now: one /proc/self/task entry each.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
   }
+  return n;
+}
+
+/// A scheme that never connects; it records the most threads alive
+/// whenever its node sees a peer, which happens only inside a strand task.
+class ThreadCountingScheme : public sm::RoutingScheme {
+ public:
+  explicit ThreadCountingScheme(std::atomic<std::size_t>& max_threads)
+      : max_threads_(max_threads) {}
+  std::string name() const override { return "thread-counting"; }
+  std::map<sos::pki::UserId, std::uint32_t> advertisement(const sm::RoutingContext&) override {
+    return {};
+  }
+  bool should_connect(const sm::RoutingContext&,
+                      const std::map<sos::pki::UserId, std::uint32_t>&) override {
+    std::size_t n = live_threads();
+    std::size_t seen = max_threads_.load();
+    while (n > seen && !max_threads_.compare_exchange_weak(seen, n)) {
+    }
+    return false;
+  }
+  sm::RequestPlan plan_requests(const sm::RoutingContext&, const sm::PeerView&) override {
+    return {};
+  }
+  bool may_send(const sm::RoutingContext&, const sos::bundle::Bundle&,
+                const sm::PeerView&) override {
+    return false;
+  }
+  bool should_carry(const sm::RoutingContext&, const sos::bundle::Bundle&) override {
+    return false;
+  }
+
+ private:
+  std::atomic<std::size_t>& max_threads_;
+};
+
+}  // namespace
+
+TEST(Replay, StrandEngineStartsNoMoreWorkersThanTasks) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#endif
+  // Eight strand workers asked for, but the segment replayed (up to the
+  // first cut whose DAG has two tasks or more) holds fewer tasks: a worker
+  // without a task would only park, so the engine must not start it.
+  const sd::ScenarioConfig config = determinism_configs()[0];
+  auto world = sd::record_world(config);
+  constexpr std::size_t kJobs = 8;
+  sd::ReplaySession session(config, *world, {.subepisode_jobs = kJobs});
+  double cut = -1;
+  std::size_t tasks = 0;
+  for (double t : session.quiescent_cuts(3600.0)) {
+    ss::ContactTrace seg;
+    for (const ss::ContactInterval& c : world->trace.contacts())
+      if (c.end <= t) seg.add(c);
+    tasks = ss::ContactDag::partition(seg, config.nodes, t).tasks().size();
+    if (tasks >= 2) {
+      cut = t;
+      break;
+    }
+  }
+  ASSERT_GT(cut, 0.0);
+  ASSERT_LT(tasks, kJobs);
+  std::atomic<std::size_t> max_threads{0};
+  for (std::size_t i = 0; i < session.node_count(); ++i)
+    session.node(i).set_scheme(std::make_unique<ThreadCountingScheme>(max_threads));
+  // Threads the process runs before the replay: this one, plus any a
+  // sanitizer runtime keeps. ThreadSanitizer starts its own on the first
+  // thread creation, so create one first. The engine may then add one
+  // helper per task beyond the first.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  session.advance_to(cut);
+  ASSERT_GT(max_threads.load(), 0u);  // a browse decision ran inside a task
+  EXPECT_LE(max_threads.load(), before + tasks - 1)
+      << "a " << tasks << "-task segment at " << kJobs << " jobs";
 }
 
 // --- randomized multi-community determinism harness --------------------------

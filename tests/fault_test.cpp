@@ -1,14 +1,15 @@
 // Fault-injection suite (`ctest -L fault`): the disaster-realism layer —
 // lossy links, churn, partitions, adversaries — must keep every sweep
-// metric a pure function of (seed, grid): bitwise identical at any
-// --jobs/--subepisode-jobs count and across the single-scheduler reference
-// and the strand replay engine. Also pins the adversarial crypto
+// metric a pure function of (seed, grid): bitwise identical at any sweep
+// --jobs count and across the single-scheduler reference and the strand
+// replay engine. Also pins the adversarial crypto
 // paths (forged-signature storms vs the shared VerifyMemo, grayhole
 // accounting, reboot resume semantics) and the fault-grid validator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -276,24 +277,29 @@ std::vector<sd::SweepCell> fault_grid() {
   return grid;
 }
 
-std::vector<sd::CellResult> run_fault_grid(std::size_t jobs, std::size_t strand_jobs) {
+std::vector<sd::CellResult> run_fault_grid(std::size_t jobs) {
   sd::SweepOptions opts;
   opts.jobs = jobs;
-  opts.subepisode_jobs = strand_jobs;
   return sd::SweepRunner(opts).run(fault_grid());
 }
 
 TEST(FaultSweep, BitwiseIdenticalAcrossJobsAndEngines) {
-  // Serial single-scheduler vs 4 cell workers with 2-way strand
-  // partitioning: one comparison pins both the thread-count and the
-  // engine axis for every fault family at once.
-  auto serial = run_fault_grid(1, 0);
-  auto parallel = run_fault_grid(4, 2);
+  // A serial sweep against a 4-worker sweep pins the thread-count axis, and
+  // a 2-worker strand replay of every (cell, variant) over the same world
+  // pins the engine axis, for every fault family.
+  auto serial = run_fault_grid(1);
+  auto parallel = run_fault_grid(4);
   ASSERT_EQ(serial.size(), parallel.size());
+  std::shared_ptr<const sd::ScenarioWorld> world;
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].label, parallel[i].label);
-    EXPECT_EQ(fingerprint(serial[i].result), fingerprint(parallel[i].result))
-        << "cell/variant " << serial[i].label;
+    const sd::CellResult& r = serial[i];
+    EXPECT_EQ(r.label, parallel[i].label);
+    EXPECT_EQ(fingerprint(r.result), fingerprint(parallel[i].result))
+        << "cell/variant " << r.label;
+    if (r.variant == 0) world = sd::record_world(r.config);
+    EXPECT_EQ(fingerprint(r.result),
+              fingerprint(sd::run_scenario(r.config, world.get(), {.subepisode_jobs = 2})))
+        << "strand engine, cell/variant " << r.label;
   }
   // The faults actually bit: churn rebooted phones, adversaries/loss
   // dropped frames, and the grid still delivered something.

@@ -8,10 +8,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "deploy/replay.hpp"
 #include "deploy/report.hpp"
 #include "deploy/sweep.hpp"
 #include "sim/scheduler.hpp"
@@ -126,41 +124,34 @@ TEST(Sweep, ReplayOfRecordedWorldIsDeterministic) {
 TEST(Sweep, SweepWideMemoScopeDoesNotChangeMetrics) {
   // The sweep-wide verify memo (one crypto::VerifyMemo shared by every
   // variant of a cell, concurrently) is pure-function memoization: per-cell
-  // metrics must be bitwise identical to run-local memos at any thread
-  // count. A multi-community cell with three scheme variants exercises the
-  // cross-variant sharing under both cell- and strand-level workers.
-  auto community_cell = [] {
-    sd::SweepCell cell;
-    cell.label = "memo";
-    cell.config = sd::gainesville_config("interest");
-    cell.config.nodes = 15;
-    cell.config.area_w_m = 2000;
-    cell.config.area_h_m = 2000;
-    cell.config.days = 2.0;
-    cell.config.communities = 3;
-    cell.config.bridge_node_frac = 0.2;
-    cell.config.mobility.home_min_separation_m = 150.0;
-    cell.config.total_posts_target = 80.0;
-    cell.variants = {{"interest", "interest", 86400.0},
-                     {"epidemic", "epidemic", 86400.0},
-                     {"prophet", "prophet", 86400.0}};
-    return cell;
-  };
-  sd::SweepOptions local_opts;
-  local_opts.jobs = 1;
-  local_opts.cell_verify_memo = false;
-  auto run_local = sd::SweepRunner(local_opts).run({community_cell()});
-  sd::SweepOptions shared_opts;
-  shared_opts.jobs = 3;
-  shared_opts.subepisode_jobs = 2;
-  shared_opts.cell_verify_memo = true;
-  auto sweep_wide = sd::SweepRunner(shared_opts).run({community_cell()});
-  ASSERT_EQ(run_local.size(), sweep_wide.size());
+  // metrics must be bitwise identical to run-local memos. A multi-community
+  // cell with three scheme variants on three sweep workers shares the memo
+  // across concurrently running variants; each is compared with a direct
+  // run_scenario call on its own memo.
+  sd::SweepCell cell;
+  cell.label = "memo";
+  cell.config = sd::gainesville_config("interest");
+  cell.config.nodes = 15;
+  cell.config.area_w_m = 2000;
+  cell.config.area_h_m = 2000;
+  cell.config.days = 2.0;
+  cell.config.communities = 3;
+  cell.config.bridge_node_frac = 0.2;
+  cell.config.mobility.home_min_separation_m = 150.0;
+  cell.config.total_posts_target = 80.0;
+  cell.variants = {{"interest", "interest", 86400.0},
+                   {"epidemic", "epidemic", 86400.0},
+                   {"prophet", "prophet", 86400.0}};
+  sd::SweepOptions opts;
+  opts.jobs = 3;
+  auto sweep_wide = sd::SweepRunner(opts).run({cell});
+  ASSERT_EQ(sweep_wide.size(), 3u);
+  auto world = sd::record_world(sweep_wide[0].config);
   std::uint64_t deliveries = 0;
-  for (std::size_t i = 0; i < run_local.size(); ++i) {
-    EXPECT_EQ(fingerprint(run_local[i].result), fingerprint(sweep_wide[i].result))
-        << run_local[i].label;
-    deliveries += run_local[i].result.oracle.delivery_count();
+  for (const auto& r : sweep_wide) {
+    auto run_local = sd::run_scenario(r.config, world.get());
+    EXPECT_EQ(fingerprint(run_local), fingerprint(r.result)) << r.label;
+    deliveries += run_local.oracle.delivery_count();
   }
   EXPECT_GT(deliveries, 0u);
 }
@@ -196,21 +187,33 @@ sd::SweepOptions parse_cli(std::vector<std::string> args) {
 
 TEST(SweepCli, EveryJobsSpellingParses) {
   EXPECT_EQ(parse_cli({}).jobs, 1u);
-  EXPECT_EQ(parse_cli({}).subepisode_jobs, 0u);
   EXPECT_EQ(parse_cli({"--jobs", "3"}).jobs, 3u);
   EXPECT_EQ(parse_cli({"--jobs=2"}).jobs, 2u);
   EXPECT_EQ(parse_cli({"-j", "4"}).jobs, 4u);
   EXPECT_EQ(parse_cli({"-j3"}).jobs, 3u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs", "2"}).subepisode_jobs, 2u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs=4"}).subepisode_jobs, 4u);
-  // Both knobs on one line: unknown arguments are skipped, the last value
-  // wins, and nothing else in SweepOptions moves.
-  auto both = parse_cli({"--jobs", "2", "--verbose", "--subepisode-jobs=3", "-j4"});
-  EXPECT_EQ(both.jobs, 4u);
-  EXPECT_EQ(both.subepisode_jobs, 3u);
-  EXPECT_EQ(both.base_seed, sd::SweepOptions{}.base_seed);
-  EXPECT_EQ(both.derive_seeds, sd::SweepOptions{}.derive_seeds);
-  EXPECT_EQ(both.cell_verify_memo, sd::SweepOptions{}.cell_verify_memo);
+  // Several spellings on one line: the last value wins, and nothing else
+  // in SweepOptions moves.
+  auto last = parse_cli({"--jobs", "2", "--jobs=3", "-j4"});
+  EXPECT_EQ(last.jobs, 4u);
+  EXPECT_EQ(last.base_seed, sd::SweepOptions{}.base_seed);
+  EXPECT_EQ(last.derive_seeds, sd::SweepOptions{}.derive_seeds);
+}
+
+TEST(SweepCli, UnrecognisedArgumentsWarnByName) {
+  // An argument the sweep does not know warns on stderr, naming it, and is
+  // otherwise ignored: a mistyped or retired flag must not quietly run
+  // something else.
+  testing::internal::CaptureStderr();
+  auto opts = parse_cli({"--jobs", "2", "--threads", "3", "--verbose"});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(opts.jobs, 2u);
+  EXPECT_NE(err.find("unrecognised argument '--threads'"), std::string::npos) << err;
+  EXPECT_NE(err.find("unrecognised argument '3'"), std::string::npos) << err;
+  EXPECT_NE(err.find("unrecognised argument '--verbose'"), std::string::npos) << err;
+  // Known flags and their values warn about nothing.
+  testing::internal::CaptureStderr();
+  parse_cli({"--jobs", "2", "-j3", "--jobs=4"});
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(SweepCli, MissingOrInvalidValueKeepsThePreviousOne) {
@@ -218,15 +221,10 @@ TEST(SweepCli, MissingOrInvalidValueKeepsThePreviousOne) {
   EXPECT_EQ(parse_cli({"--jobs"}).jobs, 1u);
   EXPECT_EQ(parse_cli({"--jobs", "2", "--jobs"}).jobs, 2u);
   EXPECT_EQ(parse_cli({"-j"}).jobs, 1u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs=2", "--subepisode-jobs"}).subepisode_jobs, 2u);
   // A flag is never taken as the value of the flag before it.
-  auto next_flag = parse_cli({"--jobs", "--subepisode-jobs", "2"});
-  EXPECT_EQ(next_flag.jobs, 1u);
-  EXPECT_EQ(next_flag.subepisode_jobs, 2u);
-  auto short_then_long = parse_cli({"--jobs", "3", "-j", "--subepisode-jobs=4"});
-  EXPECT_EQ(short_then_long.jobs, 3u);
-  EXPECT_EQ(short_then_long.subepisode_jobs, 4u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs", "-j2"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"--jobs", "-j2"}).jobs, 2u);
+  EXPECT_EQ(parse_cli({"--jobs", "3", "-j", "--jobs=4"}).jobs, 4u);
+  EXPECT_EQ(parse_cli({"-j", "--jobs", "2"}).jobs, 2u);
   // Non-numeric, partly numeric, empty and negative values never become
   // 0 (= every core): each keeps whatever the earlier arguments set.
   EXPECT_EQ(parse_cli({"--jobs", "3", "--jobs", "four"}).jobs, 3u);
@@ -236,9 +234,6 @@ TEST(SweepCli, MissingOrInvalidValueKeepsThePreviousOne) {
   EXPECT_EQ(parse_cli({"-j", "3", "-j", "-2"}).jobs, 3u);
   EXPECT_EQ(parse_cli({"-j2", "-jx"}).jobs, 2u);
   EXPECT_EQ(parse_cli({"--jobs", "-4"}).jobs, 1u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs", "2", "--subepisode-jobs", "two"}).subepisode_jobs,
-            2u);
-  EXPECT_EQ(parse_cli({"--subepisode-jobs=-3"}).subepisode_jobs, 0u);
 }
 
 TEST(SweepCli, EnvironmentVariablesAreNotRead) {
@@ -251,64 +246,7 @@ TEST(SweepCli, EnvironmentVariablesAreNotRead) {
   ::unsetenv("SOS_SWEEP_JOBS");
   ::unsetenv("SOS_SUBEPISODE_JOBS");
   EXPECT_EQ(defaults.jobs, 1u);
-  EXPECT_EQ(defaults.subepisode_jobs, 0u);
   EXPECT_EQ(flagged.jobs, 4u);
-  EXPECT_EQ(flagged.subepisode_jobs, 0u);
-}
-
-// --- WorkerBudget: the token pool behind nested parallelism ----------------
-
-TEST(WorkerBudget, DonationNeverLeaksOrMintsTokens) {
-  // The donation path: finished cell workers release(1) their own thread
-  // while strand workers concurrently acquire(1) to grow. Conservation is
-  // by protocol (every acquire()'s return value is eventually released by
-  // its owner), so hammer exactly that protocol from many threads and
-  // assert the pool returns to its initial size — a lost token would starve
-  // later cells, a minted one would oversubscribe the job count. Run under
-  // -DSOS_SANITIZE=thread via `ctest -L sweep` for the data-race half.
-  static constexpr std::size_t kTokens = 4;
-  constexpr std::size_t kThreads = 8;
-  constexpr int kRounds = 2000;
-  sd::WorkerBudget budget(kTokens);
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&budget, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        // Mix bulk grabs (engine startup: acquire(want)) with the
-        // single-token opportunistic borrow (mid-run growth).
-        std::size_t got = budget.acquire(t % 3 == 0 ? 3 : 1);
-        ASSERT_LE(got, kTokens);
-        if (got > 1) budget.release(got - 1);  // partial give-back
-        if (got > 0) budget.release(1);        // the donation itself
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  EXPECT_EQ(budget.available(), kTokens);
-  // Quiescent pool still grants what it holds, no more.
-  EXPECT_EQ(budget.acquire(kTokens + 5), kTokens);
-  EXPECT_EQ(budget.acquire(1), 0u);
-  budget.release(kTokens);
-}
-
-TEST(WorkerBudget, DonatedThreadsDoNotChangeSweepMetrics) {
-  // End-to-end donation: one cell, several variants, jobs well above the
-  // cell-worker count, so the surplus seeds the budget and finished cell
-  // workers donate into strand engines still running. Metrics must be
-  // bitwise identical to the fully serial run.
-  auto grid = tiny_grid();
-  sd::SweepOptions serial_opts;
-  serial_opts.jobs = 1;
-  auto serial = sd::SweepRunner(serial_opts).run(grid);
-  sd::SweepOptions donate_opts;
-  donate_opts.jobs = 8;  // 4 work items -> 4 cell workers + 4 budget tokens
-  donate_opts.subepisode_jobs = 3;
-  auto donated = sd::SweepRunner(donate_opts).run(grid);
-  ASSERT_EQ(serial.size(), donated.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(fingerprint(serial[i].result), fingerprint(donated[i].result)) << serial[i].label;
-  }
 }
 
 // --- the scheduler invariant the sweep property rests on -------------------

@@ -3,8 +3,6 @@
 // digests.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "crypto/drbg.hpp"
 #include "crypto/sha256.hpp"
 #include "deploy/scenario.hpp"
@@ -13,6 +11,7 @@
 #include "sim/multipeer.hpp"
 #include "sim/radio.hpp"
 #include "sim/trace.hpp"
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 namespace sc = sos::crypto;
@@ -171,7 +170,7 @@ TEST(TracePlayer, DrivesFullMiddlewareStack) {
 }
 
 // --- recorded-world goldens -------------------------------------------------
-// SHA-256 of a text rendering of record_world(config)->trace for three
+// SHA-256 of the binary encoding of record_world(config)->trace for three
 // worlds: the Gainesville reconstruction, the 48n-4c community cell and a
 // dense 100-node cell. The encounter detector, the scheduler under it and
 // the mobility generators may be rewritten for speed, but not by a single
@@ -180,24 +179,17 @@ TEST(TracePlayer, DrivesFullMiddlewareStack) {
 
 namespace {
 
-// The pinned digests hash exactly this rendering: a header line, then one
-// "start end a b" line per contact in default ostream formatting.
+// The pinned digests hash the trace's exact binary encoding: every
+// contact's start/end as IEEE-754 bits plus both node ids, in trace order.
 std::string world_digest(const sd::ScenarioConfig& config) {
-  const auto world = sd::record_world(config);
-  std::ostringstream os;
-  os << "# sos contact trace: start end node_a node_b\n";
-  for (const auto& c : world->trace.contacts())
-    os << c.start << " " << c.end << " " << c.a << " " << c.b << "\n";
-  const std::string text = os.str();
-  return su::hex_encode(
-      sc::Sha256::hash({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
+  return su::hex_encode(sc::Sha256::hash(su::encode(sd::record_world(config)->trace.contacts())));
 }
 
 }  // namespace
 
 TEST(RecordedWorld, GainesvilleDigestIsPinned) {
   EXPECT_EQ(world_digest(sd::gainesville_config("interest", 42)),
-            "ef1bf143c3505f1d18172391d32628d757effbc98fc36a497210d5a0f0f05aad");
+            "3f752cc63087868689c68ee894fc258acf6e7b8239fc1b7ccf0e19d3a153b7b3");
 }
 
 TEST(RecordedWorld, CommunityCellDigestIsPinned) {
@@ -209,7 +201,7 @@ TEST(RecordedWorld, CommunityCellDigestIsPinned) {
   c.communities = 4;
   c.bridge_node_frac = 0.10;
   c.mobility.home_min_separation_m = 150.0;
-  EXPECT_EQ(world_digest(c), "2b18d587c05e9511d5d0564477d7fa749a75a9efc79da50db02afc63c8bdb1cd");
+  EXPECT_EQ(world_digest(c), "cbe4c3b6a5b8bcb75e0dcb596434452c32c0f8c926767a6dd86de9cec7a9955d");
 }
 
 TEST(RecordedWorld, DenseCellDigestIsPinned) {
@@ -218,5 +210,5 @@ TEST(RecordedWorld, DenseCellDigestIsPinned) {
   c.area_w_m = 2000;
   c.area_h_m = 2000;
   c.days = 2.0;
-  EXPECT_EQ(world_digest(c), "f7d45a8a76519f1ec388cea45102e5f385e2f49c501c3798831d2b4e8a0606d5");
+  EXPECT_EQ(world_digest(c), "d15cfff5062e1666fd6c2a91d57de1061adf7c286f10d02f1c89ce9b31c8291a");
 }
