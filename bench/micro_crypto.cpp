@@ -4,11 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <vector>
 
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/ed25519.hpp"
+#include "crypto/fe25519.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/sc25519.hpp"
 #include "crypto/sha256.hpp"
@@ -113,6 +115,43 @@ static void BM_Ed25519Verify(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::ed25519_verify(kp.public_key(), msg, sig));
 }
 BENCHMARK(BM_Ed25519Verify);
+
+// Verification under keys ed25519_verify has not seen recently: cycles
+// through four times as many distinct keys as its prepared-key cache holds,
+// so nearly every call decodes and prepares its key before verifying.
+static void BM_Ed25519VerifyColdKey(benchmark::State& state) {
+  struct Signed {
+    crypto::EdPublicKey pub;
+    crypto::EdSignature sig;
+  };
+  crypto::Drbg d(util::to_bytes("ver-cold"));
+  auto msg = make_data(256);
+  std::vector<Signed> signed_msgs;
+  for (std::size_t i = 0; i < 4 * crypto::kEdPreparedKeySlots; ++i) {
+    auto kp = crypto::Ed25519Keypair::from_seed(d.generate_array<32>());
+    signed_msgs.push_back({kp.public_key(), kp.sign(msg)});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Signed& s = signed_msgs[i];
+    benchmark::DoNotOptimize(crypto::ed25519_verify(s.pub, msg, s.sig));
+    i = (i + 1) % signed_msgs.size();
+  }
+}
+BENCHMARK(BM_Ed25519VerifyColdKey);
+
+// One field inversion: one per point encoding (every sign and verify) and
+// per X25519 output.
+static void BM_FeInvert(benchmark::State& state) {
+  crypto::Drbg d(util::to_bytes("inv"));
+  auto bytes = d.generate_array<32>();
+  crypto::Fe a = crypto::fe_frombytes(bytes.data());
+  for (auto _ : state) {
+    a = crypto::fe_invert(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeInvert);
 
 static void BM_ScMul(benchmark::State& state) {
   // Scalar multiply mod L (Karatsuba 256x256 + fold reduction): the scalar

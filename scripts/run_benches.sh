@@ -22,9 +22,10 @@
 #      (-fno-sanitize-recover=undefined), then the fast `soak`-labelled
 #      tier again on its own (checkpoint/resume pins under ASan).
 #   3. TSan: a -DSOS_SANITIZE=thread build in <build-dir>-tsan runs the
-#      `sweep`-, `fault`-, `mw`-, and `soak`-labelled suites; the sweep
-#      suite's randomized harness drives the strand worker pool at 1, 2
-#      and 4 workers.
+#      `sweep`-, `fault`-, `mw`-, `soak`- and `crypto`-labelled suites; the
+#      sweep suite's randomized harness drives the strand worker pool at 1,
+#      2 and 4 workers, and the crypto suite hammers the shared VerifyMemo
+#      and the process-wide prepared-key cache from several threads.
 # Each sanitizer stage refuses to report "clean" unless the suite binaries
 # are actually instrumented (stale cache / toolchain dropping the flag):
 #   scripts/run_benches.sh --check build
@@ -99,13 +100,14 @@ if [[ $check -eq 1 ]]; then
   cmake -B "$tsan_dir" -S "$repo_root" -DSOS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   require_cache_flag "$tsan_dir" thread
   cmake --build "$tsan_dir" -j "$(nproc)" --target sweep_test episode_test fault_test \
-        bundle_test fastpath_test mw_test sim_test soak_test sos_soak
-  require_instrumented "$tsan_dir" __tsan sweep_test episode_test fault_test mw_test soak_test
-  for label in sweep fault mw soak; do
+        bundle_test fastpath_test mw_test sim_test soak_test sos_soak crypto_test ge25519_test
+  require_instrumented "$tsan_dir" __tsan sweep_test episode_test fault_test mw_test soak_test \
+        crypto_test ge25519_test
+  for label in sweep fault mw soak crypto; do
     echo "== TSan check: ctest -L $label =="
     ctest --test-dir "$tsan_dir" -L "$label" --output-on-failure
   done
-  echo "lint + ASan/UBSan full suite + TSan sweep/fault/mw/soak suites clean"
+  echo "lint + ASan/UBSan full suite + TSan sweep/fault/mw/soak/crypto suites clean"
   exit 0
 fi
 

@@ -1,10 +1,12 @@
 #include "crypto/ed25519.hpp"
 
 #include <cstring>
+#include <memory>
 
 #include "crypto/ge25519.hpp"
 #include "crypto/sc25519.hpp"
 #include "crypto/sha512.hpp"
+#include "util/mutex.hpp"
 
 namespace sos::crypto {
 
@@ -27,6 +29,59 @@ Scalar challenge(const std::uint8_t r_enc[32], const EdPublicKey& pub, util::Byt
   hk.update(msg);
   auto k_hash = hk.finish();
   return sc_reduce64(k_hash.data());
+}
+
+// A public key ready for verification: its bytes (the cache tag) and the
+// split tables of the decoded point.
+struct PreparedKey {
+  EdPublicKey pub;
+  GeSplitTable table;
+};
+
+// nullptr for a key that names no point, encodes y >= p, or is small-order.
+std::shared_ptr<const PreparedKey> prepare(const EdPublicKey& pub) {
+  GeP3 a;
+  if (!ge_frombytes(a, pub.data()) || ge_is_small_order(a)) return nullptr;
+  auto key = std::make_shared<PreparedKey>();
+  key->pub = pub;
+  key->table = ge_split_table(a);
+  return key;
+}
+
+// kEdPreparedKeySlots direct-mapped slots over mutex-guarded shards (slot i
+// in shard i % kShards). A miss prepares outside the lock, then replaces
+// whatever the slot held; verifiers hold a shared_ptr, so a replaced entry
+// lives until the last verify using it returns. Keys that fail to prepare
+// are never stored.
+class PreparedKeyCache {
+ public:
+  std::shared_ptr<const PreparedKey> get(const EdPublicKey& pub) {
+    const std::size_t slot = ed25519_prepared_slot(pub);
+    Shard& shard = shards_[slot % kShards];
+    {
+      util::MutexLock lock(shard.mu);
+      const auto& entry = shard.slots[slot / kShards];
+      if (entry && entry->pub == pub) return entry;
+    }
+    std::shared_ptr<const PreparedKey> prepared = prepare(pub);
+    if (!prepared) return nullptr;
+    util::MutexLock lock(shard.mu);
+    shard.slots[slot / kShards] = prepared;
+    return prepared;
+  }
+
+ private:
+  static constexpr std::size_t kShards = 16;
+  struct Shard {
+    util::Mutex mu;
+    std::shared_ptr<const PreparedKey> slots[kEdPreparedKeySlots / kShards] SOS_GUARDED_BY(mu);
+  };
+  Shard shards_[kShards];
+};
+
+PreparedKeyCache& prepared_keys() {
+  static PreparedKeyCache cache;
+  return cache;
 }
 
 }  // namespace
@@ -69,13 +124,13 @@ bool ed25519_verify(const EdPublicKey& pub, util::ByteView msg, const EdSignatur
   std::memcpy(s.data(), sig.data() + 32, 32);
   if (!sc_is_canonical(s)) return false;
 
-  GeP3 a;
-  if (!ge_frombytes(a, pub.data())) return false;
+  const std::shared_ptr<const PreparedKey> a = prepared_keys().get(pub);
+  if (!a) return false;
 
   Scalar k = challenge(sig.data(), pub, msg);
 
-  // enc(S*B - k*A) == R, computed in one Straus/Shamir pass.
-  GeP3 r = ge_double_scalarmult_base_vartime(s.data(), ge_neg(a), k.data());
+  // enc(S*B - k*A) == R, computed in one split Straus pass.
+  GeP3 r = ge_double_scalarmult_vartime(s.data(), a->table, k.data());
   std::uint8_t r_enc[32];
   ge_tobytes(r_enc, r);
   // sos-lint: allow(memcmp-public) both operands are public: the recomputed

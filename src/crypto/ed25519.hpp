@@ -47,7 +47,22 @@ class Ed25519Keypair {
   EdPublicKey pub_{};
 };
 
-/// Signature check; false on malformed points/scalars as well as bad sigs.
+/// Signature check; false on malformed points/scalars as well as bad sigs,
+/// and under every non-canonical or small-order public key (RFC 8032
+/// §5.1.3; a small-order key's signatures are forgeable by anyone).
+/// Cofactorless: accepts exactly when enc(S*B - k*A) == R.
 bool ed25519_verify(const EdPublicKey& pub, util::ByteView msg, const EdSignature& sig);
+
+/// ed25519_verify prepares each public key once (decoded, checked, and
+/// expanded into the split-Straus tables of ge25519.hpp, about 4 KB) and
+/// keeps it in a process-wide cache of this many direct-mapped slots: a
+/// fleet's few hundred keys stay warm, and a key that lands on an occupied
+/// slot replaces its entry, so a long sweep never pins stale keys.
+constexpr std::size_t kEdPreparedKeySlots = 1024;
+
+/// The prepared-key cache slot of `pub`.
+inline std::size_t ed25519_prepared_slot(const EdPublicKey& pub) {
+  return (pub[0] | std::size_t{pub[1]} << 8) % kEdPreparedKeySlots;
+}
 
 }  // namespace sos::crypto

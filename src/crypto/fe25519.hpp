@@ -6,19 +6,22 @@
 // fe_add and fe_sub do no carrying (lazy reduction); the multiplications
 // carry once and always return tight elements:
 //
-//   tight outputs      fe_mul, fe_sq, fe_mul121666, fe_neg, fe_frombytes,
-//                      fe_from_u64, kFeZero, kFeOne
+//   tight outputs      fe_mul, fe_sq, fe_mul121666, fe_neg, fe_invert,
+//                      fe_frombytes, fe_from_u64, kFeZero, kFeOne
 //   fe_add(a, b)       B = B(a) + B(b)
 //   fe_sub(a, b)       requires every limb of b at most the matching limb of
 //                      4p (B(b) <= 3.99); B = B(a) + 4
 //   fe_mul(a, b)       requires B(a) * B(b) <= 80; fe_sq(a): B(a)^2 <= 80
 //   fe_mul121666(a)    requires B(a) <= 16
-//   everything else    any limbs below 2^62
+//   everything else    any limbs below 2^62 (fe_invert and fe_tobytes
+//                      reduce to canonical limbs first)
 //
 // The 80 keeps every column sum below 2^115 and the wrapped top carry times
-// 19 below 2^64. Every GeP3 coordinate is tight, so the call sites stay far
-// inside these bounds: no fe_sub subtracts a difference, and the largest
-// product of bounds is 5.01 * 7.01 = 35, in ge_double (see ge25519.cpp and
+// 19 below 2^64. Every GeP3 coordinate is tight, and so is an affine Niels
+// entry's 2dxy; its y+x is 2.002 and its y-x 5.001. So the call sites stay
+// far inside these bounds: no fe_sub subtracts a difference, a mixed
+// addition's largest product is (Y1-X1)(y-x) = 5.001 * 5.001 = 25, and the
+// largest overall is 5.01 * 7.01 = 35, in the doubling (see ge25519.cpp and
 // x25519.cpp). tests/ge25519_test.cpp checks each bound, and the call-site
 // chains, against a mod-p reference.
 #pragma once
@@ -127,7 +130,8 @@ inline Fe fe_sq(const Fe& a) {
 Fe fe_neg(const Fe& a);
 /// a * 121666 (X25519 ladder constant).
 Fe fe_mul121666(const Fe& a);
-/// Multiplicative inverse (zero maps to zero).
+/// Multiplicative inverse (zero maps to zero): constant-time safegcd
+/// divsteps (Bernstein-Yang), about a third of the cost of a^(p-2).
 Fe fe_invert(const Fe& a);
 /// a^((p-5)/8), used in square-root extraction.
 Fe fe_pow_p58(const Fe& a);

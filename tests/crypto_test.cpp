@@ -691,7 +691,7 @@ TEST(Aead, InPlaceMatchesCopying) {
     EXPECT_EQ(su::Bytes(buf.begin() + 2, buf.end()), sc::aead_seal(key, nonce, aad, pt)) << len;
 
     su::Bytes tampered = buf;
-    tampered.back() ^= 1;
+    tampered.at(tampered.size() - 1) ^= 1;
     const su::Bytes before = tampered;
     EXPECT_FALSE(sc::aead_open_in_place(key, nonce, aad, tampered, 2));
     EXPECT_EQ(tampered, before);
@@ -1065,6 +1065,27 @@ TEST(VerifyMemo, CapacityBoundsGrowthWithoutChangingVerdicts) {
     EXPECT_EQ(memo.verify(item.pub, item.msg, item.sig), item.valid);
   }
   EXPECT_LE(memo.size(), memo.capacity());
+}
+
+TEST(Ed25519, PreparedKeyCacheConcurrentHammering) {
+  // Four threads verify one shared mix of genuine and forged triples under
+  // more distinct keys than the prepared-key cache has slots, each in its
+  // own order: keys are prepared, evicted and prepared again while other
+  // threads read the same slots, and every verdict must match ground truth.
+  const auto items = memo_items(sc::kEdPreparedKeySlots + 255, "prepared-cache");
+  constexpr std::size_t kStrides[] = {1, 7919, 104729, 1299709};  // primes: full cycles
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t stride : kStrides) {
+    threads.emplace_back([&, stride] {
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        const MemoItem& item = items[(i * stride + stride / 2) % items.size()];
+        if (sc::ed25519_verify(item.pub, item.msg, item.sig) != item.valid) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- DRBG ------------------------------------------------------------------------

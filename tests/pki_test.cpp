@@ -133,6 +133,34 @@ TEST(Authority, RejectsBadPop) {
   EXPECT_FALSE(ca.issue(csr, 0).has_value());
 }
 
+TEST(Authority, RefusesIdentityKeyCsr) {
+  // Under the identity point as a public key, the signature (R = B, S = 1)
+  // satisfies S*B - k*A == R for every message: its proof of possession is
+  // free to forge, and so would be every signature the certificate vouched
+  // for. The CA must refuse it, canonically encoded (01 00..00) or as the
+  // non-canonical y = p + 1 (ee ff..ff 7f).
+  auto ca = make_ca();
+  auto csr = sp::CertificateRequest::create(sp::user_id_from_name("ghost"), "ghost",
+                                            make_keys("ghost"), enc_key_for("ghost"));
+  sc::EdPublicKey canonical{};
+  canonical[0] = 0x01;
+  sc::EdPublicKey non_canonical;
+  non_canonical.fill(0xff);
+  non_canonical[0] = 0xee;
+  non_canonical[31] = 0x7f;
+  sc::EdSignature forged{};
+  forged[0] = 0x58;  // R = enc(B): y = 4/5 = 0x6666...6658
+  for (int i = 1; i < 32; ++i) forged[i] = 0x66;
+  forged[32] = 0x01;  // S = 1
+  for (const auto& key : {canonical, non_canonical}) {
+    csr.subject_key = key;
+    csr.pop_signature = forged;
+    EXPECT_FALSE(csr.verify_pop());
+    EXPECT_FALSE(ca.issue(csr, 0).has_value());
+  }
+  EXPECT_EQ(ca.issued_count(), 0u);
+}
+
 TEST(TrustStore, AcceptsValidCertificate) {
   auto ca = make_ca();
   auto keys = make_keys("alice");
